@@ -20,7 +20,7 @@ import sys
 import checks
 import run
 from workloads import _ALGEBRA_BASE, _ALGEBRA_POOL, WORK_DIR, WORKLOADS, config_path, \
-    make_jobs, rat, write_inputs
+    make_jobs, rep_json, write_inputs
 
 CHECK_SEED = 1
 
@@ -50,20 +50,16 @@ def _workload_reference(main, workload):
 
 
 def _unit_file(name: str) -> str:
-    _, n, q = _ALGEBRA_POOL[name]
-    qj = rat(q) if not isinstance(q, tuple) else [[rat(q[0]), rat(q[1])],
-                                                  [rat(q[2]), rat(q[3])]]
     path = f"{WORK_DIR}/algebra/unit_{name}.json"
     with open(path, "w") as fh:
-        json.dump({"terms": [{"rep": {"n": [rat(n[0]), rat(n[1])], "q": qj},
-                              "coeff": "1"}]}, fh)
+        json.dump({"terms": [{"rep": rep_json(*_ALGEBRA_POOL[name]), "coeff": "1"}]}, fh)
     return path
 
 
 def _algebra_reference(main):
     """Products T_a * T_b and involutions of unit characteristic functions."""
     canon, products, stars = {}, {}, {}
-    pairs = {(a, b) for f, g, _ in _ALGEBRA_BASE for a in f for b in g}
+    pairs = {(a, b) for f, g in _ALGEBRA_BASE for a in f for b in g}
     for a, b in sorted(pairs):
         argv = ["hecke", "mul", "--f", _unit_file(a), "--g", _unit_file(b)]
         cfg = _ALGEBRA_POOL[a][0]

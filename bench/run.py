@@ -9,6 +9,9 @@ stderr captured.  The job list (see ``workloads.py``) is run in passes until
 ``--seconds`` have elapsed, always finishing the pass.  Every job is checked
 (``checks.py``) after the timed loop.
 
+``setup_s`` times fresh interpreters started on this file with
+``--setup-only``, which set up, print ``ready`` and exit.
+
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of ``tracer.py``: it alternates untraced and traced passes, so that
 their wall-time ratio gives the tracing overhead.  The last line of stdout
@@ -40,7 +43,7 @@ from workloads import WORKLOADS, make_jobs, write_inputs
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
-SETUP_RUNS = 9
+SETUP_RUNS = 25
 TAIL_BEYOND = 10  # jobs beyond the tail percentile
 # Times are scaled to a CPU on which reference_kernel() takes this long (a
 # core of the baseline machine with no other load): the sandbox's effective
@@ -48,6 +51,9 @@ TAIL_BEYOND = 10  # jobs beyond the tail percentile
 # dividing by the reference computation timed between the jobs of the same
 # pass cancels that swing.  See "Timing" in bench/README.md.
 REF_KERNEL_S = 0.0015
+# Set-up starts an interpreter, so it is scaled by a bare interpreter start
+# (``python3 -c pass``) timed next to it instead, to this many seconds.
+REF_START_S = 0.04
 
 
 def import_program():
@@ -64,11 +70,51 @@ def import_program():
 def setup(workload: str, seed: int):
     """Everything before the first job is ready: import the program, build
     the job list and write the config and element files."""
-    start = time.perf_counter()
     hp, cli = import_program()
     jobs, files, order = make_jobs(workload, seed)
     write_inputs(files)
-    return time.perf_counter() - start, hp, cli.main, jobs, order
+    return hp, cli.main, jobs, order
+
+
+def time_setup(workload: str, seed: int) -> float:
+    """Seconds from starting a fresh interpreter on this file with
+    ``--setup-only`` to its report that the first job is ready, so that
+    interpreter start-up and every import are counted."""
+    start = time.perf_counter()
+    with subprocess.Popen(bench_argv(ROOT, workload, seed, setup_only=True),
+                          stdout=subprocess.PIPE, text=True) as proc:
+        line = proc.stdout.readline()
+        elapsed = time.perf_counter() - start
+        proc.stdout.read()
+    if proc.returncode != 0 or line != "ready\n":
+        raise SystemExit(f"set-up of {workload} exited {proc.returncode}")
+    return elapsed
+
+
+def bare_start() -> float:
+    """Seconds taken to start and end an interpreter that does nothing."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "pass"], check=True)
+    return time.perf_counter() - start
+
+
+def bench_argv(root, workload, seed, seconds=None, trace=None, setup_only=False) -> list:
+    argv = [sys.executable, os.path.join(root, "bench", "run.py"),
+            "--workload", workload, "--seed", str(seed)]
+    if setup_only:
+        return argv + ["--setup-only"]
+    return argv + ["--seconds", str(seconds), "--trace", str(trace)]
+
+
+def run_subprocess(workload, seed, seconds, trace, root=ROOT, env=None):
+    """Run one workload of the benchmark in ``root`` in a fresh process.
+    Returns the finished process and its parsed result line, or None when
+    it printed none."""
+    proc = subprocess.run(bench_argv(root, workload, seed, seconds, trace),
+                          capture_output=True, text=True, env=env, check=False)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    return proc, result
 
 
 def run_job(main, argv):
@@ -177,26 +223,35 @@ def count_failures(workload, seed, jobs, first, runs, hp) -> int:
                   file=sys.stderr)
     expected = {slot: (code, checks.sha256(text), error)
                 for slot, (code, text, error) in first.items()}
-    return sum(1 for slot, code, digest, error in runs
-               if slot in reasons or (code, digest, error) != expected[slot])
+    failed = 0
+    for slot, code, digest, error in runs:
+        differs = (code, digest, error) != expected[slot]
+        if differs and slot not in reasons:
+            print(f"FAIL {workload} slot {slot} {jobs[slot].argv}: exit {code}, error"
+                  f" {error} or report differs from the job's first run", file=sys.stderr)
+        failed += slot in reasons or differs
+    return failed
 
 
 def percentiles(passes, key, tail_rank):
-    """(median, tail) of all job times of the passes.  With k passes, the job
-    of rank ``tail_rank`` holds pooled ranks ((tail_rank - 1) k, tail_rank k];
-    the tail is the middle of them, not their end, so that a job whose cost
-    stands apart from its neighbours' gives its typical time."""
-    pooled = sorted(t for p in passes for t in p[key])
-    return statistics.median(pooled), pooled[(2 * tail_rank - 1) * len(passes) // 2]
+    """(median, tail) over the job list of each job's typical time, the
+    median of its times in the passes.  The tail is the time of the job of
+    rank ``tail_rank``.  Taking each job's median first keeps a rank that
+    falls at the edge of a cluster of jobs with similar costs from reading
+    the slowest run of the cluster."""
+    typical = sorted(statistics.median(p[key][i] for p in passes)
+                     for i in range(len(passes[0][key])))
+    return statistics.median(typical), typical[tail_rank - 1]
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool):
-    setup_s, kernel = [], reference_kernel()
+    setup_s, bare = [], bare_start()
     for _ in range(SETUP_RUNS):
-        elapsed, hp, main, jobs, order = setup(workload, seed)
-        after = reference_kernel()
-        setup_s.append(elapsed * REF_KERNEL_S * 2 / (kernel + after))
-        kernel = after
+        elapsed = time_setup(workload, seed)
+        after = bare_start()
+        setup_s.append(elapsed * REF_START_S * 2 / (bare + after))
+        bare = after
+    hp, main, jobs, order = setup(workload, seed)
     tracer = tracing.Tracer()
     first, runs, passes = run_passes(main, jobs, order, seconds, trace, tracer)
     failed = count_failures(workload, seed, jobs, first, runs, hp)
@@ -259,16 +314,11 @@ def run_all(seed: int, seconds: int) -> dict:
     combined = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for workload in WORKLOADS:
         for trace in (0, 1):
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-                capture_output=True, text=True, check=False)
-            lines = proc.stdout.splitlines()
-            sys.stdout.write("\n".join(lines[:-1]) + "\n")
+            proc, part = run_subprocess(workload, seed, seconds, trace)
+            sys.stdout.write("\n".join(proc.stdout.splitlines()[:-1]) + "\n")
             sys.stderr.write(proc.stderr)
-            if proc.returncode != 0 or not lines:
+            if part is None:
                 raise SystemExit(f"{workload} --trace {trace} exited {proc.returncode}")
-            part = json.loads(lines[-1])
             combined["correct"] &= part["correct"]
             combined["attempted"] += part["attempted"]
             combined["failed"] += part["failed"]
@@ -283,6 +333,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=checks.REFERENCE_SEED)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--setup-only", action="store_true",
+                        help="set up, print 'ready' and exit (times setup_s)")
     args = parser.parse_args(argv)
 
     os.chdir(ROOT)
@@ -290,6 +342,12 @@ def main(argv=None) -> int:
         print("error: src/heckepairs not found next to bench/", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    if args.setup_only:
+        if args.workload == "all":
+            parser.error("--setup-only needs one workload")
+        setup(args.workload, args.seed)
+        print("ready", flush=True)
+        return 0
     if args.workload == "all":
         result = run_all(args.seed, args.seconds)
     else:

@@ -19,21 +19,15 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 
-BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(BENCH_DIR)
+from run import ROOT, run_subprocess
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        capture_output=True, text=True, check=False, cwd=ROOT)
-    if proc.returncode != 0:
+    proc, result = run_subprocess(workload, seed, seconds, trace)
+    if result is None:
         raise SystemExit(f"{workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{workload} seed {seed}: {result['failed']} jobs failed\n"
                          f"{proc.stderr}")
@@ -75,7 +69,7 @@ def main() -> int:
         for name, bound in bounds.items():
             stats = summarize([r["metrics"][name]["value"] for r in results])
             out["end_to_end"][workload][name] = stats
-            steady = name == "setup_s" or stats["spread"] < bound / 3
+            steady = stats["spread"] < bound / 3
             ok &= steady
             print(f"{workload:8} {name:12} median {stats['median']:<12.6g} "
                   f"spread {stats['spread']:.4f}  bound/3 {bound / 3:.4f}"

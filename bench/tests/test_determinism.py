@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
 import sys
 
 import pytest
@@ -21,6 +20,7 @@ BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.dirname(BENCH_DIR)
 sys.path.insert(0, BENCH_DIR)
 
+from run import run_subprocess  # noqa: E402
 from tracer import COUNT_UNITS  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
@@ -30,15 +30,12 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 def bench_run(root, workload, trace, hash_seed=0):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-    return subprocess.run(
-        [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
-         "--seed", "0", "--seconds", "1", "--trace", str(trace)],
-        capture_output=True, text=True, env=env, timeout=600, check=False)
+    return run_subprocess(workload, 0, 1, trace, root=root, env=env)
 
 
-def result_of(proc) -> dict:
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+def result_of(run) -> dict:
+    proc, result = run
+    assert result is not None, proc.stderr
     assert result["correct"] and result["failed"] == 0, proc.stderr
     return result
 
@@ -63,6 +60,6 @@ def test_fails_without_the_program(tmp_path):
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     shutil.copytree(BENCH_DIR, tmp_path / "bench",
                     ignore=shutil.ignore_patterns("_work", "__pycache__"))
-    proc = bench_run(str(tmp_path), "verify", 0)
+    proc, _ = bench_run(str(tmp_path), "verify", 0)
     assert proc.returncode != 0
     assert proc.stdout == ""

@@ -150,52 +150,50 @@ def _diag(a, b) -> Mat:
 
 
 _DEGREE_BASE = [
-    # (config, n, q, copies)
-    ("gl2_p2", (0, 0), _diag(2, 1), 2),
-    ("gl2_p2", (0, 0), _diag(1, 2), 1),
-    ("gl2_p2", (0, 0), _diag(4, 1), 1),
-    ("gl2_p2", (0, 0), _diag(4, 2), 1),
-    ("gl2_p2", (0, 0), _diag(8, 1), 1),
-    ("gl2_p2", (0, 0), _diag(16, 1), 1),
-    ("gl2_p2", (F(1, 2), 0), _ID, 2),
-    ("gl2_p2", (0, F(1, 2)), _ID, 1),
-    ("gl2_p2", (F(1, 4), 0), _ID, 1),
-    ("gl2_p2", (F(1, 8), 0), _ID, 1),
-    ("gl2_p2", (F(1, 2), 0), _diag(2, 1), 2),
-    ("gl2_p2", (0, F(1, 2)), _diag(1, 2), 1),
-    ("gl2_p3", (0, 0), _diag(3, 1), 2),
-    ("gl2_p3", (0, 0), _diag(1, 3), 1),
-    ("gl2_p3", (0, 0), _diag(9, 1), 1),
-    ("gl2_p3", (F(1, 3), 0), _ID, 2),
-    ("gl2_p3", (F(1, 9), 0), _ID, 1),
-    ("gl2_p3", (F(1, 3), 0), _diag(3, 1), 1),
-    ("gl2_p5", (0, 0), _diag(5, 1), 2),
-    ("gl2_p5", (F(1, 5), 0), _ID, 2),
-    ("gl2_p5", (0, F(1, 5)), _ID, 1),
-    ("gl2_Q", (0, 0), _diag(2, 1), 2),
-    ("gl2_Q", (0, 0), _diag(1, 2), 1),
-    ("gl2_Q", (0, 0), _diag(6, 1), 1),
-    ("gl2_Q", (0, 0), _diag(3, 2), 1),
-    ("gl2_Q", (F(1, 6), 0), _ID, 1),
-    ("gl2_Q", (F(1, 2), F(1, 3)), _ID, 1),
-    ("gl2_Q", (F(1, 3), 0), _ID, 1),
-    ("gl2_Q", (F(1, 2), 0), _diag(3, 1), 1),
+    # (config, n, q)
+    ("gl2_p2", (0, 0), _diag(2, 1)),
+    ("gl2_p2", (0, 0), _diag(1, 2)),
+    ("gl2_p2", (0, 0), _diag(4, 1)),
+    ("gl2_p2", (0, 0), _diag(4, 2)),
+    ("gl2_p2", (0, 0), _diag(8, 1)),
+    ("gl2_p2", (0, 0), _diag(16, 1)),
+    ("gl2_p2", (F(1, 2), 0), _ID),
+    ("gl2_p2", (0, F(1, 2)), _ID),
+    ("gl2_p2", (F(1, 4), 0), _ID),
+    ("gl2_p2", (F(1, 8), 0), _ID),
+    ("gl2_p2", (F(1, 2), 0), _diag(2, 1)),
+    ("gl2_p2", (0, F(1, 2)), _diag(1, 2)),
+    ("gl2_p3", (0, 0), _diag(3, 1)),
+    ("gl2_p3", (0, 0), _diag(1, 3)),
+    ("gl2_p3", (0, 0), _diag(9, 1)),
+    ("gl2_p3", (F(1, 3), 0), _ID),
+    ("gl2_p3", (F(1, 9), 0), _ID),
+    ("gl2_p3", (F(1, 3), 0), _diag(3, 1)),
+    ("gl2_p5", (0, 0), _diag(5, 1)),
+    ("gl2_p5", (F(1, 5), 0), _ID),
+    ("gl2_p5", (0, F(1, 5)), _ID),
+    ("gl2_Q", (0, 0), _diag(2, 1)),
+    ("gl2_Q", (0, 0), _diag(1, 2)),
+    ("gl2_Q", (0, 0), _diag(6, 1)),
+    ("gl2_Q", (0, 0), _diag(3, 2)),
+    ("gl2_Q", (F(1, 6), 0), _ID),
+    ("gl2_Q", (F(1, 2), F(1, 3)), _ID),
+    ("gl2_Q", (F(1, 3), 0), _ID),
+    ("gl2_Q", (F(1, 2), 0), _diag(3, 1)),
 ]
 
 
 def _degrees(rng: random.Random):
     jobs = []
-    for cfg, n, q, copies in _DEGREE_BASE:
+    for cfg, n, q in _DEGREE_BASE:
         n = (F(n[0]), F(n[1]))
-        base = f"{cfg}:{planar_text(n, q)}"
         kind = "pure_q" if n == (0, 0) else ("pure_n" if q == _ID else "mixed")
-        for _ in range(copies):
-            vn, vq = planar_variant(rng, n, q)
-            jobs.append(Job(len(jobs), base, kind,
-                            ["dcoset", "--config", config_path(cfg),
-                             "--element", planar_text(vn, vq)],
-                            data={"config": cfg, "n": [rat(x) for x in vn],
-                                  "q": [rat(x) for x in vq]}))
+        vn, vq = planar_variant(rng, n, q)
+        jobs.append(Job(len(jobs), f"{cfg}:{planar_text(n, q)}", kind,
+                        ["dcoset", "--config", config_path(cfg),
+                         "--element", planar_text(vn, vq)],
+                        data={"config": cfg, "n": [rat(x) for x in vn],
+                              "q": [rat(x) for x in vq]}))
     return jobs, {}
 
 
@@ -219,31 +217,31 @@ _ALGEBRA_POOL = {
 }
 
 _ALGEBRA_BASE = [
-    # (f support, g support, copies)
-    (("N2",), ("N2",), 2),
-    (("N2",), ("T2",), 1),
-    (("T2",), ("N2",), 1),
-    (("N2",), ("N4",), 1),
-    (("N4",), ("N4",), 1),
-    (("T2",), ("T2",), 1),
-    (("T2t",), ("T2t",), 1),
-    (("N2",), ("T4",), 1),
-    (("N2",), ("X2",), 1),
-    (("X2",), ("N2",), 1),
-    (("N2", "N4"), ("N2",), 1),
-    (("T2t", "N2"), ("T2t",), 1),
-    (("hq2",), ("hq2",), 2),
-    (("hq3",), ("hq3",), 2),
-    (("hq4",), ("hq4",), 2),
-    (("hn2",), ("hn2",), 2),
-    (("hn6",), ("hn6",), 2),
-    (("hx",), ("hx",), 2),
-    (("hq2",), ("hq3",), 2),
-    (("hn2",), ("hq4",), 2),
-    (("hq2", "hn2"), ("hq3",), 2),
-    (("hq2", "hn6"), ("hx", "hq3"), 2),
-    (("hq4", "hn6"), ("hq2",), 2),
-    (("hq3",), ("hn2", "hq2"), 2),
+    # (f support, g support)
+    (("N2",), ("N2",)),
+    (("N2",), ("T2",)),
+    (("T2",), ("N2",)),
+    (("N2",), ("N4",)),
+    (("N4",), ("N4",)),
+    (("T2",), ("T2",)),
+    (("T2t",), ("T2t",)),
+    (("N2",), ("T4",)),
+    (("N2",), ("X2",)),
+    (("X2",), ("N2",)),
+    (("N2", "N4"), ("N2",)),
+    (("T2t", "N2"), ("T2t",)),
+    (("hq2",), ("hq2",)),
+    (("hq3",), ("hq3",)),
+    (("hq4",), ("hq4",)),
+    (("hn2",), ("hn2",)),
+    (("hn6",), ("hn6",)),
+    (("hx",), ("hx",)),
+    (("hq2",), ("hq3",)),
+    (("hn2",), ("hq4",)),
+    (("hq2", "hn2"), ("hq3",)),
+    (("hq2", "hn6"), ("hx", "hq3")),
+    (("hq4", "hn6"), ("hq2",)),
+    (("hq3",), ("hn2", "hq2")),
 ]
 
 
@@ -253,76 +251,87 @@ def _coeff(rng: random.Random) -> F:
     return F(rng.randint(1, 9), rng.randint(1, 4))
 
 
+def rep_json(cfg: str, n, q) -> dict:
+    """The ``rep`` of a term in a ``hecke mul`` element file."""
+    if cfg == "heis":
+        qj = rat(q)
+    else:
+        qj = [[rat(q[0]), rat(q[1])], [rat(q[2]), rat(q[3])]]
+    return {"n": [rat(n[0]), rat(n[1])], "q": qj}
+
+
 def _term_json(rng: random.Random, name: str, coeff: F) -> dict:
     cfg, n, q = _ALGEBRA_POOL[name]
     n = (F(n[0]), F(n[1]))
-    if cfg == "heis":
-        (vn, vq) = heis_variant(rng, n, q)
-        qj = rat(vq)
-    else:
-        vn, vq = planar_variant(rng, n, q)
-        qj = [[rat(vq[0]), rat(vq[1])], [rat(vq[2]), rat(vq[3])]]
-    return {"rep": {"n": [rat(vn[0]), rat(vn[1])], "q": qj}, "coeff": rat(coeff)}
+    variant = heis_variant if cfg == "heis" else planar_variant
+    return {"rep": rep_json(cfg, *variant(rng, n, q)), "coeff": rat(coeff)}
 
 
 def _algebra(rng: random.Random):
     jobs, files = [], {}
-    for f_names, g_names, copies in _ALGEBRA_BASE:
+    for f_names, g_names in _ALGEBRA_BASE:
         cfg = _ALGEBRA_POOL[f_names[0]][0]
-        base = f"{'+'.join(f_names)}*{'+'.join(g_names)}"
-        for _ in range(copies):
-            slot = len(jobs)
-            fc = [_coeff(rng) for _ in f_names]
-            gc = [_coeff(rng) for _ in g_names]
-            f_path = f"{WORK_DIR}/algebra/{slot}_f.json"
-            g_path = f"{WORK_DIR}/algebra/{slot}_g.json"
-            files[f_path] = {"terms": [_term_json(rng, nm, c)
-                                       for nm, c in zip(f_names, fc)]}
-            files[g_path] = {"terms": [_term_json(rng, nm, c)
-                                       for nm, c in zip(g_names, gc)]}
-            argv = ["hecke", "mul", "--f", f_path, "--g", g_path]
-            if cfg != "gl2_p2":
-                argv += ["--config", config_path(cfg)]
-            jobs.append(Job(slot, base, "hecke", argv,
-                            data={"f": list(f_names), "g": list(g_names),
-                                  "f_coeffs": [rat(c) for c in fc],
-                                  "g_coeffs": [rat(c) for c in gc]}))
+        slot = len(jobs)
+        fc = [_coeff(rng) for _ in f_names]
+        gc = [_coeff(rng) for _ in g_names]
+        f_path = f"{WORK_DIR}/algebra/{slot}_f.json"
+        g_path = f"{WORK_DIR}/algebra/{slot}_g.json"
+        files[f_path] = {"terms": [_term_json(rng, nm, c) for nm, c in zip(f_names, fc)]}
+        files[g_path] = {"terms": [_term_json(rng, nm, c) for nm, c in zip(g_names, gc)]}
+        argv = ["hecke", "mul", "--f", f_path, "--g", g_path]
+        if cfg != "gl2_p2":
+            argv += ["--config", config_path(cfg)]
+        jobs.append(Job(slot, f"{'+'.join(f_names)}*{'+'.join(g_names)}", "hecke", argv,
+                        data={"f": list(f_names), "g": list(g_names),
+                              "f_coeffs": [rat(c) for c in fc],
+                              "g_coeffs": [rat(c) for c in gc]}))
     return jobs, files
 
 
 # ---------------------------------------------------------------------------
 # tower: stage chains, some capped below their last stage's order
 
-# The chain diag(2,1); diag(4,1) built to order 49,152 with its 1.25 s
-# ConnectingMap.verify is left out: that one memory-heavy job took a third of
-# a pass, tracked the CPU-speed reference of run.py poorly and made
-# jobs_per_s spread 7-9% from run to run (3% without it).  The capped jobs
-# still enumerate that stage before SizeCap rejects it.
+# Builds that reach order 49,152 (diag(4,1) alone, or diag(2,1); diag(4,1)
+# uncapped) are left out: that one memory-heavy job took a third of a pass,
+# tracked the CPU-speed reference of run.py poorly and made jobs_per_s spread
+# 7-9% from run to run.  The capped jobs still enumerate that stage before
+# SizeCap rejects it.
 _TOWER_BASE = [
-    # (config, seed matrices, extra flags, expected exit, copies)
-    ("gl2_p2", (_diag(2, 1), _diag(4, 1), _diag(8, 1)),
-     ["--stage-order-max", "49151"], 3, 3),
-    ("gl2_p2", (_diag(2, 1),), [], 0, 6),
-    ("gl2_p2", (_diag(2, 1), _diag(4, 1)), ["--stages", "1"], 0, 4),
-    ("gl2_p2", (_diag(2, 1), _diag(1, 2)), [], 0, 6),
-    ("gl2_p2", (), [], 0, 4),
-    ("gl2_p3", (_diag(3, 1),), [], 0, 2),
-    ("gl2_p3", (_diag(3, 1), _diag(9, 1)), ["--stage-order-max", "11663"], 3, 2),
-    ("gl2_p3", (_diag(3, 1), _diag(1, 3)), [], 0, 1),
-    ("gl2_p3", (_diag(3, 1),), ["--stages", "0"], 0, 4),
+    # (config, seed matrices, extra flags, expected exit); every entry is a
+    # different chain, stage limit or cap, and each runs once per pass
+    ("gl2_p2", (), [], 0),
+    ("gl2_p2", (_diag(2, 1),), [], 0),
+    ("gl2_p2", (_diag(1, 2),), [], 0),
+    ("gl2_p2", (_diag(2, 1),), ["--stages", "0"], 0),
+    ("gl2_p2", (_diag(2, 1),), ["--stage-order-max", "191"], 3),
+    ("gl2_p2", (_diag(2, 1), _diag(1, 2)), [], 0),
+    ("gl2_p2", (_diag(2, 1), _diag(1, 2)), ["--stages", "1"], 0),
+    ("gl2_p2", (_diag(2, 1), _diag(1, 2)), ["--stage-order-max", "191"], 3),
+    ("gl2_p2", (_diag(2, 1), _diag(4, 1)), ["--stages", "1"], 0),
+    ("gl2_p2", (_diag(1, 2), _diag(1, 4)), ["--stages", "1"], 0),
+    ("gl2_p2", (_diag(2, 1), _diag(4, 1)), ["--stage-order-max", "49151"], 3),
+    ("gl2_p2", (_diag(2, 1), _diag(4, 1), _diag(8, 1)), ["--stage-order-max", "49151"], 3),
+    ("gl2_p3", (), [], 0),
+    ("gl2_p3", (_diag(3, 1),), [], 0),
+    ("gl2_p3", (_diag(1, 3),), [], 0),
+    ("gl2_p3", (_diag(3, 1),), ["--stages", "0"], 0),
+    ("gl2_p3", (_diag(1, 3),), ["--stage-order-max", "11663"], 3),
+    ("gl2_p3", (_diag(3, 1), _diag(1, 3)), [], 0),
+    ("gl2_p3", (_diag(3, 1), _diag(1, 3)), ["--stages", "1"], 0),
+    ("gl2_p3", (_diag(3, 1), _diag(9, 1)), ["--stages", "1"], 0),
+    ("gl2_p3", (_diag(3, 1), _diag(9, 1)), ["--stage-order-max", "11663"], 3),
 ]
 
 
 def _tower(rng: random.Random):
     jobs = []
-    for cfg, seeds, extra, code, copies in _TOWER_BASE:
+    for cfg, seeds, extra, code in _TOWER_BASE:
+        variants = [mmul(mmul(r_word(rng), q), r_word(rng)) for q in seeds]
+        argv = ["tower", "build", "--config", config_path(cfg)]
+        if variants:
+            argv += ["--seed", ";".join(mat_text(q) for q in variants)]
         base = f"{cfg}:{';'.join(mat_text(q) for q in seeds)}:{' '.join(extra)}"
-        for _ in range(copies):
-            variants = [mmul(mmul(r_word(rng), q), r_word(rng)) for q in seeds]
-            argv = ["tower", "build", "--config", config_path(cfg)]
-            if variants:
-                argv += ["--seed", ";".join(mat_text(q) for q in variants)]
-            jobs.append(Job(len(jobs), base, "tower", argv + extra, code))
+        jobs.append(Job(len(jobs), base, "tower", argv + extra, code))
     return jobs, {}
 
 
@@ -339,11 +348,14 @@ _VERIFY_PAIRS = [
     ("quad_d2", []),
     ("heis", []),
 ]
-# five copies of s = 14 straddle the tail rank (10 jobs beyond it: the eight
-# planar and quad pair verifications and two of these), so the tail is the
-# typical time of one job rather than the edge between two different jobs
-_SLPM_MODULI = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 14, 14, 14, 14)
+# a family subcommand runs once per value of the parameter it is listed
+# with, and once if it has none.  Moduli are fixed, because the cost
+# follows them: a seeded modulus moved jobs across the median rank.
+_PADIC_PRIMES = (2, 3, 5)
+_SLPM_MODULI = tuple(range(2, 17))
 _QUAD_D = (2, 3, 6, 7)
+_QUAD_MOD = 20
+_HEIS_MOD = 30
 
 
 def _padic_matrix(rng: random.Random, p: int) -> Mat:
@@ -369,34 +381,29 @@ def _verify(rng: random.Random):
         jobs.append(Job(len(jobs), base, kind, argv, data=data))
 
     # the sampled H elements, and with them the cost, follow the sampling
-    # seed, so it is fixed per copy rather than drawn from the workload seed
-    for sampling_seed in (1, 2):
-        for cfg, extra in _VERIFY_PAIRS:
-            add(f"pair:{cfg}", "pair_verify",
-                ["pair", "verify", "--config", config_path(cfg),
-                 "--seed", str(sampling_seed)] + extra)
-    for i in range(8):
-        p = (2, 3, 5)[i % 3]
+    # seed, so it is fixed rather than drawn from the workload seed
+    for cfg, extra in _VERIFY_PAIRS:
+        add(f"pair:{cfg}", "pair_verify",
+            ["pair", "verify", "--config", config_path(cfg), "--seed", "1"] + extra)
+    for p in _PADIC_PRIMES:
         g = _padic_matrix(rng, p)
         add("decompose:padic", "decompose",
             ["gl2", "decompose", "--p", str(p), "--matrix", mat_text(g)],
             p=p, matrix=mat_text(g))
-        g = _global_matrix(rng)
-        add("decompose:global", "decompose",
-            ["gl2", "decompose", "--matrix", mat_text(g)], p=None,
-            matrix=mat_text(g))
+    g = _global_matrix(rng)
+    add("decompose:global", "decompose", ["gl2", "decompose", "--matrix", mat_text(g)],
+        p=None, matrix=mat_text(g))
     for s in _SLPM_MODULI:
         add(f"slpm:{s}", "slpm", ["gl2", "slpm", "--mod", str(s)], s=s)
-    for i in range(8):
-        d, s = _QUAD_D[i % 4], rng.randint(3, 40)
+    for d in _QUAD_D:
+        s = _QUAD_MOD
         add("quad", "quad_units",
             ["quad", "units", "--d", str(d), "--mod", str(s)], d=d, s=s)
-    for _ in range(8):
-        s = rng.randint(2, 60)
-        z, w = rng.randrange(s), rng.randrange(s)
-        add("heis_orbit", "heis_orbit",
-            ["heis", "orbit", "--mod", str(s), "--z", str(z), "--w", str(w)],
-            s=s, z=z, w=w)
+    s = _HEIS_MOD
+    z, w = rng.randrange(s), rng.randrange(s)
+    add("heis_orbit", "heis_orbit",
+        ["heis", "orbit", "--mod", str(s), "--z", str(z), "--w", str(w)],
+        s=s, z=z, w=w)
     return jobs, {}
 
 
