@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rationals, 2x2 matrices, planar lattices,
 residue rings and real quadratic integers.
 
-Everything here is immutable and computed over ``fractions.Fraction``;
-no floating point is used anywhere.
+Everything here is immutable and exact: ``fractions.Fraction`` for
+rationals, plain integers for the integer normal forms; no floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -33,9 +34,14 @@ def rat_from_str(s: str) -> Rat:
 def rat_to_str(x: Rat) -> str:
     """Serialize exactly; the denominator is omitted when it is 1."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return ratio_to_str(x.numerator, x.denominator)
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """``rat_to_str(Fraction(num, den))`` for den > 0, without the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def is_prime(n: int) -> bool:
@@ -182,6 +188,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # lattices in Q^2
 
 
+def hnf_int(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Canonical column form (A, C, D) of the Z-span of the columns of the
+    nonsingular integer matrix (a, b; c, d).
+
+    The span projects onto gcd(a, b)Z in the first coordinate, and the lift
+    x*(a, c) + y*(b, d) of that gcd is the first basis column; the second is
+    (0, D) with A*D = |det|.  So A > 0, D > 0 and 0 <= C < D.
+    """
+    det = a * d - b * c
+    if det == 0:
+        raise SingularBasis("basis has determinant 0")
+    g, x, y = _xgcd(a, b)
+    dd = abs(det) // g
+    return g, (x * c + y * d) % dd, dd
+
+
 def _hnf_columns(vectors: list[tuple[Rat, Rat]]) -> tuple[Rat, Rat, Rat]:
     """Canonical column form (a, c, d) of the Z-span of the given vectors.
 
@@ -237,10 +259,9 @@ class Lattice:
     @staticmethod
     def from_basis(basis: Mat2) -> "Lattice":
         """Canonicalize the Z-span of the columns of ``basis``."""
-        if basis.det() == 0:
-            raise SingularBasis("basis has determinant 0")
-        cols = [(basis.a, basis.c), (basis.b, basis.d)]
-        return Lattice(*_hnf_columns(cols))
+        scale = basis.denominator_lcm()
+        a, c, d = hnf_int(*(int(x * scale) for x in basis.entries()))
+        return Lattice(Fraction(a, scale), Fraction(c, scale), Fraction(d, scale))
 
     @staticmethod
     def from_vectors(vectors) -> "Lattice":

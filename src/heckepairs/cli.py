@@ -11,6 +11,7 @@ inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Mat2, rat_from_str, rat_to_str
+from .arith import Mat2, is_prime, rat_from_str, rat_to_str
 from .cosets import (
     DoubleCosetCache,
     HeckeElement,
@@ -27,6 +28,7 @@ from .cosets import (
     involution,
 )
 from .errors import (
+    BadDiscriminant,
     ConductorOverflow,
     ConfigInvalid,
     EnumerationBound,
@@ -200,6 +202,12 @@ def parse_vector(text: str) -> tuple[Fraction, Fraction]:
     if len(parts) != 2:
         raise ConfigInvalid(f"cannot parse vector {text!r}")
     return (rat_from_str(parts[0]), rat_from_str(parts[1]))
+
+
+def _require(ok: bool, message: str) -> None:
+    """Reject an out-of-range command-line value as a usage error."""
+    if not ok:
+        raise ConfigInvalid(message)
 
 
 def parse_element(pair: PairDescriptor, text: str):
@@ -438,6 +446,7 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
 
 def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report:
     report = Report("gl2 decompose", cfg)
+    _require(p is None or is_prime(p), f"--p {p} is not a prime")
     g = parse_matrix(matrix_text)
     try:
         split = split_padic(g, p) if p is not None else split_global(g)
@@ -459,7 +468,11 @@ def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report
 
 def cmd_quad_units(cfg: RunConfig, d: int, modulus: int) -> Report:
     report = Report("quad units", cfg)
-    rep = unit_image_gap(d, modulus)
+    _require(modulus >= 2, f"--mod must be at least 2, got {modulus}")
+    try:
+        rep = unit_image_gap(d, modulus)
+    except BadDiscriminant as exc:
+        raise ConfigInvalid(f"--d {d}: {exc}") from exc
     outputs = {k: (list(v) if isinstance(v, tuple) else v)
                for k, v in rep.items() if k != "data"}
     report.add("quad.units",
@@ -471,6 +484,7 @@ def cmd_quad_units(cfg: RunConfig, d: int, modulus: int) -> Report:
 
 def cmd_heis_orbit(cfg: RunConfig, modulus: int, z: int, w: int) -> Report:
     report = Report("heis orbit", cfg)
+    _require(modulus >= 1, f"--mod must be at least 1, got {modulus}")
     orbit = heis_orbit(z, w, modulus)
     report.add("heis.orbit",
                "translation orbit of (z, w) is (z, w + zZ) mod s",
@@ -482,6 +496,7 @@ def cmd_heis_orbit(cfg: RunConfig, modulus: int, z: int, w: int) -> Report:
 
 def cmd_slpm(cfg: RunConfig, modulus: int) -> Report:
     report = Report("gl2 slpm", cfg)
+    _require(modulus >= 1, f"--mod must be at least 1, got {modulus}")
     try:
         rep = slpm_surjectivity(modulus)
         report.add("gl2.slpm",
@@ -604,10 +619,17 @@ def _run(args) -> Report:
     raise ConfigInvalid(f"unknown command {args.command}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: building takes milliseconds, and a parser is a
+    # cyclic structure that, rebuilt per call, lingers until a full garbage
+    # collection.  Parsing does not change it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

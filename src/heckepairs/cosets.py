@@ -79,7 +79,7 @@ def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND,
                 seen.add(z)
                 frontier.append(z)
     reps = tuple(sorted(seen, key=str))
-    rep = min(reps, key=str)
+    rep = reps[0]
     dc = DoubleCoset(rep, reps, str(rep))
     if cache is not None:
         cache.store(dc)

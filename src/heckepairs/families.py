@@ -15,6 +15,7 @@ from .arith import (
     Mat2,
     QuadInt,
     ResidueRing,
+    _xgcd,
     check_discriminant,
     is_prime,
     pell_fundamental,
@@ -225,9 +226,8 @@ def split_global(g: Mat2) -> TriangularSplit:
             g.a.denominator, g.b.denominator
         ))
         aa, bb = int(g.a * scale), int(g.b * scale)
-        gg = gcd(aa, bb)
         # x*aa + y*bb = gg; U kills the top-right entry and has det 1
-        x, y = _bezout(aa, bb)
+        gg, x, y = _xgcd(aa, bb)
         u = Mat2.of(x, -bb // gg, y, aa // gg)
         split = TriangularSplit(g * u, u.inv())
     t, k = split.t, split.k
@@ -235,17 +235,6 @@ def split_global(g: Mat2) -> TriangularSplit:
     assert t.b == 0 and t.a != 0 and t.d != 0
     assert k.is_integral() and abs(k.det()) == 1
     return split
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        x0, y0 = -x0, -y0
-    return x0, y0
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Pairs (G, H) = (N x| Q, M x| R) of semidirect products.
 
-Two families are implemented:
+Three families are built in, each with its fixed M and R:
 
-* planar: N = K^2 for K = Q or Z[1/p], M a full lattice (default Z^2),
-  Q a matrix group acting linearly (all of GL2 over K, or the invertible
-  elements of a real quadratic field embedded as 2x2 matrices), and
-  R = Q intersect GL(2, Z);
+* planar, full matrix group: N = K^2 for K = Q or Z[1/p], M = Z^2, Q the
+  invertible 2x2 matrices over K with a unit of K as determinant, and
+  R = Q meet GL(2, Z);
+* planar, quadratic torus: N = Q^2, M = Z^2, Q the nonzero elements of a
+  real quadratic field acting as (a, db; b, a), and R its unit group;
 * heisenberg: N = Q/Z x Q, M = {0} x Z, Q the rational translations
   (1, q; 0, 1) acting through the second coordinate, R the integer ones.
 
 Group elements are written n*q, so (n1, q1)(n2, q2) = (n1 + q1.n2, q1 q2)
-with N additive.
+with N additive.  The group law runs on integers over one common
+denominator (see ``GElem``); ``Fraction`` and ``Mat2`` appear only where
+elements are parsed and where the reports and tests read them.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from .arith import (
     Mat2,
     ResidueRing,
     check_discriminant,
+    hnf_int,
     lattice_index,
     lattice_intersect,
     pell_fundamental,
     rat_from_str,
     rat_to_str,
+    ratio_to_str,
     transform_lattice,
 )
 from .errors import (
@@ -38,6 +43,7 @@ from .errors import (
     DescriptorMismatch,
     EnumerationBound,
     NotInQ,
+    SingularBasis,
 )
 
 PLANAR = "planar"
@@ -53,30 +59,71 @@ _GL2_STANDARD_GENS = (
 )
 
 
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x % 1
-
-
-@dataclass(frozen=True)
 class GElem:
-    """Element n*q of G; n_part is a pair of rationals in both families."""
+    """Element n*q of G, held as integers over one positive denominator.
 
-    n: tuple[Fraction, Fraction]
-    q: object  # Mat2 for planar, Fraction for heisenberg
-    pair: "PairDescriptor"
+    ``v`` holds the numerators and ``s`` their least common denominator:
+    (n0, n1, a, b, c, d) with n = (n0, n1)/s and q = (a, b; c, d)/s in the
+    planar families, and (n0, n1, q) with 0 <= n0 < s in the heisenberg
+    family, whose first coordinate lives in Q/Z.  As s is least, equal
+    elements have equal fields.  Elements are made by the ``PairDescriptor``
+    methods and serve as hash keys, so their fields are never reassigned.
+    """
+
+    __slots__ = ("s", "v", "pair")
+
+    def __init__(self, s: int, v: tuple[int, ...], pair: "PairDescriptor"):
+        self.s = s
+        self.v = v
+        self.pair = pair
+
+    def __eq__(self, other):
+        if not isinstance(other, GElem):
+            return NotImplemented
+        return (self.s == other.s and self.v == other.v
+                and (self.pair is other.pair or self.pair == other.pair))
+
+    def __hash__(self):
+        return hash((self.s, self.v))
+
+    @property
+    def n(self) -> tuple[Fraction, Fraction]:
+        return (Fraction(self.v[0], self.s), Fraction(self.v[1], self.s))
+
+    @property
+    def q(self):
+        """The Q-part: a Mat2 in the planar families, a Fraction for heisenberg."""
+        s, v = self.s, self.v
+        if len(v) == 3:
+            return Fraction(v[2], s)
+        return Mat2(*(Fraction(x, s) for x in v[2:]))
+
+    def _strs(self) -> list[str]:
+        return [ratio_to_str(x, self.s) for x in self.v]
 
     def __str__(self) -> str:
-        n = f"({rat_to_str(self.n[0])},{rat_to_str(self.n[1])})"
-        q = str(self.q) if isinstance(self.q, Mat2) else rat_to_str(self.q)
-        return f"n={n};q={q}"
+        n0, n1, *q = self._strs()
+        if len(q) == 1:
+            return f"n=({n0},{n1});q={q[0]}"
+        return f"n=({n0},{n1});q=[[{q[0]},{q[1]}],[{q[2]},{q[3]}]]"
+
+    def __repr__(self) -> str:
+        return f"GElem({self})"
 
     def to_json(self) -> dict:
-        q = self.q.to_lists() if isinstance(self.q, Mat2) else rat_to_str(self.q)
-        return {"n": [rat_to_str(self.n[0]), rat_to_str(self.n[1])], "q": q}
+        n0, n1, *q = self._strs()
+        return {"n": [n0, n1], "q": q[0] if len(q) == 1 else [q[:2], q[2:]]}
 
 
 class PairDescriptor:
-    """Concrete (N x| Q, M x| R) family with explicit generator sets."""
+    """Concrete (N x| Q, M x| R) family with explicit generator sets.
+
+    M and R are fixed by the family.  ``m_lattice`` and ``r_generators``
+    are accepted only when they give those defaults, so that a configuration
+    written by ``to_config`` reads back; anything else raises
+    ``ConfigInvalid``, because the canonical cosets key qR by the column
+    span of q, which is right only for M = Z^2 and R = Q meet GL(2, Z).
+    """
 
     def __init__(
         self,
@@ -108,15 +155,12 @@ class PairDescriptor:
         if family == HEISENBERG:
             self.q_kind = UNIPOTENT
             self.m_lattice = None
-            gens = r_generators if r_generators is not None else [Fraction(1)]
-            self.r_generators = tuple(Fraction(g) for g in gens)
-            for g in self.r_generators:
-                if g.denominator != 1:
-                    raise ConfigInvalid(f"R generator {g} is not an integer")
+            self.r_generators = (Fraction(1),)
         else:
             if q_kind not in (FULL_GL2, QUAD_TORUS):
                 raise ConfigInvalid(f"planar family needs Q kind, got {q_kind!r}")
             self.q_kind = q_kind
+            self.m_lattice = Lattice.standard()
             if q_kind == QUAD_TORUS:
                 if d is None:
                     raise ConfigInvalid("quad torus needs the parameter d")
@@ -125,33 +169,23 @@ class PairDescriptor:
                     raise BadDiscriminant(f"d = {d}: only real quadratic tori supported")
                 self.d = d
                 self.quad_unit = pell_fundamental(d)
-            self.m_lattice = m_lattice if m_lattice is not None else Lattice.standard()
-            if r_generators is not None:
-                gens = tuple(r_generators)
-            elif q_kind == FULL_GL2:
-                gens = _GL2_STANDARD_GENS
-            else:
                 m0, n0 = self.quad_unit
-                gens = (Mat2.scalar(-1), Mat2.of(m0, d * n0, n0, m0))
-            self.r_generators = gens
-            for g in self.r_generators:
-                if not self.in_r(g):
-                    raise ConfigInvalid(f"R generator {g} fails R membership")
-                if transform_lattice(g, self.m_lattice) != self.m_lattice:
-                    raise ConfigInvalid(f"R generator {g} does not normalize M")
+                self.r_generators = (Mat2.scalar(-1), Mat2.of(m0, d * n0, n0, m0))
+            else:
+                self.r_generators = _GL2_STANDARD_GENS
+        if m_lattice is not None and m_lattice != self.m_lattice:
+            raise ConfigInvalid(
+                f"M = {m_lattice} is not supported: the {family} family has a "
+                "fixed M (Z^2 for planar pairs); omit M_basis")
+        if r_generators is not None and tuple(r_generators) != self.r_generators:
+            raise ConfigInvalid(
+                "custom R generators are not supported: omit R_generators "
+                "or list the family default")
 
     # -- identity, comparison ------------------------------------------------
 
     def _key(self):
-        return (
-            self.family,
-            self.base_ring,
-            self.p,
-            self.q_kind,
-            self.d,
-            self.m_lattice,
-            self.r_generators,
-        )
+        return (self.family, self.base_ring, self.p, self.q_kind, self.d)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -159,7 +193,6 @@ class PairDescriptor:
         return isinstance(other, PairDescriptor) and self._key() == other._key()
 
     def __hash__(self):
-        # hashed on every GElem hash during coset enumeration
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = self.__dict__["_hash"] = hash(self._key())
@@ -172,9 +205,9 @@ class PairDescriptor:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def planar_gl2(p: int | None = None, m_lattice: Lattice | None = None) -> "PairDescriptor":
+    def planar_gl2(p: int | None = None) -> "PairDescriptor":
         ring = "Q" if p is None else "Z[1/p]"
-        return PairDescriptor(PLANAR, ring, p, FULL_GL2, m_lattice=m_lattice)
+        return PairDescriptor(PLANAR, ring, p, FULL_GL2)
 
     @staticmethod
     def quad_torus(d: int) -> "PairDescriptor":
@@ -204,7 +237,8 @@ class PairDescriptor:
             return PairDescriptor(family, base_ring, p, q_kind, d, m_lattice, r_generators)
         except ConfigInvalid:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
+                SingularBasis, BadDiscriminant) as exc:
             raise ConfigInvalid(f"bad pair configuration: {exc}") from exc
 
     def to_config(self) -> dict:
@@ -221,7 +255,7 @@ class PairDescriptor:
             cfg["R_generators"] = [rat_to_str(g) for g in self.r_generators]
         return cfg
 
-    # -- membership predicates -------------------------------------------------
+    # -- membership predicates on parsed values ----------------------------------
 
     def in_ring(self, x: Fraction) -> bool:
         if self.base_ring == "Q":
@@ -271,12 +305,20 @@ class PairDescriptor:
         return self.in_ring(n[0]) and self.in_ring(n[1])
 
     def in_m(self, n: tuple[Fraction, Fraction]) -> bool:
+        n0, n1 = Fraction(n[0]), Fraction(n[1])
         if self.family == HEISENBERG:
-            return _frac_mod1(n[0]) == 0 and n[1].denominator == 1
-        return self.m_lattice.contains(n)
+            return n0 % 1 == 0 and n1.denominator == 1
+        return n0.denominator == 1 and n1.denominator == 1
 
-    def in_h(self, x: "GElem") -> bool:
-        return self.in_m(x.n) and self.in_r(x.q)
+    def in_h(self, x: GElem) -> bool:
+        # the least denominator is 1 exactly when every coordinate is an
+        # integer, and a heisenberg n0 in [0, 1) is then 0
+        if x.s != 1:
+            return False
+        if self.family == HEISENBERG:
+            return True
+        _, _, a, b, c, d = x.v
+        return abs(a * d - b * c) == 1
 
     @property
     def has_central_scalars(self) -> bool:
@@ -288,49 +330,74 @@ class PairDescriptor:
 
     # -- group operations --------------------------------------------------------
 
+    def _reduced(self, s: int, v: tuple[int, ...]) -> GElem:
+        """The element with numerators v over s > 0, brought to the least
+        denominator.  A heisenberg n0 must already lie in [0, s)."""
+        g = gcd(s, *v)
+        if g != 1:
+            s //= g
+            v = tuple(x // g for x in v)
+        return GElem(s, v, self)
+
     def element(self, n, q) -> GElem:
+        """Parse and validate n*q given by rationals (and a Mat2 q if planar)."""
         n = (Fraction(n[0]), Fraction(n[1]))
         if self.family == HEISENBERG:
             q = Fraction(q)
-            n = (_frac_mod1(n[0]), n[1])
+            n = (n[0] % 1, n[1])
         if not self.in_q(q):
             raise NotInQ(f"{q} is not in Q for {self!r}")
         if not self.in_n(n):
             raise NotInQ(f"{n} is not in N for {self!r}")
-        return GElem(n, q, self)
+        parts = n + ((q,) if self.family == HEISENBERG else q.entries())
+        # the lcm of reduced denominators is already the least denominator
+        s = lcm(*(x.denominator for x in parts))
+        return GElem(s, tuple(x.numerator * (s // x.denominator) for x in parts), self)
 
     def identity(self) -> GElem:
-        q = Fraction(0) if self.family == HEISENBERG else Mat2.identity()
-        return GElem((Fraction(0), Fraction(0)), q, self)
+        if self.family == HEISENBERG:
+            return GElem(1, (0, 0, 0), self)
+        return GElem(1, (0, 0, 1, 0, 0, 1), self)
 
     def q_act(self, q, n: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        """Action of Q on N (conjugation inside G, written additively)."""
+        """Action of a parsed q on a parsed n (conjugation inside G, written
+        additively)."""
         if self.family == HEISENBERG:
-            return (_frac_mod1(n[0] + q * n[1]), n[1])
+            return ((n[0] + q * n[1]) % 1, n[1])
         return q.apply(n)
 
-    def _check_same(self, x: GElem, y: GElem) -> None:
-        if x.pair != y.pair:
-            raise DescriptorMismatch("elements belong to different descriptors")
-
     def mul(self, x: GElem, y: GElem) -> GElem:
-        self._check_same(x, y)
-        ax = self.q_act(x.q, y.n)
-        n = (x.n[0] + ax[0], x.n[1] + ax[1])
+        if x.pair is not y.pair and x.pair != y.pair:
+            raise DescriptorMismatch("elements belong to different descriptors")
+        s, t = x.s, y.s
         if self.family == HEISENBERG:
-            return GElem((_frac_mod1(n[0]), n[1]), x.q + y.q, self)
-        return GElem(n, x.q * y.q, self)
+            a0, u0, p0 = x.v
+            a1, u1, p1 = y.v
+            st = s * t
+            return self._reduced(st, ((a0 * t + a1 * s + p0 * u1) % st,
+                                      u0 * t + u1 * s, p0 * t + p1 * s))
+        # (n/s + (q/s)(m/t), (q/s)(r/t)) over the denominator s*t
+        n0, n1, a, b, c, d = x.v
+        m0, m1, e, f, g, h = y.v
+        return self._reduced(s * t, (
+            n0 * t + a * m0 + b * m1, n1 * t + c * m0 + d * m1,
+            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+        ))
 
     def inv(self, x: GElem) -> GElem:
+        s = x.s
         if self.family == HEISENBERG:
-            qi = -x.q
-            m = self.q_act(qi, (-x.n[0], -x.n[1]))
-            return GElem((_frac_mod1(m[0]), m[1]), qi, self)
-        qi = x.q.inv()
-        if not self.in_q(qi):
-            raise NotInQ(f"inverse of {x.q} left Q")
-        m = qi.apply((-x.n[0], -x.n[1]))
-        return GElem(m, qi, self)
+            a, u, p = x.v
+            ss = s * s
+            return self._reduced(ss, ((p * u - a * s) % ss, -u * s, -p * s))
+        # (q/s)^-1 = s adj(q)/det(q) and -(q/s)^-1 (n/s) = -adj(q) n/det(q)
+        n0, n1, a, b, c, d = x.v
+        det = a * d - b * c
+        sg = 1 if det > 0 else -1
+        return self._reduced(abs(det), (
+            sg * (b * n1 - d * n0), sg * (c * n0 - a * n1),
+            sg * s * d, -sg * s * b, -sg * s * c, sg * s * a,
+        ))
 
     def conj_in_h(self, x: GElem, h: GElem) -> bool:
         """h in xHx^-1, tested directly on the group law."""
@@ -338,40 +405,44 @@ class PairDescriptor:
 
     def h_generators(self) -> list[GElem]:
         """Generators of H = M x| R together with their inverses."""
+        qid = self.identity().v[2:]
+        vecs = ((0, 1),) if self.family == HEISENBERG else ((1, 0), (0, 1))
         out = []
-        if self.family == HEISENBERG:
-            vecs = [(Fraction(0), Fraction(1))]
-            qs = list(self.r_generators)
-            qid = Fraction(0)
-        else:
-            vecs = self.m_lattice.vectors()
-            qs = list(self.r_generators)
-            qid = Mat2.identity()
-        for v in vecs:
-            out.append(GElem(v, qid, self))
-            out.append(GElem((-v[0], -v[1]), qid, self))
-        for g in qs:
-            out.append(GElem((Fraction(0), Fraction(0)), g, self))
+        for v0, v1 in vecs:
+            out.append(GElem(1, (v0, v1) + qid, self))
+            out.append(GElem(1, (-v0, -v1) + qid, self))
+        for g in self.r_generators:
+            gq = (g,) if self.family == HEISENBERG else g.entries()
+            out.append(GElem(1, (0, 0) + tuple(int(e) for e in gq), self))
             out.append(self.inv(out[-1]))
         return out
 
     # -- canonical coset representatives ----------------------------------------
 
-    def _canon_q(self, q):
-        """Canonical representative of the coset qR."""
-        if self.family == HEISENBERG:
-            return _frac_mod1(q)
+    def _canon_q_ints(self, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+        """Numerators, over the same denominator, of the canonical
+        representative of the coset qR for q = (a, b; c, d)/s (planar)."""
         if self.q_kind == FULL_GL2:
-            # R = Q meet GL(2,Z), so qR <-> the column span of q
-            return Lattice.from_basis(q).basis()
-        return self._quad_canon_q(q)
+            # R = Q meet GL(2, Z), so qR <-> the column span of q
+            ha, hc, hd = hnf_int(a, b, c, d)
+            return ha, 0, hc, hd
+        a, c = self._quad_canon(a, c)
+        return a, self.d * c, c, a
 
-    def _quad_canon_q(self, q: Mat2) -> Mat2:
+    def _canon_q(self, q: Mat2) -> Mat2:
+        """Canonical representative of the coset qR (planar families)."""
+        s = q.denominator_lcm()
+        ints = self._canon_q_ints(*(int(x * s) for x in q.entries()))
+        return Mat2(*(Fraction(x, s) for x in ints))
+
+    def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
         """Normalize a + b*sqrt(d) by the unit group {+-u^k}.
 
         The representative is the one with positive real embedding whose
         square lies in [|norm|, |norm| * u^2); comparisons are exact sign
-        computations in the quadratic field.
+        computations in the quadratic field.  A common denominator of a and
+        b scales every compared quantity by the same positive square, so
+        the numerators alone decide.
         """
         d = self.d
         m0, n0 = self.quad_unit
@@ -391,42 +462,40 @@ class PairDescriptor:
             s = 1 if t > 0 else -1
             return s if a > 0 else -s
 
-        alpha = (q.a, q.c)
+        alpha = (a, b)
         if sign_real(alpha) < 0:
-            alpha = (-alpha[0], -alpha[1])
+            alpha = (-a, -b)
         norm = abs(alpha[0] * alpha[0] - d * alpha[1] * alpha[1])
-        unit = (Fraction(m0), Fraction(n0))
-        unit_norm = m0 * m0 - d * n0 * n0
-        unit_inv = (Fraction(m0), Fraction(-n0))
-        if unit_norm == -1:
-            unit_inv = (Fraction(-m0), Fraction(n0))
-        upper = qmul((norm, Fraction(0)), qmul(unit, unit))
-
-        def minus(x, y):
-            return (x[0] - y[0], x[1] - y[1])
+        unit = (m0, n0)
+        unit_inv = (m0, -n0) if m0 * m0 - d * n0 * n0 == 1 else (-m0, n0)
+        upper = qmul((norm, 0), qmul(unit, unit))
 
         beta = alpha
         sq = qmul(beta, beta)
-        while sign_real(minus(sq, (norm, Fraction(0)))) < 0:
+        while sign_real((sq[0] - norm, sq[1])) < 0:
             beta = qmul(beta, unit)
             sq = qmul(beta, beta)
-        while sign_real(minus(sq, upper)) >= 0:
+        while sign_real((sq[0] - upper[0], sq[1] - upper[1])) >= 0:
             beta = qmul(beta, unit_inv)
             sq = qmul(beta, beta)
-        return Mat2(beta[0], d * beta[1], beta[1], beta[0])
+        return beta
 
     def canon_coset(self, x: GElem) -> GElem:
         """Canonical element of the left coset xH; equal cosets map to equal
         results, so this doubles as the hashable coset key."""
+        s = x.s
         if self.family == HEISENBERG:
-            a, u = x.n
-            b = -(u // 1)
-            ustar = u + b
-            astar = _frac_mod1(a + x.q * b)
-            return GElem((astar, ustar), _frac_mod1(x.q), self)
-        qstar = self._canon_q(x.q)
-        mlat = transform_lattice(qstar, self.m_lattice)
-        return GElem(mlat.reduce_vector(x.n), qstar, self)
+            # right multiplication by (0, b; 0) with b = -floor(n1) moves n1
+            # into [0, 1), then the integer q-translation reduces q mod 1
+            a, u, p = x.v
+            b = -(u // s)
+            return self._reduced(s, ((a + p * b) % s, u % s, p % s))
+        n0, n1, a, b, c, d = x.v
+        q = self._canon_q_ints(a, b, c, d)
+        # reduce n into the box of the lattice q*.M = q*.Z^2
+        ha, hc, hd = hnf_int(*q)
+        k = n0 // ha
+        return self._reduced(s, (n0 - k * ha, (n1 - k * hc) % hd) + q)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +506,8 @@ class PairDescriptor:
 class ResidueSubgroup:
     """Subset of the image of R in GL(2, Z/level), certified to be a subgroup.
 
-    Matrices are stored in M-basis coordinates, so membership conditions of
-    the form (r - 1)n in M become integrality conditions mod level.
+    As M = Z^2, membership conditions of the form (r - 1)n in M are
+    integrality conditions mod level.
     """
 
     level: int
@@ -481,28 +550,16 @@ class StabDescriptor:
 # index computations
 
 
-def _m_coords(pair: PairDescriptor, n) -> tuple[Fraction, Fraction]:
-    return pair.m_lattice.basis().inv().apply(n)
-
-
-def _conj_gens_mod(pair: PairDescriptor, s: int, include_inverses: bool = True):
-    """R generators conjugated into M-basis coordinates, reduced mod s."""
+def _r_gens_mod(pair: PairDescriptor, s: int):
+    """R generators and their inverses reduced mod s."""
     ring = ResidueRing(s)
-    b = pair.m_lattice.basis()
-    bi = b.inv()
-    out = []
-    for g in pair.r_generators:
-        gm = bi * g * b
-        out.append(ring.reduce_mat(gm))
-        if include_inverses:
-            out.append(ring.reduce_mat(gm.inv()))
-    return out
+    return [ring.reduce_mat(h) for g in pair.r_generators for h in (g, g.inv())]
 
 
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
-    """Image of R in GL(2, Z/s) (in M-basis coordinates), by closure."""
+    """Image of R in GL(2, Z/s), by closure."""
     ring = ResidueRing(s)
-    return ring.close_under_mul(_conj_gens_mod(pair, s), bound)
+    return ring.close_under_mul(_r_gens_mod(pair, s), bound)
 
 
 def m_cap_conj(pair: PairDescriptor, q: Mat2) -> Lattice:
@@ -574,7 +631,7 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000)
 
 
 def _coset_stab_level(pair: PairDescriptor, n) -> tuple[int, tuple[Fraction, Fraction]]:
-    c = _m_coords(pair, n)
+    c = (Fraction(n[0]), Fraction(n[1]))
     s = lcm(c[0].denominator, c[1].denominator)
     return s, c
 
@@ -587,7 +644,7 @@ def index_r_coset_stab(pair: PairDescriptor, n) -> int:
     if s == 1:
         return 1
     v = (int(c[0] * s) % s, int(c[1] * s) % s)
-    gens = _conj_gens_mod(pair, s)
+    gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)
     orbit = {v}
     frontier = [v]
@@ -628,7 +685,7 @@ def stab_descriptor_n(pair: PairDescriptor, n) -> StabDescriptor:
     sc = (c[0] * s, c[1] * s)
     members = set()
     for r in image:
-        # (r - 1) c = 0 mod s in M-coordinates
+        # (r - 1) c = 0 mod s
         w = ring.vec_apply(r, (int(sc[0]) % s, int(sc[1]) % s)) if s > 1 else (0, 0)
         if s == 1 or w == (int(sc[0]) % s, int(sc[1]) % s):
             members.add(r)
@@ -643,10 +700,7 @@ def stab_descriptor_q(pair: PairDescriptor, q: Mat2,
         raise ValueError("stab descriptors are available for planar families")
     scale = q.denominator_lcm()
     qi = Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
-    b = pair.m_lattice.basis()
-    bi = b.inv()
-    # residues live in M-coordinates, so the level absorbs the base change
-    s = int(abs(qi.det())) * b.denominator_lcm() * bi.denominator_lcm()
+    s = int(abs(qi.det()))
     if s > conductor_cap:
         raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
     image = r_image_mod(pair, s)
@@ -656,7 +710,7 @@ def stab_descriptor_q(pair: PairDescriptor, q: Mat2,
         qinv = qi.inv()
         members = frozenset(
             r for r in image
-            if (qinv * (b * Mat2.of(*r) * bi) * qi).is_integral()
+            if (qinv * Mat2.of(*r) * qi).is_integral()
         )
     return StabDescriptor(m_cap_conj(pair, q), ResidueSubgroup(s, members))
 
@@ -756,8 +810,7 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         ident = ring.identity_mat()
         trivial = []
         for g in pair.r_generators:
-            gm = ring.reduce_mat(pair.m_lattice.basis().inv() * g * pair.m_lattice.basis())
-            if gm == ident and g != Mat2.identity():
+            if ring.reduce_mat(g) == ident and g != Mat2.identity():
                 trivial.append(str(g))
         if s == 1:
             r_index = 1
@@ -818,7 +871,7 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
             qinv = -q if pair.family == HEISENBERG else q.inv()
             n = pair.q_act(qinv, x.n)  # x = q.n with this n
             n_elem = pair.element(n, Fraction(0) if pair.family == HEISENBERG else Mat2.identity())
-            q_elem = GElem((Fraction(0), Fraction(0)), q, pair)
+            q_elem = pair.element((0, 0), q)
 
             # identity for H_n
             lhs_n = pair.in_h(h) and pair.conj_in_h(n_elem, h)

@@ -8,8 +8,7 @@ conjugate by every rep moves the envelope into M; their semidirect product
 is the finite shadow of the completed H.
 
 Planar families only (the envelope representation is a lattice in Q^2).
-Internally every stage computation runs in M-basis coordinates, where M
-becomes Z^2 and all quotient arithmetic is on plain integers.
+There M = Z^2, so all quotient arithmetic is on plain integers.
 """
 
 from __future__ import annotations
@@ -183,28 +182,19 @@ def core_lattice(family: CosetFamily) -> Lattice:
     return lat
 
 
-def _rel_coords(pair: PairDescriptor):
-    """Matrices into and out of M-basis coordinates."""
-    b = pair.m_lattice.basis()
-    return b, b.inv()
-
-
 def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
-    """Stage membership conditions in M-coordinates.
+    """Stage membership conditions.
 
     Returns (level, conditions) where each condition is (t_inv, [(v, t.v)])
-    for a primitivized rep t and envelope generator v, all relative to the
-    M basis; a residue r belongs to the stage core iff (t^-1 r t - 1)v is
-    integral for every condition.
+    for a primitivized rep t and envelope generator v; a residue r belongs
+    to the stage core iff (t^-1 r t - 1)v is integral for every condition.
     """
-    pair = family.pair
-    b, bi = _rel_coords(pair)
-    vs = [bi.apply(v) for v in envelope.lattice.vectors()]
+    vs = envelope.lattice.vectors()
     k = lcm(*(x.denominator for v in vs for x in v))
     dets = 1
     conds = []
     for t in family.reps:
-        t_rel, d = _primitive_int(bi * t * b)
+        t_rel, d = _primitive_int(t)
         dets = lcm(dets, d)
         conds.append((t_rel, t_rel.inv(), [(v, t_rel.apply(v)) for v in vs]))
     conds.sort(key=lambda c: c[0] != Mat2.identity())
@@ -239,7 +229,7 @@ def core_residue_subgroup(
     conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
     closure_bound: int | None = None,
 ) -> ResidueSubgroup:
-    """Residues of R (mod the stage level, in M-coordinates) whose conjugate
+    """Residues of R (mod the stage level) whose conjugate
     by every rep moves each envelope generator by a vector of M."""
     pair = family.pair
     level, conditions = _rel_conditions(family, envelope)
@@ -259,9 +249,8 @@ def _int_hnf_triple(lat: Lattice) -> tuple[int, int, int]:
 class TowerStage:
     """Finite quotient stage (M / core) x| (R / residue core).
 
-    Elements are pairs (m, r) with m an integer vector in M-coordinates
-    reduced modulo the core lattice and r the canonical member of a coset of
-    the residue core.
+    Elements are pairs (m, r) with m an integer vector reduced modulo the
+    core lattice and r the canonical member of a coset of the residue core.
     """
 
     def __init__(self, family: CosetFamily, envelope: EnvelopeLattice,
@@ -278,11 +267,8 @@ class TowerStage:
         self.r_index = len(image) // len(r_core.elements)
         self.order = self.m_index * self.r_index
 
-        b, bi = _rel_coords(pair)
-        core_rel = Lattice.from_basis(bi * m_core.basis())
-        self._core_rel = _int_hnf_triple(core_rel)
-        self.m_invariants = smith_invariants(core_rel)
-        self._b, self._bi = b, bi
+        self._core = _int_hnf_triple(m_core)
+        self.m_invariants = smith_invariants(m_core)
 
         ring = ResidueRing(self.level)
         self._ring = ring
@@ -302,7 +288,7 @@ class TowerStage:
         assert len(self.m_elements) == self.m_index
 
     def _reduce(self, v: tuple[int, int]) -> tuple[int, int]:
-        a, c, d = self._core_rel
+        a, c, d = self._core
         k = v[0] // a
         return (v[0] - k * a, (v[1] - k * c) % d)
 
@@ -333,11 +319,8 @@ class TowerStage:
         """A generating set: the M basis vectors and the R generator cosets."""
         ident_r = self.coset_key_of[self._ring.identity_mat()]
         out = [(self._reduce((1, 0)), ident_r), (self._reduce((0, 1)), ident_r)]
-        ring = self._ring
-        b, bi = self._b, self._bi
         for g in self.pair.r_generators:
-            res = ring.reduce_mat(bi * g * b)
-            out.append(((0, 0), self.coset_key_of[res]))
+            out.append(((0, 0), self.coset_key_of[self._ring.reduce_mat(g)]))
         return out
 
     def act(self, rkey, mvec) -> tuple[int, int]:
@@ -360,11 +343,12 @@ class TowerStage:
 
     def reduce_h_element(self, h):
         """Image of an element of H under the stage quotient map."""
-        assert self.pair.in_h(h)
-        coords = self._bi.apply(h.n)
-        m = self._reduce((int(coords[0]), int(coords[1])))
-        r = self.coset_key_of[self._ring.reduce_mat(self._bi * h.q * self._b)]
-        return (m, r)
+        if not self.pair.in_h(h):
+            raise ValueError(f"{h} is not in H")
+        # elements of H have the denominator 1
+        n0, n1, *q = h.v
+        s = self.level
+        return (self._reduce((n0, n1)), self.coset_key_of[tuple(x % s for x in q)])
 
     def summary(self) -> dict:
         return {
@@ -395,13 +379,11 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
 
     # the residue core must act trivially on M / core, else the semidirect
     # quotient would be ill-defined (a construction bug, not a user error)
-    _, bi = _rel_coords(pair)
-    core_rel = Lattice.from_basis(bi * m_core.basis())
     for residue in members:
         lift = Mat2.of(*residue)
         for v in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
             moved = lift.apply(v)
-            if not core_rel.contains((moved[0] - v[0], moved[1] - v[1])):
+            if not m_core.contains((moved[0] - v[0], moved[1] - v[1])):
                 raise ActionNotWellDefined(
                     f"residue {residue} moves {v} outside the core lattice"
                 )
@@ -477,8 +459,7 @@ def verify_stage_invariants(family: CosetFamily, envelope: EnvelopeLattice,
         stage = build_stage(family, envelope)
     pair = stage.pair
     ring = ResidueRing(stage.level)
-    b, bi = _rel_coords(pair)
-    gen_residues = [ring.reduce_mat(bi * g * b) for g in pair.r_generators]
+    gen_residues = [ring.reduce_mat(g) for g in pair.r_generators]
     trivial_action = True
     for residue in stage.r_core.elements:
         for v in ((1, 0), (0, 1)):

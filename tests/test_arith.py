@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import inf
@@ -10,7 +11,9 @@ from heckepairs.arith import (
     Mat2,
     QuadInt,
     ResidueRing,
+    _hnf_columns,
     hnf,
+    hnf_int,
     lattice_index,
     lattice_intersect,
     lattice_sum,
@@ -77,6 +80,60 @@ def test_hnf_idempotent_on_random_bases():
 def test_hnf_rational_basis():
     lat = hnf(Mat2.of(Fraction(1, 2), 0, 0, Fraction(1, 3)))
     assert lat == Lattice(Fraction(1, 2), Fraction(0), Fraction(1, 3))
+
+
+def _sympy_hnf(vectors):
+    """(A, C, D) of the span of integer vectors, from sympy's Hermite form.
+
+    sympy puts the matrix in upper triangular column form [[w11, w12],
+    [0, w22]].  Fed the vectors with y written above x, its columns (w11, 0)
+    and (w12, w22) read (0, w11) and (w22, w12) in (x, y), so the canonical
+    basis (A, C), (0, D) used here is A = w22, C = w12, D = w11.
+    """
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    w = hermite_normal_form(Matrix([[v[1] for v in vectors],
+                                    [v[0] for v in vectors]]))
+    assert w.shape == (2, 2)
+    return (int(w[1, 1]), int(w[0, 1]), int(w[0, 0]))
+
+
+def test_hnf_int_against_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for _ in range(150):
+        a, b, c, d = (int(x) for x in rand_int_mat(rng, -30, 30).entries())
+        assert hnf_int(a, b, c, d) == _sympy_hnf([(a, c), (b, d)])
+
+
+def test_hnf_columns_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    checked = 0
+    while checked < 100:
+        vecs = [(Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+                 Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+                for _ in range(rng.randint(2, 5))]
+        scale = math.lcm(*(x.denominator for v in vecs for x in v))
+        ints = [(int(x * scale), int(y * scale)) for x, y in vecs]
+        if sympy.Matrix(ints).rank() < 2:
+            continue
+        expected = tuple(Fraction(k, scale) for k in _sympy_hnf(ints))
+        assert _hnf_columns(vecs) == expected
+        checked += 1
+
+
+def test_smith_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(31)
+    for _ in range(60):
+        m = rand_int_mat(rng, -9, 9)
+        snf = smith_normal_form(sympy.Matrix(2, 2, [int(x) for x in m.entries()]),
+                                domain=sympy.ZZ)
+        assert smith_invariants(hnf(m)) == (abs(int(snf[0, 0])), abs(int(snf[1, 1])))
 
 
 # ---------------------------------------------------------------------------

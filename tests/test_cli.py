@@ -66,6 +66,34 @@ def test_report_bytes_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("M_basis", [["1", "0"], ["0", "2"]]),
+    ("R_generators", [[["1", "1"], ["0", "1"]], [["1", "0"], ["2", "1"]]]),
+])
+def test_custom_m_or_r_config_exits_2(capsys, tmp_path, key, value):
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({"family": "planar", "base_ring": "Z[1/p]", "p": 2,
+                               "Q_kind": "full_gl2", key: value}))
+    code, out, err = run(capsys, "dcoset", "--config", str(cfg),
+                         "--element", "[[2,0],[0,1]]")
+    assert code == 2
+    assert "not supported" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gl2", "slpm", "--mod", "0"],
+    ["heis", "orbit", "--mod", "0", "--z", "1", "--w", "1"],
+    ["quad", "units", "--d", "2", "--mod", "1"],
+    ["quad", "units", "--d", "5", "--mod", "17"],
+    ["gl2", "decompose", "--p", "4", "--matrix", "[[1,1/2],[0,1]]"],
+], ids=["slpm-mod-0", "heis-mod-0", "quad-mod-1", "quad-d-5", "decompose-p-4"])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_dcoset_identity(capsys):
     code, out, _ = run(capsys, "dcoset", "--element", "(0,0)")
     assert code == 0

@@ -75,14 +75,16 @@ def test_left_reps_pure_n(gl2):
     assert len(left_coset_reps(x)) == 3  # [R:R_(n,M)] = 3
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_l_value_two_methods(p):
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 5)],
+                         ids=["2", "3", "5", "2^5"])
+def test_l_value_two_methods(p, k):
+    # q = diag(p^k, 1): [M:M_q] = p^k and [R:R_q] = p^k + p^(k-1)
     pair = PairDescriptor.planar_gl2(p=p)
-    q = Mat2.diag(p, 1)
+    q = Mat2.diag(p ** k, 1)
     x = pair.element((0, 0), q)
     by_bfs = l_of(x)
     by_indices = index_m_cap_conj(pair, q) * index_r_cap_conj(pair, q)
-    assert by_bfs == by_indices == p * (p + 1)
+    assert by_bfs == by_indices == p ** (2 * k - 1) * (p + 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -378,6 +378,37 @@ def test_config_rejects_bad_input():
                                     "base_ring": "Z[1/p]", "p": 6})
     with pytest.raises(ConfigInvalid):
         PairDescriptor.from_config({"family": "planar"})
+    for d in (5, 4, -1):
+        with pytest.raises(ConfigInvalid):
+            PairDescriptor.from_config({"family": "planar", "Q_kind": "quad_torus",
+                                        "d": d})
+
+
+def test_config_accepts_only_the_default_m_and_r(gl2_z12, heis):
+    readme = {
+        "family": "planar", "base_ring": "Z[1/p]", "p": 2, "Q_kind": "full_gl2",
+        "M_basis": [["1", "0"], ["0", "1"]],
+        "R_generators": [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]],
+                         [["1", "0"], ["0", "-1"]]],
+    }
+    assert PairDescriptor.from_config(readme) == gl2_z12
+    # another basis of Z^2 is the same M
+    assert PairDescriptor.from_config(
+        {**readme, "M_basis": [["1", "1"], ["0", "1"]]}) == gl2_z12
+    bad = [
+        {**readme, "M_basis": [["1", "0"], ["0", "2"]]},
+        {**readme, "M_basis": [["1", "0"], ["0", "0"]]},
+        {**readme, "R_generators": readme["R_generators"][:2]},
+        {**readme, "R_generators": [[["1", "1"], ["0", "1"]], [["1", "0"], ["0", "-1"]],
+                                    [["1", "0"], ["2", "1"]], [["-1", "0"], ["0", "1"]]]},
+        {"family": "heisenberg", "R_generators": ["2"]},
+        {"family": "heisenberg", "M_basis": [["1", "0"], ["0", "1"]]},
+    ]
+    for cfg in bad:
+        with pytest.raises(ConfigInvalid):
+            PairDescriptor.from_config(cfg)
+    assert PairDescriptor.from_config({"family": "heisenberg",
+                                       "R_generators": ["1"]}) == heis
 
 
 def test_conjugation_consistency_r_normalizes_m(gl2_q, quad2):

@@ -1,0 +1,161 @@
+"""Property tests for the integer group law and the canonical cosets.
+
+The oracles recompute products, inverses and membership in H with plain
+``Fraction`` arithmetic from the ``.n``/``.q`` views of the elements, so they
+share no code with the integer kernel under test.
+"""
+
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from heckepairs.arith import Mat2  # noqa: E402
+from heckepairs.grouppair import PairDescriptor  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+GL2_Z12 = PairDescriptor.planar_gl2(p=2)
+GL2_Q = PairDescriptor.planar_gl2()
+QUAD2 = PairDescriptor.quad_torus(2)
+HEIS = PairDescriptor.heisenberg()
+PAIRS = {"gl2_z12": GL2_Z12, "gl2_q": GL2_Q, "quad2": QUAD2, "heis": HEIS}
+
+small = st.integers(-9, 9)
+
+
+def _mm(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+@st.composite
+def z12_elements(draw):
+    # q = s(t1) l(t2) (e1 2^i, b/2^m; 0, e2 2^j) s(t3) scaled by 2^k: entries
+    # in Z[1/2] and determinant +-2^(i+j+2k), a unit of Z[1/2]
+    def shear(t):
+        return (F(1), F(t), F(0), F(1))
+
+    def lower(t):
+        return (F(1), F(0), F(t), F(1))
+
+    signs = st.sampled_from([-1, 1])
+    tri = (F(draw(signs) * 2 ** draw(st.integers(0, 3))),
+           F(draw(small), 2 ** draw(st.integers(0, 3))),
+           F(0), F(draw(signs) * 2 ** draw(st.integers(0, 3))))
+    q = _mm(_mm(_mm(shear(draw(small)), lower(draw(small))), tri), shear(draw(small)))
+    scale = F(2) ** draw(st.integers(-3, 3))
+    q = tuple(x * scale for x in q)
+    n = tuple(F(draw(small), 2 ** draw(st.integers(0, 4))) for _ in range(2))
+    return GL2_Z12.element(n, Mat2(*q))
+
+
+fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def q_elements(draw):
+    q = tuple(draw(fractions) for _ in range(4))
+    assume(q[0] * q[3] - q[1] * q[2] != 0)
+    n = (draw(fractions), draw(fractions))
+    return GL2_Q.element(n, Mat2(*q))
+
+
+@st.composite
+def quad_elements(draw):
+    den = draw(st.integers(1, 6))
+    a, b = draw(small), draw(small)
+    assume((a, b) != (0, 0))
+    q = Mat2(F(a, den), F(2 * b, den), F(b, den), F(a, den))
+    return QUAD2.element((draw(fractions), draw(fractions)), q)
+
+
+@st.composite
+def heis_elements(draw):
+    return HEIS.element((draw(fractions), draw(fractions)), draw(fractions))
+
+
+ELEMENTS = {"gl2_z12": z12_elements(), "gl2_q": q_elements(),
+            "quad2": quad_elements(), "heis": heis_elements()}
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles
+
+
+def oracle_mul(pair, x, y):
+    (a1, u1), q1 = x.n, x.q
+    (a2, u2), q2 = y.n, y.q
+    if pair is HEIS:
+        return ((a1 + a2 + q1 * u2) % 1, u1 + u2), q1 + q2
+    n = (a1 + q1.a * a2 + q1.b * u2, u1 + q1.c * a2 + q1.d * u2)
+    return n, Mat2(*_mm(q1.entries(), q2.entries()))
+
+
+def oracle_inv(pair, x):
+    (a, u), q = x.n, x.q
+    if pair is HEIS:
+        return ((q * u - a) % 1, -u), -q
+    det = q.a * q.d - q.b * q.c
+    qi = Mat2(q.d / det, -q.b / det, -q.c / det, q.a / det)
+    return (-(qi.a * a + qi.b * u), -(qi.c * a + qi.d * u)), qi
+
+
+def oracle_in_h(pair, x):
+    (a, u), q = x.n, x.q
+    if pair is HEIS:
+        return a % 1 == 0 and u.denominator == 1 and q.denominator == 1
+    ints = all(v.denominator == 1 for v in (a, u) + q.entries())
+    return ints and abs(q.a * q.d - q.b * q.c) == 1
+
+
+def assert_least_denominator(x):
+    q = x.q
+    qs = (q,) if isinstance(q, F) else q.entries()
+    assert x.s == lcm(*(v.denominator for v in x.n + qs))
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_mul_inv_match_fraction_oracle(name, data):
+    pair = PAIRS[name]
+    x, y = data.draw(ELEMENTS[name]), data.draw(ELEMENTS[name])
+    z = pair.mul(x, y)
+    assert (z.n, z.q) == oracle_mul(pair, x, y)
+    assert_least_denominator(z)
+    xi = pair.inv(x)
+    assert (xi.n, xi.q) == oracle_inv(pair, x)
+    assert_least_denominator(xi)
+    # equal elements have equal fields, whichever way they were made
+    parsed = pair.element(z.n, z.q)
+    assert parsed == z and hash(parsed) == hash(z)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_canon_coset_is_a_coset_key(name, data):
+    pair = PAIRS[name]
+    x = data.draw(ELEMENTS[name])
+    c = pair.canon_coset(x)
+    assert pair.canon_coset(c) == c
+    for h in pair.h_generators():
+        assert pair.canon_coset(pair.mul(x, h)) == c
+    # c lies in xH
+    y = pair.mul(pair.inv(x), c)
+    assert oracle_in_h(pair, y)
+    assert pair.in_h(y)
+
+
+def test_h_generators_lie_in_h():
+    for pair in PAIRS.values():
+        for h in pair.h_generators():
+            assert oracle_in_h(pair, h)
