@@ -23,15 +23,12 @@ from .arith import (
 )
 from .cosets import (
     DoubleCoset,
-    DoubleCosetCache,
     HeckeElement,
-    canonical_key,
     convolve,
     delta,
     double_coset,
     involution,
     l_of,
-    left_coset_reps,
 )
 from .families import (
     HeisPoint,

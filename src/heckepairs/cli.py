@@ -21,14 +21,15 @@ from fractions import Fraction
 
 from .arith import Mat2, is_prime, rat_from_str, rat_to_str
 from .cosets import (
-    DoubleCosetCache,
     HeckeElement,
     convolve,
     double_coset,
+    forget_double_cosets,
     involution,
 )
 from .errors import (
     BadDiscriminant,
+    CertificateFailed,
     ConductorOverflow,
     ConfigInvalid,
     EnumerationBound,
@@ -43,6 +44,7 @@ from .families import (
     unit_image_gap,
 )
 from .grouppair import (
+    DEFAULT_COSET_BOUND,
     HEISENBERG,
     PLANAR,
     QUAD_TORUS,
@@ -64,7 +66,7 @@ class RunConfig:
 
     pair: PairDescriptor
     pair_source: str
-    coset_enum_max: int = 100000
+    coset_enum_max: int = DEFAULT_COSET_BOUND
     conductor_max: int = 10 ** 6
     stage_order_max: int = 200000
     sample_count: int = 8
@@ -234,7 +236,7 @@ def parse_element(pair: PairDescriptor, text: str):
     raise ConfigInvalid(f"cannot parse element {text!r}")
 
 
-def _default_samples(pair: PairDescriptor, rng: random.Random):
+def _default_samples(pair: PairDescriptor):
     """Deterministic sample elements used by ``pair verify``."""
     F = Fraction
     if pair.family == HEISENBERG:
@@ -281,7 +283,7 @@ def cmd_pair_verify(cfg: RunConfig) -> Report:
     report = Report("pair verify", cfg)
     pair = cfg.pair
     rng = random.Random(cfg.seed)
-    qs, ns, stages = _default_samples(pair, rng)
+    qs, ns, stages = _default_samples(pair)
 
     hecke = hecke_indices_report(pair, qs, ns, coset_bound=cfg.coset_enum_max,
                                  conductor_cap=cfg.conductor_max)
@@ -319,10 +321,9 @@ def cmd_dcoset(cfg: RunConfig, element_text: str) -> Report:
     report = Report("dcoset", cfg)
     pair = cfg.pair
     x = parse_element(pair, element_text)
-    cache = DoubleCosetCache()
     try:
-        dc = double_coset(x, cfg.coset_enum_max, cache)
-        dci = double_coset(pair.inv(x), cfg.coset_enum_max, cache)
+        dc = double_coset(x, cfg.coset_enum_max)
+        dci = double_coset(pair.inv(x), cfg.coset_enum_max)
         report.add(
             "dcoset", "degree and modular function of a double coset",
             {"element": str(x)},
@@ -344,13 +345,12 @@ def cmd_dcoset(cfg: RunConfig, element_text: str) -> Report:
 def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
     report = Report("hecke mul", cfg)
     pair = cfg.pair
-    cache = DoubleCosetCache()
 
     def load(path):
         try:
             with open(path) as fh:
                 return HeckeElement.from_json(pair, json.load(fh),
-                                              cfg.coset_enum_max, cache)
+                                              cfg.coset_enum_max)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read element file {path}: {exc}") from exc
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -358,12 +358,12 @@ def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
 
     f, g = load(f_path), load(g_path)
     try:
-        fg = convolve(f, g, cfg.coset_enum_max, cache)
-        fs = involution(f, cfg.coset_enum_max, cache)
-        gs = involution(g, cfg.coset_enum_max, cache)
-        gf = convolve(g, f, cfg.coset_enum_max, cache)
-        assoc_lhs = convolve(fg, f, cfg.coset_enum_max, cache)
-        assoc_rhs = convolve(f, gf, cfg.coset_enum_max, cache)
+        fg = convolve(f, g, cfg.coset_enum_max)
+        fs = involution(f, cfg.coset_enum_max)
+        gs = involution(g, cfg.coset_enum_max)
+        gf = convolve(g, f, cfg.coset_enum_max)
+        assoc_lhs = convolve(fg, f, cfg.coset_enum_max)
+        assoc_rhs = convolve(f, gf, cfg.coset_enum_max)
         report.add(
             "hecke.product", "convolution product",
             {"f": f.to_json(), "g": g.to_json()},
@@ -380,6 +380,10 @@ def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
         report.add("hecke.product", "convolution product",
                    {"f": f.to_json(), "g": g.to_json()},
                    {"error": str(exc)}, "inconclusive")
+    except CertificateFailed as exc:
+        report.add("hecke.product", "convolution product",
+                   {"f": f.to_json(), "g": g.to_json()},
+                   {"error": str(exc)}, "fail")
     return report
 
 
@@ -518,7 +522,7 @@ def _add_common(parser: argparse.ArgumentParser, rng_seed: bool = True) -> None:
     if rng_seed:
         parser.add_argument("--seed", type=int, default=0,
                             help="seed for deterministic sampling")
-    parser.add_argument("--bound-cosets", type=int, default=100000,
+    parser.add_argument("--bound-cosets", type=int, default=DEFAULT_COSET_BOUND,
                         help="coset enumeration bound")
     parser.add_argument("--conductor-max", type=int, default=10 ** 6)
     parser.add_argument("--stage-order-max", type=int, default=200000)
@@ -600,23 +604,26 @@ def _run(args) -> Report:
         seed=getattr(args, "seed", 0),
         out=args.out,
     )
-    if args.command == "pair":
-        return cmd_pair_verify(cfg)
-    if args.command == "dcoset":
-        return cmd_dcoset(cfg, args.element)
-    if args.command == "hecke":
-        return cmd_hecke_mul(cfg, args.f, args.g)
-    if args.command == "tower":
-        return cmd_tower_build(cfg, args.seed_elements, args.stages)
-    if args.command == "gl2" and args.subcommand == "decompose":
-        return cmd_gl2_decompose(cfg, args.p, args.matrix)
-    if args.command == "gl2" and args.subcommand == "slpm":
-        return cmd_slpm(cfg, args.mod)
-    if args.command == "quad":
-        return cmd_quad_units(cfg, args.d, args.mod)
-    if args.command == "heis":
-        return cmd_heis_orbit(cfg, args.mod, args.z, args.w)
-    raise ConfigInvalid(f"unknown command {args.command}")
+    try:
+        if args.command == "pair":
+            return cmd_pair_verify(cfg)
+        if args.command == "dcoset":
+            return cmd_dcoset(cfg, args.element)
+        if args.command == "hecke":
+            return cmd_hecke_mul(cfg, args.f, args.g)
+        if args.command == "tower":
+            return cmd_tower_build(cfg, args.seed_elements, args.stages)
+        if args.command == "gl2" and args.subcommand == "decompose":
+            return cmd_gl2_decompose(cfg, args.p, args.matrix)
+        if args.command == "gl2" and args.subcommand == "slpm":
+            return cmd_slpm(cfg, args.mod)
+        if args.command == "quad":
+            return cmd_quad_units(cfg, args.d, args.mod)
+        if args.command == "heis":
+            return cmd_heis_orbit(cfg, args.mod, args.z, args.w)
+        raise ConfigInvalid(f"unknown command {args.command}")
+    finally:
+        forget_double_cosets(pair)  # break the pair <-> memo cycle now
 
 
 @functools.cache

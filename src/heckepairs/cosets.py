@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import rat_from_str, rat_to_str, Mat2
-from .errors import DescriptorMismatch, EnumerationBound
-from .grouppair import GElem, PairDescriptor
-
-DEFAULT_COSET_BOUND = 100000
+from .errors import CertificateFailed, DescriptorMismatch, EnumerationBound
+from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor
 
 
 @dataclass(frozen=True)
@@ -33,36 +31,28 @@ class DoubleCoset:
         return len(self.left_reps)
 
 
-class DoubleCosetCache:
-    """Optional per-session memo: canonical coset rep -> double-coset key.
-
-    Purely an optimization; every result must be identical with caching
-    disabled.  Not synchronized: confine an instance to one thread, or
-    guard it externally.
-    """
-
-    def __init__(self):
-        self.key_by_coset: dict[GElem, str] = {}
-        self.by_key: dict[str, DoubleCoset] = {}
-
-    def store(self, dc: DoubleCoset) -> None:
-        self.by_key[dc.key] = dc
-        for rep in dc.left_reps:
-            self.key_by_coset[rep] = dc.key
+# Each pair keeps one memo, ``pair._dcosets``: canonical left coset -> the
+# DoubleCoset holding it, every double coset stored under all of its left
+# cosets.  Only this module reads or writes it.  It is purely an
+# optimization: results are the same whether it is warm or cold.
 
 
-def left_coset_reps(x: GElem, bound: int = DEFAULT_COSET_BOUND,
-                    cache: DoubleCosetCache | None = None) -> list[GElem]:
-    """Canonical representatives of the left cosets yH covering HxH."""
-    return list(double_coset(x, bound, cache).left_reps)
+def _too_many(x: GElem, bound: int) -> EnumerationBound:
+    return EnumerationBound(
+        f"more than {bound} left cosets in H.{x}.H; "
+        "the pair may not be Hecke at this element, or raise the bound"
+    )
 
 
-def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND,
-                 cache: DoubleCosetCache | None = None) -> DoubleCoset:
+def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
     pair = x.pair
     start = pair.canon_coset(x)
-    if cache is not None and start in cache.key_by_coset:
-        return cache.by_key[cache.key_by_coset[start]]
+    memo = pair._dcosets
+    dc = memo.get(start)
+    if dc is not None:
+        if dc.degree > bound:
+            raise _too_many(x, bound)
+        return dc
     gens = pair.h_generators()
     seen = {start}
     frontier = [start]
@@ -72,38 +62,34 @@ def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND,
             z = pair.canon_coset(pair.mul(h, y))
             if z not in seen:
                 if len(seen) >= bound:
-                    raise EnumerationBound(
-                        f"more than {bound} left cosets in H.{x}.H; "
-                        "the pair may not be Hecke at this element, or raise the bound"
-                    )
+                    raise _too_many(x, bound)
                 seen.add(z)
                 frontier.append(z)
     reps = tuple(sorted(seen, key=str))
     rep = reps[0]
     dc = DoubleCoset(rep, reps, str(rep))
-    if cache is not None:
-        cache.store(dc)
+    if len(memo) > DEFAULT_COSET_BOUND:
+        memo.clear()
+    for y in reps:
+        memo[y] = dc
     return dc
 
 
-def l_of(x: GElem, bound: int = DEFAULT_COSET_BOUND,
-         cache: DoubleCosetCache | None = None) -> int:
+def forget_double_cosets(pair: PairDescriptor) -> None:
+    """Empty the pair's double-coset memo.  The memo's elements refer back
+    to the pair, so a pair dropped with a full memo lingers until a full
+    garbage collection; a caller done with a pair can free it at once."""
+    pair._dcosets.clear()
+
+
+def l_of(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> int:
     """L(x) = |HxH / H|."""
-    return double_coset(x, bound, cache).degree
+    return double_coset(x, bound).degree
 
 
-def delta(x: GElem, bound: int = DEFAULT_COSET_BOUND,
-          cache: DoubleCosetCache | None = None) -> Fraction:
+def delta(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> Fraction:
     """The modular function L(x) / L(x^-1), an exact rational."""
-    num = l_of(x, bound, cache)
-    den = l_of(x.pair.inv(x), bound, cache)
-    return Fraction(num, den)
-
-
-def canonical_key(x: GElem, bound: int = DEFAULT_COSET_BOUND,
-                  cache: DoubleCosetCache | None = None) -> str:
-    """Key shared by exactly the elements of HxH (lex-least left-coset rep)."""
-    return double_coset(x, bound, cache).key
+    return Fraction(l_of(x, bound), l_of(x.pair.inv(x), bound))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +113,9 @@ class HeckeElement:
         return HeckeElement.char_fn(pair.identity())
 
     @staticmethod
-    def char_fn(x: GElem, coeff=1, bound: int = DEFAULT_COSET_BOUND,
-                cache: DoubleCosetCache | None = None) -> "HeckeElement":
-        dc = double_coset(x, bound, cache)
+    def char_fn(x: GElem, coeff=1,
+                bound: int = DEFAULT_COSET_BOUND) -> "HeckeElement":
+        dc = double_coset(x, bound)
         coeff = Fraction(coeff)
         terms = {dc.rep: coeff} if coeff else {}
         return HeckeElement(x.pair, terms)
@@ -162,9 +148,6 @@ class HeckeElement:
             and self.terms == other.terms
         )
 
-    def support_keys(self) -> list[str]:
-        return sorted(str(r) for r in self.terms)
-
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kv: str(kv[0]))
         return {
@@ -175,14 +158,11 @@ class HeckeElement:
 
     @staticmethod
     def from_json(pair: PairDescriptor, data: dict,
-                  bound: int = DEFAULT_COSET_BOUND,
-                  cache: DoubleCosetCache | None = None) -> "HeckeElement":
+                  bound: int = DEFAULT_COSET_BOUND) -> "HeckeElement":
         out = HeckeElement(pair, {})
         for item in data["terms"]:
             rep = parse_gelem_json(pair, item["rep"])
-            out = out + HeckeElement.char_fn(
-                rep, rat_from_str(item["coeff"]), bound, cache
-            )
+            out = out + HeckeElement.char_fn(rep, rat_from_str(item["coeff"]), bound)
         return out
 
 
@@ -197,54 +177,51 @@ def parse_gelem_json(pair: PairDescriptor, data: dict) -> GElem:
 
 
 def convolve(f: HeckeElement, g: HeckeElement,
-             bound: int = DEFAULT_COSET_BOUND,
-             cache: DoubleCosetCache | None = None) -> HeckeElement:
+             bound: int = DEFAULT_COSET_BOUND) -> HeckeElement:
     """Convolution product f*g.
 
     For support double cosets with left reps {y_i} and {b_j}, each product
     y_i b_j lies in exactly one left coset, and f*g evaluated on a coset is
     the weighted number of (i, j) pairs landing there.  The value must be
     constant across the left cosets of each output double coset; that is
-    asserted rather than assumed.
+    checked rather than assumed, and ``CertificateFailed`` is raised if not.
     """
     if f.pair != g.pair:
         raise DescriptorMismatch("mixing Hecke elements of different pairs")
     pair = f.pair
     counts: dict[GElem, Fraction] = {}
     for ra, ca in f.terms.items():
-        dca = double_coset(ra, bound, cache)
+        dca = double_coset(ra, bound)
         for rb, cb in g.terms.items():
-            dcb = double_coset(rb, bound, cache)
+            dcb = double_coset(rb, bound)
             w = ca * cb
             for yi in dca.left_reps:
                 for bj in dcb.left_reps:
                     c = pair.canon_coset(pair.mul(yi, bj))
                     counts[c] = counts.get(c, Fraction(0)) + w
-    by_coset: dict[str, list[Fraction]] = {}
-    reps: dict[str, GElem] = {}
+    groups: dict[GElem, tuple[DoubleCoset, list[Fraction]]] = {}
     for coset, value in counts.items():
-        dc = double_coset(coset, bound, cache)
-        by_coset.setdefault(dc.key, []).append(value)
-        reps[dc.key] = dc.rep
+        dc = double_coset(coset, bound)
+        groups.setdefault(dc.rep, (dc, []))[1].append(value)
     terms: dict[GElem, Fraction] = {}
-    for key, values in by_coset.items():
-        dc = double_coset(reps[key], bound, cache)
-        assert len(values) == dc.degree and len(set(values)) == 1, \
-            "convolution value not constant on a double coset"
+    for rep, (dc, values) in groups.items():
+        if len(values) != dc.degree or len(set(values)) != 1:
+            raise CertificateFailed(
+                f"convolution value not constant on the double coset of {rep}")
         if values[0]:
-            terms[reps[key]] = values[0]
+            terms[rep] = values[0]
     return HeckeElement(pair, terms)
 
 
-def involution(f: HeckeElement, bound: int = DEFAULT_COSET_BOUND,
-               cache: DoubleCosetCache | None = None) -> HeckeElement:
+def involution(f: HeckeElement,
+               bound: int = DEFAULT_COSET_BOUND) -> HeckeElement:
     """The *-involution: support moves to inverse cosets, weighted by the
     modular function so that the operation squares to the identity."""
     pair = f.pair
     terms: dict[GElem, Fraction] = {}
     for rep, c in f.terms.items():
-        dc = double_coset(rep, bound, cache)
-        dci = double_coset(pair.inv(rep), bound, cache)
+        dc = double_coset(rep, bound)
+        dci = double_coset(pair.inv(rep), bound)
         weight = Fraction(dc.degree, dci.degree)  # delta(rep)
         new = terms.get(dci.rep, Fraction(0)) + c * weight
         if new:

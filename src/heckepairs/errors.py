@@ -37,6 +37,10 @@ class EnumerationBound(HeckePairsError):
     """A coset enumeration exceeded its bound (pair may not be Hecke, or raise the bound)."""
 
 
+class CertificateFailed(HeckePairsError):
+    """An explicit check on a computed result failed; indicates a bug."""
+
+
 class FamilyConditionViolated(HeckePairsError):
     """A tower stage input fails one of the defining conditions.
 

@@ -52,6 +52,9 @@ FULL_GL2 = "full_gl2"
 QUAD_TORUS = "quad_torus"
 UNIPOTENT = "unipotent"
 
+# default cap on an exhaustive coset or orbit enumeration
+DEFAULT_COSET_BOUND = 100000
+
 _GL2_STANDARD_GENS = (
     Mat2.of(1, 1, 0, 1),
     Mat2.of(1, 0, 1, 1),
@@ -151,6 +154,7 @@ class PairDescriptor:
         self.p = p if base_ring == "Z[1/p]" else None
         self.d = None
         self.quad_unit: tuple[int, int] | None = None
+        self._dcosets: dict = {}  # the double-coset memo of cosets.py
 
         if family == HEISENBERG:
             self.q_kind = UNIPOTENT
@@ -576,7 +580,8 @@ def index_m_cap_conj(pair: PairDescriptor, q) -> int:
     return lattice_index(pair.m_lattice, m_cap_conj(pair, q))
 
 
-def index_r_cap_conj(pair: PairDescriptor, q, bound: int = 100000) -> int:
+def index_r_cap_conj(pair: PairDescriptor, q,
+                     bound: int = DEFAULT_COSET_BOUND) -> int:
     """[R : R meet qRq^-1], as the orbit size of the coset qR under R.
 
     For the matrix families the coset qR is the column span of q, so the
@@ -730,7 +735,7 @@ def _check(name, law, inputs, outputs, verdict) -> dict:
 
 
 def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
-                         coset_bound: int = 100000,
+                         coset_bound: int = DEFAULT_COSET_BOUND,
                          conductor_cap: int = 1000) -> dict:
     """Finiteness of [M:M_q], [R:R_q] and [R:R_(n,M)] on the given samples.
 

@@ -262,7 +262,6 @@ class TowerStage:
         self.m_core = m_core
         self.r_core = r_core
         self.level = r_core.level
-        self.image = image
         self.m_index = lattice_index(pair.m_lattice, m_core)
         self.r_index = len(image) // len(r_core.elements)
         self.order = self.m_index * self.r_index

@@ -6,7 +6,7 @@ by exhaustive scans, and group indices are recovered by direct counting.
 """
 
 from fractions import Fraction
-from math import ceil, floor
+from math import floor, lcm
 
 from heckepairs.arith import Lattice, Mat2
 
@@ -33,17 +33,19 @@ def span_points(gen1, gen2, bound):
 
 def lattice_box_points(lat: Lattice, bound):
     """Points of a canonical-form lattice in [-bound, bound]^2, enumerated
-    directly from the triangular basis."""
+    directly from the triangular basis.  The enumeration runs on integers
+    scaled by the basis's common denominator; points are Fractions only
+    when that denominator is not 1."""
+    s = lcm(lat.a.denominator, lat.c.denominator, lat.d.denominator)
+    a, c, d = int(lat.a * s), int(lat.c * s), int(lat.d * s)
+    lim = floor(Fraction(bound) * s)
     pts = set()
-    i_lo = ceil(Fraction(-bound) / lat.a)
-    i_hi = floor(Fraction(bound) / lat.a)
-    for i in range(i_lo, i_hi + 1):
-        x = i * lat.a
-        y0 = i * lat.c
-        j_lo = ceil((Fraction(-bound) - y0) / lat.d)
-        j_hi = floor((Fraction(bound) - y0) / lat.d)
-        for j in range(j_lo, j_hi + 1):
-            pts.add((x, y0 + j * lat.d))
+    for i in range(-(lim // a), lim // a + 1):
+        y0 = i * c
+        for j in range(-((lim + y0) // d), (lim - y0) // d + 1):
+            pts.add((i * a, y0 + j * d))
+    if s != 1:
+        pts = {(Fraction(x, s), Fraction(y, s)) for x, y in pts}
     return frozenset(pts)
 
 

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from heckepairs import cli
+from heckepairs.arith import Mat2
 from heckepairs.cli import main
+from heckepairs.cosets import double_coset
+from heckepairs.grouppair import PairDescriptor
 
 
 def run(capsys, *argv):
@@ -157,6 +161,28 @@ def test_hecke_mul_self(capsys, tmp_path):
     records = [json.loads(line) for line in out.splitlines()[1:-2]]
     by_name = {r["name"]: r for r in records}
     assert len(by_name["hecke.product"]["outputs"]["f*g"]["terms"]) >= 2
+
+
+def test_hecke_mul_certificate_failure_is_a_fail_record(capsys, tmp_path,
+                                                        monkeypatch):
+    pair = PairDescriptor.planar_gl2(p=2)
+    x = pair.element((0, 0), Mat2.diag(2, 1))
+    y0 = double_coset(x).left_reps[0]
+    mul = pair.mul
+    # one wrong product breaks the constancy certificate of f*f
+    pair.mul = lambda a, b: pair.identity() if (a, b) == (y0, y0) else mul(a, b)
+    monkeypatch.setattr(cli, "load_pair", lambda path: (pair, "test pair"))
+    f = {"terms": [{"rep": {"n": ["0", "0"], "q": [["2", "0"], ["0", "1"]]},
+                    "coeff": "1"}]}
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(f))
+    code, out, _ = run(capsys, "hecke", "mul", "--f", str(fp), "--g", str(fp))
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()[1:-2]]
+    (rec,) = records
+    assert rec["name"] == "hecke.product" and rec["verdict"] == "fail"
+    assert "not constant" in rec["outputs"]["error"]
+    assert not pair._dcosets  # the command empties the memo when it ends
 
 
 def test_tower_empty_seed(capsys):

@@ -5,17 +5,14 @@ import pytest
 
 from heckepairs.arith import Mat2
 from heckepairs.cosets import (
-    DoubleCosetCache,
     HeckeElement,
-    canonical_key,
     convolve,
     delta,
     double_coset,
     involution,
     l_of,
-    left_coset_reps,
 )
-from heckepairs.errors import EnumerationBound
+from heckepairs.errors import CertificateFailed, EnumerationBound
 from heckepairs.grouppair import (
     PairDescriptor,
     index_m_cap_conj,
@@ -60,19 +57,19 @@ def random_h(pair, rng):
 
 def test_left_reps_in_h(gl2):
     x = gl2.element((1, 1), Mat2.of(1, 1, 0, 1))
-    reps = left_coset_reps(x)
-    assert reps == [gl2.canon_coset(gl2.identity())]
+    reps = double_coset(x).left_reps
+    assert reps == (gl2.canon_coset(gl2.identity()),)
 
 
 def test_left_reps_diag2(gl2):
     x = gl2.element((0, 0), Mat2.diag(2, 1))
-    reps = left_coset_reps(x)
+    reps = double_coset(x).left_reps
     assert len(reps) == 6  # [M:M_q][R:R_q] = 2 * 3
 
 
 def test_left_reps_pure_n(gl2):
     x = gl2.element((F(1, 2), 0), Mat2.identity())
-    assert len(left_coset_reps(x)) == 3  # [R:R_(n,M)] = 3
+    assert len(double_coset(x).left_reps) == 3  # [R:R_(n,M)] = 3
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 5)],
@@ -131,7 +128,7 @@ def test_delta_multiplicative_inverse(gl2):
 def test_delta_constant_on_left_reps(gl2):
     x = gl2.element((F(1, 2), 0), Mat2.diag(2, 1))
     d = delta(x)
-    for rep in left_coset_reps(x):
+    for rep in double_coset(x).left_reps:
         assert delta(rep) == d
 
 
@@ -146,24 +143,24 @@ def test_enumeration_bound(gl2):
 
 
 def test_key_of_h_elements(gl2):
-    ident_key = canonical_key(gl2.identity())
+    ident_key = double_coset(gl2.identity()).key
     h = gl2.element((3, -2), Mat2.of(1, 0, 1, 1))
-    assert canonical_key(h) == ident_key
+    assert double_coset(h).key == ident_key
 
 
 def test_key_stable_under_rewriting(gl2):
     rng = random.Random(5)
     x = gl2.element((F(1, 2), 0), Mat2.diag(2, 1))
-    key = canonical_key(x)
+    key = double_coset(x).key
     for _ in range(100):
         y = gl2.mul(random_h(gl2, rng), gl2.mul(x, random_h(gl2, rng)))
-        assert canonical_key(y) == key
+        assert double_coset(y).key == key
 
 
 def test_key_merges_equivalent_diagonals(gl2):
     x = gl2.element((0, 0), Mat2.diag(2, 1))
     y = gl2.element((0, 0), Mat2.diag(1, 2))
-    assert canonical_key(x) == canonical_key(y)
+    assert double_coset(x).key == double_coset(y).key
     # explicit witness: permutation matrices lie in R
     w = Mat2.of(0, 1, 1, 0)
     assert gl2.in_r(w)
@@ -171,35 +168,35 @@ def test_key_merges_equivalent_diagonals(gl2):
 
 
 def test_key_separates_distinct_cosets(gl2):
-    assert canonical_key(gl2.element((0, 0), Mat2.diag(2, 1))) != \
-        canonical_key(gl2.element((0, 0), Mat2.diag(4, 1)))
-    assert canonical_key(gl2.element((F(1, 2), 0), Mat2.identity())) != \
-        canonical_key(gl2.identity())
+    assert double_coset(gl2.element((0, 0), Mat2.diag(2, 1))).key != \
+        double_coset(gl2.element((0, 0), Mat2.diag(4, 1))).key
+    assert double_coset(gl2.element((F(1, 2), 0), Mat2.identity())).key != \
+        double_coset(gl2.identity()).key
 
 
 def test_key_heisenberg_rewriting(heis):
     rng = random.Random(7)
     x = heis.element((F(1, 2), F(1, 3)), F(5, 6))
-    key = canonical_key(x)
+    key = double_coset(x).key
     for _ in range(100):
         y = heis.mul(random_h(heis, rng), heis.mul(x, random_h(heis, rng)))
-        assert canonical_key(y) == key
+        assert double_coset(y).key == key
 
 
 def test_key_quad_rewriting(quad2):
     rng = random.Random(9)
     x = quad2.element((F(1, 3), 0), Mat2.of(3, 2, 1, 3))
-    key = canonical_key(x)
+    key = double_coset(x).key
     for _ in range(60):
         y = quad2.mul(random_h(quad2, rng), quad2.mul(x, random_h(quad2, rng)))
-        assert canonical_key(y) == key
+        assert double_coset(y).key == key
 
 
 # ---------------------------------------------------------------------------
 # convolution and involution
 
 
-def brute_convolve_coeff(pair, dca, dcb, target_rep, bound, cache):
+def brute_convolve_coeff(pair, dca, dcb, target_rep):
     """Independent evaluation of (chi_a * chi_b)(x): count left reps y_i of
     HaH with y_i^-1 x inside HbH, membership tested against the coset list."""
     forms_b = set(dcb.left_reps)
@@ -212,63 +209,58 @@ def brute_convolve_coeff(pair, dca, dcb, target_rep, bound, cache):
 
 
 def test_unit_is_identity(gl2):
-    cache = DoubleCosetCache()
     unit = HeckeElement.unit(gl2)
-    f = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)), cache=cache) + \
-        HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()), F(3, 7),
-                             cache=cache)
-    assert convolve(unit, f, cache=cache) == f
-    assert convolve(f, unit, cache=cache) == f
+    f = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1))) + \
+        HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()), F(3, 7))
+    assert convolve(unit, f) == f
+    assert convolve(f, unit) == f
 
 
 def test_convolve_against_bruteforce(gl2):
-    cache = DoubleCosetCache()
     a = gl2.element((0, 0), Mat2.diag(2, 1))
-    f = HeckeElement.char_fn(a, cache=cache)
-    prod = convolve(f, f, cache=cache)
-    dca = double_coset(a, cache=cache)
+    f = HeckeElement.char_fn(a)
+    prod = convolve(f, f)
+    dca = double_coset(a)
     assert prod.terms  # nonempty support
     total = 0
     for rep, coeff in prod.terms.items():
-        expected = brute_convolve_coeff(gl2, dca, dca, rep, 100000, cache)
+        expected = brute_convolve_coeff(gl2, dca, dca, rep)
         assert coeff == expected
-        total += coeff * double_coset(rep, cache=cache).degree
+        total += coeff * double_coset(rep).degree
     # mass check: sum over left cosets of (f*f) equals L(a)^2
     assert total == dca.degree ** 2
 
 
 def test_convolve_heisenberg_bruteforce(heis):
-    cache = DoubleCosetCache()
     a = heis.element((0, F(1, 2)), F(1, 3))
     b = heis.element((F(1, 2), 0), F(1, 2))
-    fa = HeckeElement.char_fn(a, cache=cache)
-    fb = HeckeElement.char_fn(b, cache=cache)
-    prod = convolve(fa, fb, cache=cache)
-    dca, dcb = double_coset(a, cache=cache), double_coset(b, cache=cache)
+    fa = HeckeElement.char_fn(a)
+    fb = HeckeElement.char_fn(b)
+    prod = convolve(fa, fb)
+    dca, dcb = double_coset(a), double_coset(b)
     for rep, coeff in prod.terms.items():
-        assert coeff == brute_convolve_coeff(heis, dca, dcb, rep, 100000, cache)
+        assert coeff == brute_convolve_coeff(heis, dca, dcb, rep)
 
 
 def test_involution_examples(gl2):
-    cache = DoubleCosetCache()
     unit = HeckeElement.unit(gl2)
-    assert involution(unit, cache=cache) == unit
+    assert involution(unit) == unit
     x = gl2.element((0, 0), Mat2.diag(2, 1))
-    f = HeckeElement.char_fn(x, cache=cache)
-    fi = involution(f, cache=cache)
+    f = HeckeElement.char_fn(x)
+    fi = involution(f)
     (rep, coeff), = fi.terms.items()
     assert coeff == 2  # delta(x)
-    assert canonical_key(rep, cache=cache) == canonical_key(gl2.inv(x), cache=cache)
+    assert double_coset(rep).key == double_coset(gl2.inv(x)).key
 
 
-def sample_elements(pair, rng, cache, pool):
+def sample_elements(pair, rng, pool):
     out = []
     for _ in range(8):
         support = rng.sample(pool, rng.randint(1, 3))
         f = HeckeElement(pair, {})
         for x in support:
             f = f + HeckeElement.char_fn(
-                x, Fraction(rng.randint(-4, 4), rng.randint(1, 3)), cache=cache
+                x, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             )
         out.append(f)
     return out
@@ -277,7 +269,6 @@ def sample_elements(pair, rng, cache, pool):
 @pytest.mark.parametrize("family", ["gl2", "heis"])
 def test_star_algebra_axioms(family, request):
     pair = request.getfixturevalue(family)
-    cache = DoubleCosetCache()
     rng = random.Random(11)
     if family == "gl2":
         pool = [
@@ -294,47 +285,91 @@ def test_star_algebra_axioms(family, request):
             pair.element((0, 0), F(1, 3)),
             pair.element((F(1, 2), F(1, 2)), F(1, 2)),
         ]
-    elems = sample_elements(pair, rng, cache, pool)
+    elems = sample_elements(pair, rng, pool)
     unit = HeckeElement.unit(pair)
     for i, f in enumerate(elems):
         g = elems[(i + 3) % len(elems)]
         h = elems[(i + 5) % len(elems)]
-        assert convolve(convolve(f, g, cache=cache), h, cache=cache) == \
-            convolve(f, convolve(g, h, cache=cache), cache=cache)
-        assert involution(involution(f, cache=cache), cache=cache) == f
-        assert convolve(unit, f, cache=cache) == f
-        assert convolve(f, unit, cache=cache) == f
-        assert involution(convolve(f, g, cache=cache), cache=cache) == \
-            convolve(involution(g, cache=cache), involution(f, cache=cache),
-                     cache=cache)
+        assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+        assert involution(involution(f)) == f
+        assert convolve(unit, f) == f
+        assert convolve(f, unit) == f
+        assert involution(convolve(f, g)) == convolve(involution(g), involution(f))
 
 
 def test_convolution_bilinear(gl2):
-    cache = DoubleCosetCache()
-    a = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)), cache=cache)
-    b = HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()), cache=cache)
-    c = HeckeElement.char_fn(gl2.element((0, 0), Mat2.scalar(2)), cache=cache)
-    lhs = convolve(a + b.scale(F(2, 3)), c, cache=cache)
-    rhs = convolve(a, c, cache=cache) + convolve(b, c, cache=cache).scale(F(2, 3))
+    a = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)))
+    b = HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()))
+    c = HeckeElement.char_fn(gl2.element((0, 0), Mat2.scalar(2)))
+    lhs = convolve(a + b.scale(F(2, 3)), c)
+    rhs = convolve(a, c) + convolve(b, c).scale(F(2, 3))
     assert lhs == rhs
 
 
 def test_cache_does_not_change_results(gl2):
-    cache = DoubleCosetCache()
-    x = gl2.element((F(1, 2), 0), Mat2.diag(2, 1))
-    assert l_of(x) == l_of(x, cache=cache)
-    assert canonical_key(x) == canonical_key(x, cache=cache)
+    # The double-coset memo lives on the pair instance.  Each result on a
+    # fresh pair, whose memo starts empty, equals the one on a warmed pair.
+    ops = [
+        lambda x, y: double_coset(x),
+        lambda x, y: delta(x),
+        lambda x, y: convolve(HeckeElement.char_fn(x), HeckeElement.char_fn(y)),
+        lambda x, y: involution(HeckeElement.char_fn(x) + HeckeElement.char_fn(y, 3)),
+    ]
+
+    def args(pair):
+        return (pair.element((F(1, 2), 0), Mat2.diag(2, 1)),
+                pair.element((0, 0), Mat2.diag(2, 1)))
+
+    for op in ops:
+        op(*args(gl2))
+    for op in ops:
+        assert op(*args(PairDescriptor.planar_gl2(p=2))) == op(*args(gl2))
+
+
+def test_enumeration_bound_on_warm_memo():
+    pair = PairDescriptor.planar_gl2(p=2)
+    x = pair.element((0, 0), Mat2.diag(4, 1))
+    with pytest.raises(EnumerationBound) as cold:
+        l_of(x, bound=3)
+    assert l_of(x) == 24
+    with pytest.raises(EnumerationBound) as warm:
+        l_of(x, bound=3)
+    assert str(warm.value) == str(cold.value)
+    assert l_of(x, bound=24) == 24
+
+
+def test_convolve_canon_calls_bounded():
+    # T4 * T4 for T4 = 1 on H.diag(4,1).H canonicalizes 24 * 24 products; the
+    # memo keeps the product cosets from each re-running a BFS, which made
+    # over 1.5 million canon_coset calls
+    pair = PairDescriptor.planar_gl2(p=2)
+    canon, calls = pair.canon_coset, []
+
+    def counting(x):
+        calls.append(1)
+        return canon(x)
+
+    pair.canon_coset = counting
+    t4 = HeckeElement.char_fn(pair.element((0, 0), Mat2.diag(4, 1)))
+    convolve(t4, t4)
+    assert len(calls) <= 10_000
+
+
+def test_convolve_certificate_catches_a_wrong_product():
+    pair = PairDescriptor.planar_gl2(p=2)
+    x = pair.element((0, 0), Mat2.diag(2, 1))
     f = HeckeElement.char_fn(x)
-    g = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)))
-    assert convolve(f, g) == convolve(f, g, cache=cache)
-    assert involution(f) == involution(f, cache=cache)
+    y0 = double_coset(x).left_reps[0]
+    mul = pair.mul
+    # send the single product y0 * y0 to H: every other left coset of its
+    # double coset keeps the right value, so f*f is no longer constant there
+    pair.mul = lambda a, b: pair.identity() if (a, b) == (y0, y0) else mul(a, b)
+    with pytest.raises(CertificateFailed):
+        convolve(f, f)
 
 
 def test_hecke_element_json_round_trip(gl2):
-    cache = DoubleCosetCache()
-    f = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)), F(5, 3),
-                             cache=cache) + \
-        HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()), -2,
-                             cache=cache)
+    f = HeckeElement.char_fn(gl2.element((0, 0), Mat2.diag(2, 1)), F(5, 3)) + \
+        HeckeElement.char_fn(gl2.element((F(1, 2), 0), Mat2.identity()), -2)
     data = f.to_json()
-    assert HeckeElement.from_json(gl2, data, cache=cache) == f
+    assert HeckeElement.from_json(gl2, data) == f
