@@ -14,7 +14,6 @@ There M = Z^2, so all quotient arithmetic is on plain integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import (
@@ -29,6 +28,7 @@ from .arith import (
 )
 from .errors import (
     ActionNotWellDefined,
+    CertificateFailed,
     ConductorOverflow,
     EnumerationBound,
     FamilyConditionViolated,
@@ -50,20 +50,19 @@ def _require_planar(pair: PairDescriptor) -> None:
         )
 
 
-def _primitive_int(m: Mat2) -> tuple[Mat2, int]:
+def _primitive_int(m: Mat2) -> tuple[tuple[int, int, int, int], int]:
     """Scale a nonzero rational matrix to a primitive integer matrix.
 
-    Returns (matrix, |det|).  Scalar factors do not change conjugation, so
+    Returns (entries, det).  Scalar factors do not change conjugation, so
     all congruence conditions may be computed from this representative.
     """
+    if m.det() == 0:
+        raise ValueError(f"{m} is singular")
     scale = m.denominator_lcm()
     ints = [int(x * scale) for x in m.entries()]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), gcd(abs(ints[2]), abs(ints[3])))
-    ints = [x // g for x in ints]
-    mat = Mat2.of(*ints)
-    det = abs(mat.det())
-    assert det != 0 and det.denominator == 1
-    return mat, int(det)
+    g = gcd(*ints)
+    a, b, c, d = (x // g for x in ints)
+    return (a, b, c, d), a * d - b * c
 
 
 @dataclass(frozen=True)
@@ -183,22 +182,36 @@ def core_lattice(family: CosetFamily) -> Lattice:
 
 
 def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
-    """Stage membership conditions.
+    """Stage membership conditions, on integers.
 
-    Returns (level, conditions) where each condition is (t_inv, [(v, t.v)])
-    for a primitivized rep t and envelope generator v; a residue r belongs
-    to the stage core iff (t^-1 r t - 1)v is integral for every condition.
+    Returns (level, conditions).  A residue r belongs to the stage core iff
+    (t^-1 r t - 1)v is integral for every rep t and envelope generator v.
+    With t primitive integral, D = det t, A = adj t (so t^-1 = A/D) and k
+    the least integer making w = k.v integral, that vector is
+    (A r (t w) - D w) / (kD), so the condition is A r (t w) = D w mod k|D|.
+    Each coordinate of it is linear in the entries of r: a condition is
+    (n, c0, c1, c2, c3, e) meaning c0 r0 + c1 r1 + c2 r2 + c3 r3 = e mod n.
+    The identity rep's conditions come first; conditions that every r
+    meets are dropped.
     """
     vs = envelope.lattice.vectors()
     k = lcm(*(x.denominator for v in vs for x in v))
+    ws = [(int(v[0] * k), int(v[1] * k)) for v in vs]
+    ints = sorted((_primitive_int(t) for t in family.reps),
+                  key=lambda td: td[0] != (1, 0, 0, 1))
     dets = 1
-    conds = []
-    for t in family.reps:
-        t_rel, d = _primitive_int(t)
-        dets = lcm(dets, d)
-        conds.append((t_rel, t_rel.inv(), [(v, t_rel.apply(v)) for v in vs]))
-    conds.sort(key=lambda c: c[0] != Mat2.identity())
-    return k * dets, conds
+    conds = {}
+    for (a, b, c, d), det in ints:
+        dets = lcm(dets, abs(det))
+        n = k * abs(det)
+        for w0, w1 in ws:
+            u0, u1 = a * w0 + b * w1, c * w0 + d * w1
+            # rows of A = (d, -b; -c, a) against r.u = (r0 u0 + r1 u1, r2 u0 + r3 u1)
+            for x, y, e in ((d, -b, det * w0), (-c, a, det * w1)):
+                row = tuple(z % n for z in (x * u0, x * u1, y * u0, y * u1, e))
+                if any(row):
+                    conds[(n, *row)] = None
+    return k * dets, list(conds)
 
 
 def stage_level(family: CosetFamily, envelope: EnvelopeLattice) -> int:
@@ -209,18 +222,23 @@ def stage_level(family: CosetFamily, envelope: EnvelopeLattice) -> int:
     return level
 
 
-def _is_integral_vec(v) -> bool:
-    return v[0].denominator == 1 and v[1].denominator == 1
-
-
 def _satisfies(residue, conditions) -> bool:
-    lift = Mat2.of(*residue)
-    for _, t_inv, pairs in conditions:
-        for v, tv in pairs:
-            moved = t_inv.apply(lift.apply(tv))
-            if not _is_integral_vec((moved[0] - v[0], moved[1] - v[1])):
-                return False
+    r0, r1, r2, r3 = residue
+    for n, c0, c1, c2, c3, e in conditions:
+        if (c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 - e) % n:
+            return False
     return True
+
+
+def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
+                  conductor_cap: int, closure_bound: int | None = None):
+    """(image of R mod the stage level, residue core inside it)."""
+    level, conditions = _rel_conditions(family, envelope)
+    if level > conductor_cap:
+        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
+    image = frozenset(r_image_mod(family.pair, level, closure_bound))
+    members = frozenset(r for r in image if _satisfies(r, conditions))
+    return image, ResidueSubgroup(level, members)
 
 
 def core_residue_subgroup(
@@ -231,19 +249,24 @@ def core_residue_subgroup(
 ) -> ResidueSubgroup:
     """Residues of R (mod the stage level) whose conjugate
     by every rep moves each envelope generator by a vector of M."""
-    pair = family.pair
-    level, conditions = _rel_conditions(family, envelope)
-    if level > conductor_cap:
-        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
-    image = r_image_mod(pair, level, closure_bound)
-    members = [r for r in image if _satisfies(r, conditions)]
-    return ResidueSubgroup(level, frozenset(members))
+    return _residue_core(family, envelope, conductor_cap, closure_bound)[1]
 
 
 def _int_hnf_triple(lat: Lattice) -> tuple[int, int, int]:
     a, c, d = lat.a, lat.c, lat.d
-    assert a.denominator == c.denominator == d.denominator == 1
+    if not a.denominator == c.denominator == d.denominator == 1:
+        raise ValueError(f"{lat} is not an integral lattice")
     return int(a), int(c), int(d)
+
+
+def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
+    """Whether the residue acts trivially on M / core: (r - 1)e_j lies in
+    the core lattice (HNF triple a, c, d) for both unit vectors e_j."""
+    a, c, d = core
+    for x, y in ((residue[0] - 1, residue[2]), (residue[1], residue[3] - 1)):
+        if x % a or (y - x // a * c) % d:
+            return False
+    return True
 
 
 class TowerStage:
@@ -281,10 +304,16 @@ class TowerStage:
             for mr in members:
                 self.coset_key_of[mr] = key
         self._sorted_rkeys = tuple(sorted(set(self.coset_key_of.values())))
-        assert len(self._sorted_rkeys) == self.r_index
+        if len(self._sorted_rkeys) != self.r_index:
+            raise CertificateFailed(
+                f"{len(self._sorted_rkeys)} residue cosets, expected {self.r_index}"
+            )
 
         self.m_elements = self._enumerate_m_quotient()
-        assert len(self.m_elements) == self.m_index
+        if len(self.m_elements) != self.m_index:
+            raise CertificateFailed(
+                f"{len(self.m_elements)} elements of M / core, expected {self.m_index}"
+            )
 
     def _reduce(self, v: tuple[int, int]) -> tuple[int, int]:
         a, c, d = self._core
@@ -369,26 +398,19 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     family.validate()
     envelope.validate(family)
     m_core = core_lattice(family)
-    level, conditions = _rel_conditions(family, envelope)
-    if level > conductor_cap:
-        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
-    image = frozenset(r_image_mod(pair, level))
-    members = frozenset(r for r in image if _satisfies(r, conditions))
-    r_core = ResidueSubgroup(level, members)
+    image, r_core = _residue_core(family, envelope, conductor_cap)
 
     # the residue core must act trivially on M / core, else the semidirect
     # quotient would be ill-defined (a construction bug, not a user error)
-    for residue in members:
-        lift = Mat2.of(*residue)
-        for v in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-            moved = lift.apply(v)
-            if not m_core.contains((moved[0] - v[0], moved[1] - v[1])):
-                raise ActionNotWellDefined(
-                    f"residue {residue} moves {v} outside the core lattice"
-                )
+    core = _int_hnf_triple(m_core)
+    for residue in r_core.elements:
+        if not _fixes_quotient(core, residue):
+            raise ActionNotWellDefined(
+                f"residue {residue} moves a unit vector outside the core lattice"
+            )
 
     m_index = lattice_index(pair.m_lattice, m_core)
-    r_index = len(image) // len(members)
+    r_index = len(image) // len(r_core.elements)
     if m_index * r_index > order_cap:
         raise SizeCap(
             f"stage too large: order {m_index * r_index} exceeds cap {order_cap}"
@@ -424,26 +446,58 @@ class ConnectingMap:
     def verify(self) -> dict:
         """Homomorphism certificate: phi(g x) = phi(g) phi(x) for every
         generator g against every element x (the generators generate, so
-        this pins down the whole map); surjectivity by image count."""
+        this pins down the whole map); surjectivity by image count.
+
+        Both are checked one factor at a time, which is exact: a product
+        (m1, r1)(m2, r2) = (m1 + r1.m2, r1 r2) has an m-part depending on
+        the second factor only through m2 and an r-part depending only on
+        r2, in either stage, and phi maps m and r separately.  So for fixed
+        g the m-parts of both sides depend only on the m of x, and the
+        r-parts only on its r: the m-parts are compared at x = (m, 1) for
+        every m, the r-parts at x = (0, r) for every residue coset r.  The
+        image of phi is the product of the images of its m and r maps.
+        """
         fine, coarse = self.fine, self.coarse
-        phi = {x: self.apply(x) for x in fine.elements()}
-        hom_ok = True
-        for g in fine.generators():
-            pg = phi[g] if g in phi else self.apply(g)
-            for x, px in phi.items():
-                if phi[fine.mul(g, x)] != coarse.mul(pg, px):
-                    hom_ok = False
-                    break
-            if not hom_ok:
-                break
-        img = set(phi.values())
-        surjective = len(img) == coarse.order
+        m0, r0 = fine.identity()
+        phi_m = {m: self.apply((m, r0))[0] for m in fine.m_elements}
+        phi_r = {r: self.apply((m0, r))[1] for r in fine._sorted_rkeys}
+        pm0, pr0 = phi_m[m0], phi_r[r0]
+
+        def hom_at(g) -> bool:
+            pg = self.apply(g)
+            return all(
+                phi_m[fine.mul(g, (m, r0))[0]] == coarse.mul(pg, (pm, pr0))[0]
+                for m, pm in phi_m.items()
+            ) and all(
+                phi_r[fine.mul(g, (m0, r))[1]] == coarse.mul(pg, (pm0, pr))[1]
+                for r, pr in phi_r.items()
+            )
+
+        hom_ok = all(hom_at(g) for g in fine.generators())
+        surjective = (len(set(phi_m.values())) * len(set(phi_r.values()))
+                      == coarse.order)
         return {
             "homomorphism": hom_ok,
             "surjective": surjective,
             "kernel_size": fine.order // coarse.order if surjective else None,
             "order_ratio": fine.order // coarse.order,
         }
+
+
+def triangle_commutes(fine: TowerStage, mid: TowerStage,
+                      coarse: TowerStage) -> bool:
+    """Whether reducing fine -> mid -> coarse equals reducing fine -> coarse.
+
+    Every connecting map sends (m, r) to (its map of m, its map of r), so
+    both composites split by factor too: comparing them at (m, 1) for every
+    m and at (0, r) for every residue coset r compares them everywhere.
+    """
+    via = ConnectingMap(fine, mid)
+    down = ConnectingMap(mid, coarse)
+    direct = ConnectingMap(fine, coarse)
+    m0, r0 = fine.identity()
+    axes = [(m, r0) for m in fine.m_elements] + [(m0, r) for r in fine._sorted_rkeys]
+    return all(down.apply(via.apply(x)) == direct.apply(x) for x in axes)
 
 
 def verify_stage_invariants(family: CosetFamily, envelope: EnvelopeLattice,
@@ -459,20 +513,15 @@ def verify_stage_invariants(family: CosetFamily, envelope: EnvelopeLattice,
     pair = stage.pair
     ring = ResidueRing(stage.level)
     gen_residues = [ring.reduce_mat(g) for g in pair.r_generators]
-    trivial_action = True
-    for residue in stage.r_core.elements:
-        for v in ((1, 0), (0, 1)):
-            moved = (residue[0] * v[0] + residue[1] * v[1],
-                     residue[2] * v[0] + residue[3] * v[1])
-            if stage._reduce((moved[0] - v[0], moved[1] - v[1])) != (0, 0):
-                trivial_action = False
     results = {
         "r_core_normal_in_r": stage.r_core.is_normal_under(gen_residues),
         "m_core_r_stable": all(
             transform_lattice(g, stage.m_core) == stage.m_core
             for g in pair.r_generators
         ),
-        "r_core_acts_trivially_on_quotient": trivial_action,
+        "r_core_acts_trivially_on_quotient": all(
+            _fixes_quotient(stage._core, r) for r in stage.r_core.elements
+        ),
     }
     results["verdict"] = "pass" if all(
         v for k, v in results.items() if k != "verdict"

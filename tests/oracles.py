@@ -115,3 +115,54 @@ def vector_orbit(mats, start, s):
     return orbit
 
 
+
+
+def fraction_core_conditions(family, envelope):
+    """Residue-core conditions over Fraction: for each family rep t, the
+    pair (t^-1, [(v, t.v)]) over the envelope generators v.  Conjugation
+    ignores scalars, so the reps are used as they are."""
+    vs = envelope.lattice.vectors()
+    return [(t.inv(), [(v, t.apply(v)) for v in vs]) for t in family.reps]
+
+
+def fraction_satisfies(residue, conditions):
+    """Whether (t^-1 r t - 1)v is integral for every condition, computed
+    with Fraction matrices from an integer lift r of the residue."""
+    lift = Mat2.of(*residue)
+    for t_inv, pairs in conditions:
+        for v, tv in pairs:
+            moved = t_inv.apply(lift.apply(tv))
+            if (moved[0] - v[0]).denominator != 1 \
+                    or (moved[1] - v[1]).denominator != 1:
+                return False
+    return True
+
+
+def all_pairs_verify(cm):
+    """Connecting-map certificate over every (generator, element) pair:
+    phi(g x) = phi(g) phi(x), and surjectivity by counting the image."""
+    fine, coarse = cm.fine, cm.coarse
+    phi = {x: cm.apply(x) for x in fine.elements()}
+    hom_ok = True
+    for g in fine.generators():
+        pg = cm.apply(g)
+        for x, px in phi.items():
+            if phi[fine.mul(g, x)] != coarse.mul(pg, px):
+                hom_ok = False
+                break
+        if not hom_ok:
+            break
+    surjective = len(set(phi.values())) == coarse.order
+    return {
+        "homomorphism": hom_ok,
+        "surjective": surjective,
+        "kernel_size": fine.order // coarse.order if surjective else None,
+        "order_ratio": fine.order // coarse.order,
+    }
+
+
+def elementwise_triangle(via, down, direct):
+    """Whether down(via(x)) == direct(x) for every element x of the fine
+    stage."""
+    return all(down.apply(via.apply(x)) == direct.apply(x)
+               for x in via.fine.elements())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,24 @@ def test_tower_two_stages(capsys):
             assert o["order"] == o["m_index"] * o["r_index"]
     assert by_name["tower.connect_2_1"]["outputs"]["surjective"] is True
     assert by_name["tower.triangle_2_0"]["outputs"]["commutes"] is True
+
+
+def test_tower_build_under_python_O_matches(capsys, tmp_path):
+    # the stage certificates are explicit checks, so they also run with
+    # assert statements stripped; the report must not change
+    argv = ["tower", "build", "--seed", "[[2,0],[0,1]]"]
+    out_in, out_o = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
+    code = main(argv + ["--out", str(out_in)])
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "heckepairs.cli", *argv, "--out", str(out_o)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == code == 0
+    assert out_o.read_bytes() == out_in.read_bytes()
 
 
 def test_tower_rejects_heisenberg_config(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,24 +6,38 @@ import pytest
 
 from heckepairs.arith import Lattice, Mat2
 from heckepairs.errors import (
+    CertificateFailed,
     ConductorOverflow,
     FamilyConditionViolated,
     NotComparable,
     SizeCap,
 )
-from heckepairs.grouppair import PairDescriptor, index_r_cap_conj
+from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, r_image_mod
 from heckepairs.tower import (
     ConnectingMap,
     CosetFamily,
     EnvelopeLattice,
     TowerStage,
+    _fixes_quotient,
+    _int_hnf_triple,
+    _primitive_int,
+    _rel_conditions,
+    _satisfies,
     build_stage,
     core_lattice,
     core_residue_subgroup,
     make_coset_family,
     make_envelope,
     stage_level,
+    triangle_commutes,
     verify_stage_invariants,
+)
+
+from oracles import (
+    all_pairs_verify,
+    elementwise_triangle,
+    fraction_core_conditions,
+    fraction_satisfies,
 )
 
 F = Fraction
@@ -48,6 +63,12 @@ def stage2(pair):
 @pytest.fixture(scope="module")
 def stage0(pair):
     fam = make_coset_family(pair, [])
+    return build_stage(fam, make_envelope(fam))
+
+
+@pytest.fixture(scope="module")
+def stage_p3():
+    fam = make_coset_family(PairDescriptor.planar_gl2(p=3), [Mat2.diag(3, 1)])
     return build_stage(fam, make_envelope(fam))
 
 
@@ -319,3 +340,124 @@ def test_full_multiplication_table_matches_h(pair, stage1):
         for k2, h2 in items:
             assert stage1.reduce_h_element(pair.mul(h1, h2)) == \
                 stage1.mul(k1, k2)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against their Fraction and element-wise oracles
+
+
+def _random_residues(rng, level, count):
+    """Integer residue lifts, negative entries included: half uniform, half
+    near the identity (identity plus a multiple of a divisor of the level),
+    so that conditions beyond the first one are reached."""
+    divisors = [d for d in range(1, level + 1) if level % d == 0]
+    out = []
+    for i in range(count):
+        if i % 2:
+            out.append(tuple(rng.randint(-2 * level, 2 * level) for _ in range(4)))
+        else:
+            step = rng.choice(divisors)
+            out.append(tuple(x + step * rng.randint(-3, 3)
+                             for x in (1, 0, 0, 1)))
+    return out
+
+
+@pytest.mark.parametrize("name, seed", [("stage0", 40), ("stage1", 41),
+                                        ("stage2", 42), ("stage_p3", 43)])
+def test_satisfies_matches_fraction_oracle(request, name, seed):
+    stage = request.getfixturevalue(name)
+    level, conds = _rel_conditions(stage.family, stage.envelope)
+    assert level == stage.level
+    oracle = fraction_core_conditions(stage.family, stage.envelope)
+    residues = _random_residues(random.Random(seed), level, 500)
+    residues += sorted(r_image_mod(stage.pair, level))[:500]
+    residues += sorted(stage.r_core.elements)
+    members = 0
+    for r in residues:
+        got = _satisfies(r, conds)
+        assert got == fraction_satisfies(r, oracle), r
+        members += got
+    assert members >= len(stage.r_core.elements)
+
+
+def test_connecting_verify_matches_all_pairs_oracle(stage0, stage1, stage2,
+                                                    stage_p3):
+    fam = make_coset_family(stage_p3.pair, [])
+    p3_trivial = build_stage(fam, make_envelope(fam))
+    for fine, coarse in ((stage1, stage0), (stage2, stage1), (stage2, stage0),
+                         (stage1, stage1), (stage_p3, p3_trivial),
+                         (stage_p3, stage_p3)):
+        cm = ConnectingMap(fine, coarse)
+        rep = cm.verify()
+        assert rep == all_pairs_verify(cm)
+        assert rep["homomorphism"] and rep["surjective"]
+
+
+def test_triangle_matches_elementwise_oracle(stage0, stage1, stage2):
+    for fine, mid, coarse in ((stage2, stage1, stage0), (stage2, stage2, stage1),
+                              (stage1, stage1, stage0)):
+        via, down = ConnectingMap(fine, mid), ConnectingMap(mid, coarse)
+        direct = ConnectingMap(fine, coarse)
+        assert triangle_commutes(fine, mid, coarse) is True
+        assert elementwise_triangle(via, down, direct) is True
+
+
+def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
+    bad = copy.copy(stage1)
+    bad.coset_key_of = dict(stage1.coset_key_of)
+    # send one residue to the coset key of another coset
+    residue = next(r for r, key in sorted(bad.coset_key_of.items()) if r != key)
+    bad.coset_key_of[residue] = next(
+        key for key in bad._sorted_rkeys if key != bad.coset_key_of[residue])
+    cm = ConnectingMap(stage2, bad)
+    assert all_pairs_verify(cm)["homomorphism"] is False
+    assert cm.verify()["homomorphism"] is False
+    # reducing through the intact stage1 misses the corrupted entry
+    assert triangle_commutes(stage2, stage1, bad) is False
+    assert elementwise_triangle(ConnectingMap(stage2, stage1),
+                                ConnectingMap(stage1, bad), cm) is False
+
+
+def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
+    calls = 0
+
+    def counting(mul):
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mul(x, y)
+        return counted
+
+    for st in (stage1, stage2):
+        monkeypatch.setattr(st, "mul", counting(st.mul))
+    rep = ConnectingMap(stage2, stage1).verify()
+    assert rep["homomorphism"] and rep["surjective"]
+    assert calls <= 40000  # 491,520 when every element meets every generator
+
+
+def test_stage_rejects_corrupted_image(pair):
+    fam = make_coset_family(pair, [Mat2.diag(2, 1)])
+    env = make_envelope(fam)
+    r_core = core_residue_subgroup(fam, env)
+    image = frozenset(r_image_mod(pair, r_core.level))
+    assert len(image) == 96 and len(r_core.elements) == 2
+    dropped = min(image - r_core.elements)
+    with pytest.raises(CertificateFailed):
+        TowerStage(fam, env, core_lattice(fam), r_core, image - {dropped})
+
+
+def test_integer_inputs_are_checked():
+    with pytest.raises(ValueError):
+        _primitive_int(Mat2.of(1, 2, 2, 4))
+    with pytest.raises(ValueError):
+        _int_hnf_triple(Lattice.standard().scaled(F(1, 2)))
+
+
+def test_fixes_quotient_examples():
+    # core 2Z x 2Z: r = 1 mod 2 acts trivially, a transvection does not
+    assert _fixes_quotient((2, 0, 2), (3, 0, 2, 1))
+    assert not _fixes_quotient((2, 0, 2), (1, 0, 1, 1))
+    # core spanned by (2, 1) and (0, 2): (r - 1)e_1 = (2, 1) is in it,
+    # (2, 0) is not
+    assert _fixes_quotient((2, 1, 2), (3, 0, 1, 1))
+    assert not _fixes_quotient((2, 1, 2), (3, 0, 0, 1))
