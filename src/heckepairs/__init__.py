@@ -50,7 +50,6 @@ from .grouppair import (
     GElem,
     PairDescriptor,
     ResidueSubgroup,
-    StabDescriptor,
     downward_directed_report,
     hecke_indices_report,
     index_m_cap_conj,

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .errors import BadDiscriminant, NotPrime, NotSublattice, SingularBasis, SizeCap
+from .errors import (
+    BadDiscriminant,
+    CertificateFailed,
+    NotPrime,
+    NotSublattice,
+    SingularBasis,
+    SizeCap,
+)
 
 Rat = Fraction
 
@@ -87,6 +94,32 @@ def val_p(x: Rat | int, p: int) -> int | float:
     return vp(abs(x.numerator)) - vp(x.denominator)
 
 
+def in_z_inv_p(x: Rat, p: int | None) -> bool:
+    """Whether x lies in Z[1/p]; p = None stands for the ring Q."""
+    if p is None:
+        return True
+    den = x.denominator
+    while den % p == 0:
+        den //= p
+    return den == 1
+
+
+def unit_sign(x: Rat, p: int | None) -> int | None:
+    """The sign of x when x is a unit of Z[1/p], i.e. +-p^j (any nonzero x
+    when p = None stands for Q); None otherwise."""
+    if x == 0:
+        return None
+    if p is not None:
+        num, den = abs(x.numerator), x.denominator
+        while num % p == 0:
+            num //= p
+        while den % p == 0:
+            den //= p
+        if num != 1 or den != 1:
+            return None
+    return 1 if x > 0 else -1
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices over Q
 
@@ -153,6 +186,12 @@ class Mat2:
             self.c.denominator,
             self.d.denominator,
         )
+
+    def integralize(self) -> tuple[int, tuple[int, int, int, int]]:
+        """(s, (a, b, c, d)) with s the least common denominator of the
+        entries and self = (a, b; c, d)/s, as in ``GElem``."""
+        s = self.denominator_lcm()
+        return s, tuple(x.numerator * (s // x.denominator) for x in self.entries())
 
     def to_lists(self) -> list[list[str]]:
         return [[rat_to_str(self.a), rat_to_str(self.b)],
@@ -259,8 +298,8 @@ class Lattice:
     @staticmethod
     def from_basis(basis: Mat2) -> "Lattice":
         """Canonicalize the Z-span of the columns of ``basis``."""
-        scale = basis.denominator_lcm()
-        a, c, d = hnf_int(*(int(x * scale) for x in basis.entries()))
+        scale, ints = basis.integralize()
+        a, c, d = hnf_int(*ints)
         return Lattice(Fraction(a, scale), Fraction(c, scale), Fraction(d, scale))
 
     @staticmethod
@@ -349,7 +388,8 @@ def lattice_index(big: Lattice, small: Lattice) -> int:
     if not big.contains_lattice(small):
         raise NotSublattice(f"{small} is not contained in {big}")
     ratio = small.det() / big.det()
-    assert ratio.denominator == 1 and ratio > 0
+    if ratio.denominator != 1 or ratio <= 0:
+        raise CertificateFailed(f"index of {small} in {big} is {ratio}")
     return int(ratio)
 
 
@@ -372,7 +412,8 @@ def smith_invariants(lat: Lattice) -> tuple[int, int]:
     a, c, d = int(lat.a), int(lat.c), int(lat.d)
     d1 = gcd(a, gcd(c, d))
     d2 = (a * d) // d1
-    assert d2 % d1 == 0
+    if d2 % d1:
+        raise CertificateFailed(f"invariant factors {d1}, {d2} do not divide")
     return (d1, d2)
 
 
@@ -442,6 +483,16 @@ class ResidueRing:
                             raise SizeCap(f"closure exceeded {bound} elements")
             frontier = new
         return seen
+
+
+def satisfies(residue, conditions) -> bool:
+    """Whether a residue matrix (r0, r1, r2, r3) meets every linear
+    congruence (n, c0, c1, c2, c3, e): c0 r0 + c1 r1 + c2 r2 + c3 r3 = e mod n."""
+    r0, r1, r2, r3 = residue
+    for n, c0, c1, c2, c3, e in conditions:
+        if (c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 - e) % n:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

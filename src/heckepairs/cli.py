@@ -49,10 +49,12 @@ from .grouppair import (
     PLANAR,
     QUAD_TORUS,
     PairDescriptor,
+    check_record,
     downward_directed_report,
     hecke_indices_report,
     reduced_stage_report,
     stabilizer_identities_report,
+    worst_verdict,
 )
 from .tower import ConnectingMap, build_stage, make_coset_family, make_envelope, \
     triangle_commutes, verify_stage_invariants
@@ -90,14 +92,7 @@ class Report:
 
     def add(self, name: str, law: str, inputs: dict, outputs: dict,
             verdict: str) -> None:
-        assert verdict in ("pass", "fail", "inconclusive")
-        self.records.append({
-            "name": name,
-            "law": law,
-            "inputs": inputs,
-            "outputs": outputs,
-            "verdict": verdict,
-        })
+        self.records.append(check_record(name, law, inputs, outputs, verdict))
 
     def extend_from(self, prefix: str, module_report: dict) -> None:
         for check in module_report["checks"]:
@@ -111,12 +106,7 @@ class Report:
         return counts
 
     def exit_code(self) -> int:
-        counts = self.summary()
-        if counts["fail"]:
-            return 1
-        if counts["inconclusive"]:
-            return 3
-        return 0
+        return {"pass": 0, "fail": 1, "inconclusive": 3}[worst_verdict(self.records)]
 
     def to_jsonl(self) -> str:
         head = {
@@ -409,7 +399,7 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
                        {"error": str(exc)}, "inconclusive")
             break
         built.append(st)
-        inv = verify_stage_invariants(fam, env, st)
+        inv = verify_stage_invariants(st)
         order_ok = st.order == st.m_index * st.r_index
         report.add(
             f"tower.stage_{i}",

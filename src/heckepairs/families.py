@@ -17,11 +17,19 @@ from .arith import (
     ResidueRing,
     _xgcd,
     check_discriminant,
+    in_z_inv_p,
     is_prime,
     pell_fundamental,
+    unit_sign,
     val_p,
 )
-from .errors import BadDiscriminant, DetNotAllowed, InsufficientData, SizeCap
+from .errors import (
+    BadDiscriminant,
+    CertificateFailed,
+    DetNotAllowed,
+    InsufficientData,
+    SizeCap,
+)
 from .grouppair import _GL2_STANDARD_GENS, PairDescriptor
 
 F = Fraction
@@ -72,8 +80,10 @@ class QuadUnitData:
     full_units: frozenset
 
     def __post_init__(self):
-        assert abs(self.r0.norm()) == 1
-        assert self.unit_image <= self.full_units
+        if abs(self.r0.norm()) != 1:
+            raise CertificateFailed(f"{self.r0} is not a unit")
+        if not self.unit_image <= self.full_units:
+            raise CertificateFailed("unit image is not inside the unit group")
 
 
 def quad_unit_data(d: int, s: int) -> QuadUnitData:
@@ -102,7 +112,8 @@ def unit_image_gap(d: int, s: int) -> dict:
     data = quad_unit_data(d, s)
     proper = data.unit_image < data.full_units
     witness = min(data.full_units - data.unit_image) if proper else None
-    assert len(data.full_units) % len(data.unit_image) == 0
+    if len(data.full_units) % len(data.unit_image):
+        raise CertificateFailed("unit image order does not divide the group order")
     return {
         "d": d,
         "modulus": s,
@@ -128,35 +139,15 @@ class TriangularSplit:
     k: Mat2
 
 
-def _p_power_sign(x: F, p: int) -> int | None:
-    """Sign of x when x = +-p^j, else None."""
-    if x == 0:
-        return None
-    num, den = abs(x).numerator, abs(x).denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    if num == 1 and den == 1:
-        return 1 if x > 0 else -1
-    return None
-
-
-def _in_z_inv_p(x: F, p: int) -> bool:
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 _ROT = Mat2.of(0, 1, -1, 0)  # order-4 rotation, det 1
 
 
 def _split_lower(g: Mat2, p: int) -> TriangularSplit:
     # b = 0, so a and d are signed p-powers
-    sa = _p_power_sign(g.a, p)
-    sd = _p_power_sign(g.d, p)
-    assert sa is not None and sd is not None
+    sa = unit_sign(g.a, p)
+    sd = unit_sign(g.d, p)
+    if sa is None or sd is None:
+        raise CertificateFailed(f"diagonal of {g} is not a pair of signed powers of {p}")
     t = Mat2(abs(g.a), F(0), sa * g.c, abs(g.d))
     k = Mat2.diag(sa, sd)
     return TriangularSplit(t, k)
@@ -174,9 +165,9 @@ def split_padic(g: Mat2, p: int) -> TriangularSplit:
     if not is_prime(p):
         raise DetNotAllowed(f"p = {p} is not prime")
     for x in g.entries():
-        if not _in_z_inv_p(x, p):
+        if not in_z_inv_p(x, p):
             raise DetNotAllowed(f"entry {x} is not in Z[1/{p}]")
-    if _p_power_sign(g.det(), p) is None:
+    if unit_sign(g.det(), p) is None:
         raise DetNotAllowed(f"det {g.det()} is not a signed power of {p}")
 
     if g.b == 0:
@@ -203,12 +194,17 @@ def split_padic(g: Mat2, p: int) -> TriangularSplit:
 
 def _certify_padic(g: Mat2, split: TriangularSplit, p: int) -> None:
     t, k = split.t, split.k
-    assert t * k == g, "reassembly failed"
-    assert t.b == 0, "t is not lower triangular"
-    assert _p_power_sign(t.a, p) is not None and _p_power_sign(t.d, p) is not None
-    assert abs(k.det()) == 1, "k does not have determinant +-1"
+    if t * k != g:
+        raise CertificateFailed(f"{t} * {k} does not reassemble {g}")
+    if t.b != 0:
+        raise CertificateFailed(f"{t} is not lower triangular")
+    if unit_sign(t.a, p) is None or unit_sign(t.d, p) is None:
+        raise CertificateFailed(f"diagonal of {t} is not a pair of signed powers of {p}")
+    if abs(k.det()) != 1:
+        raise CertificateFailed(f"{k} does not have determinant +-1")
     for x in k.entries():
-        assert x == 0 or val_p(x, p) >= 0, f"k entry {x} has negative valuation"
+        if x != 0 and val_p(x, p) < 0:
+            raise CertificateFailed(f"k entry {x} has negative valuation")
 
 
 def split_global(g: Mat2) -> TriangularSplit:
@@ -231,9 +227,12 @@ def split_global(g: Mat2) -> TriangularSplit:
         u = Mat2.of(x, -bb // gg, y, aa // gg)
         split = TriangularSplit(g * u, u.inv())
     t, k = split.t, split.k
-    assert t * k == g
-    assert t.b == 0 and t.a != 0 and t.d != 0
-    assert k.is_integral() and abs(k.det()) == 1
+    if t * k != g:
+        raise CertificateFailed(f"{t} * {k} does not reassemble {g}")
+    if t.b != 0 or t.a == 0 or t.d == 0:
+        raise CertificateFailed(f"{t} is not invertible lower triangular")
+    if not k.is_integral() or abs(k.det()) != 1:
+        raise CertificateFailed(f"{k} is not integral of determinant +-1")
     return split
 
 
@@ -291,14 +290,11 @@ def heis_conj_meet_index(n_param: int, scan_margin: int = 6) -> int:
     pair = PairDescriptor.heisenberg()
     x = pair.element((0, 0), F(1, n_param))
     xi = pair.inv(x)
-    members = []
-    for b in range(-scan_margin * n_param, scan_margin * n_param + 1):
-        elem = pair.element((0, b), 0)
-        if pair.in_h(pair.mul(pair.mul(xi, elem), x)):
-            members.append(b)
-    assert members == [b for b in range(-scan_margin * n_param,
-                                        scan_margin * n_param + 1)
-                       if b % n_param == 0]
+    window = range(-scan_margin * n_param, scan_margin * n_param + 1)
+    members = [b for b in window
+               if pair.in_h(pair.mul(pair.mul(xi, pair.element((0, b), 0)), x))]
+    if members != [b for b in window if b % n_param == 0]:
+        raise CertificateFailed(f"conjugation by {x} does not keep exactly {n_param}Z")
     return n_param
 
 
@@ -360,5 +356,6 @@ def heis_orbit(z: int, w: int, s: int) -> set:
     if s < 1:
         raise ValueError("modulus must be positive")
     orbit = {(z % s, (w + r * z) % s) for r in range(s)}
-    assert len(orbit) == s // gcd(z % s, s)  # gcd(0, s) = s covers z = 0
+    if len(orbit) != s // gcd(z % s, s):  # gcd(0, s) = s covers z = 0
+        raise CertificateFailed(f"orbit of ({z}, {w}) mod {s} has size {len(orbit)}")
     return orbit

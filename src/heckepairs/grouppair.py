@@ -28,16 +28,20 @@ from .arith import (
     ResidueRing,
     check_discriminant,
     hnf_int,
+    in_z_inv_p,
     lattice_index,
     lattice_intersect,
     pell_fundamental,
     rat_from_str,
     rat_to_str,
     ratio_to_str,
+    satisfies,
     transform_lattice,
+    unit_sign,
 )
 from .errors import (
     BadDiscriminant,
+    CertificateFailed,
     ConductorOverflow,
     ConfigInvalid,
     DescriptorMismatch,
@@ -261,37 +265,16 @@ class PairDescriptor:
 
     # -- membership predicates on parsed values ----------------------------------
 
-    def in_ring(self, x: Fraction) -> bool:
-        if self.base_ring == "Q":
-            return True
-        den = x.denominator
-        while den % self.p == 0:
-            den //= self.p
-        return den == 1
-
-    def _unit_in_ring(self, x: Fraction) -> bool:
-        if x == 0:
-            return False
-        if self.base_ring == "Q":
-            return True
-        v = abs(x)
-        num, den = v.numerator, v.denominator
-        while num % self.p == 0:
-            num //= self.p
-        while den % self.p == 0:
-            den //= self.p
-        return num == 1 and den == 1
-
     def in_q(self, q) -> bool:
         if self.family == HEISENBERG:
             return isinstance(q, Fraction)
         if not isinstance(q, Mat2):
             return False
-        if not all(self.in_ring(x) for x in q.entries()):
+        if not all(in_z_inv_p(x, self.p) for x in q.entries()):
             return False
         if self.q_kind == QUAD_TORUS and not (q.a == q.d and q.b == self.d * q.c):
             return False
-        return self._unit_in_ring(q.det())
+        return unit_sign(q.det(), self.p) is not None
 
     def in_r(self, q) -> bool:
         if self.family == HEISENBERG:
@@ -306,7 +289,7 @@ class PairDescriptor:
     def in_n(self, n: tuple[Fraction, Fraction]) -> bool:
         if self.family == HEISENBERG:
             return True
-        return self.in_ring(n[0]) and self.in_ring(n[1])
+        return in_z_inv_p(n[0], self.p) and in_z_inv_p(n[1], self.p)
 
     def in_m(self, n: tuple[Fraction, Fraction]) -> bool:
         n0, n1 = Fraction(n[0]), Fraction(n[1])
@@ -435,9 +418,8 @@ class PairDescriptor:
 
     def _canon_q(self, q: Mat2) -> Mat2:
         """Canonical representative of the coset qR (planar families)."""
-        s = q.denominator_lcm()
-        ints = self._canon_q_ints(*(int(x * s) for x in q.entries()))
-        return Mat2(*(Fraction(x, s) for x in ints))
+        s, ints = q.integralize()
+        return Mat2(*(Fraction(x, s) for x in self._canon_q_ints(*ints)))
 
     def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
         """Normalize a + b*sqrt(d) by the unit group {+-u^k}.
@@ -541,15 +523,6 @@ class ResidueSubgroup:
         return True
 
 
-@dataclass(frozen=True)
-class StabDescriptor:
-    """Product form M' * S of a stabilizer subgroup of H: a lattice part and
-    an R-part cut out at a congruence level."""
-
-    m_lattice: Lattice
-    r_condition: ResidueSubgroup
-
-
 # ---------------------------------------------------------------------------
 # index computations
 
@@ -611,41 +584,39 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000)
     """[R : R_q] recovered at congruence level s = |det| of the integralized q.
 
     Independent of the orbit method: counts |image of R mod s| divided by the
-    number of residues whose conjugate by q stays integral.
+    number of residues r in R_q.  With qi the integralized q, D = det qi and
+    A = adj qi, q^-1 r q = A r qi / D is integral exactly when
+    A r qi = 0 mod |D|, a condition on r mod |D|.  Entry (i, j) of A r qi is
+    linear in the entries of r, one congruence per entry.
     """
     if pair.q_is_abelian:
         return 1
-    scale = q.denominator_lcm()
-    qi = Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
-    s = abs(qi.det())
-    assert s.denominator == 1
-    s = int(s)
+    _, (a, b, c, d) = q.integralize()
+    s = abs(a * d - b * c)
     if s == 1:
         return 1
     if s > conductor_cap:
         raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
+    conditions = []
+    for x, y in ((d, -b), (-c, a)):  # the rows of A
+        for u, v in ((a, c), (b, d)):  # the columns of qi
+            row = tuple(z % s for z in (x * u, x * v, y * u, y * v))
+            if any(row):
+                conditions.append((s, *row, 0))
     image = r_image_mod(pair, s)
-    qinv = qi.inv()
-    member = 0
-    for r in image:
-        lift = Mat2.of(*r)
-        if (qinv * lift * qi).is_integral():
-            member += 1
-    assert len(image) % member == 0
+    member = sum(1 for r in image if satisfies(r, conditions))
+    if not member or len(image) % member:
+        raise CertificateFailed(
+            f"{member} of {len(image)} residues mod {s} lie in R_q: not a subgroup")
     return len(image) // member
-
-
-def _coset_stab_level(pair: PairDescriptor, n) -> tuple[int, tuple[Fraction, Fraction]]:
-    c = (Fraction(n[0]), Fraction(n[1]))
-    s = lcm(c[0].denominator, c[1].denominator)
-    return s, c
 
 
 def index_r_coset_stab(pair: PairDescriptor, n) -> int:
     """[R : stabilizer of n + M], the size of the R-orbit of n + M in N/M."""
     if pair.family == HEISENBERG:
         return Fraction(n[1]).denominator
-    s, c = _coset_stab_level(pair, n)
+    c = (Fraction(n[0]), Fraction(n[1]))
+    s = lcm(c[0].denominator, c[1].denominator)
     if s == 1:
         return 1
     v = (int(c[0] * s) % s, int(c[1] * s) % s)
@@ -680,51 +651,19 @@ def in_r_cap_conj(pair: PairDescriptor, q, r) -> bool:
     return pair.in_r(q.inv() * r * q)
 
 
-def stab_descriptor_n(pair: PairDescriptor, n) -> StabDescriptor:
-    """Product form of H_n = M * (stabilizer of n + M in R) at its level."""
-    if pair.family != PLANAR:
-        raise ValueError("stab descriptors are available for planar families")
-    s, c = _coset_stab_level(pair, n)
-    image = r_image_mod(pair, max(s, 1))
-    ring = ResidueRing(max(s, 1))
-    sc = (c[0] * s, c[1] * s)
-    members = set()
-    for r in image:
-        # (r - 1) c = 0 mod s
-        w = ring.vec_apply(r, (int(sc[0]) % s, int(sc[1]) % s)) if s > 1 else (0, 0)
-        if s == 1 or w == (int(sc[0]) % s, int(sc[1]) % s):
-            members.add(r)
-    return StabDescriptor(pair.m_lattice, ResidueSubgroup(max(s, 1), frozenset(members)))
-
-
-def stab_descriptor_q(pair: PairDescriptor, q: Mat2,
-                      conductor_cap: int = 1000) -> StabDescriptor:
-    """Product form of H_q = (M meet qMq^-1) * (R meet qRq^-1), with the
-    R-part cut out at level |det| of the integralized q."""
-    if pair.family != PLANAR:
-        raise ValueError("stab descriptors are available for planar families")
-    scale = q.denominator_lcm()
-    qi = Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
-    s = int(abs(qi.det()))
-    if s > conductor_cap:
-        raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
-    image = r_image_mod(pair, s)
-    if pair.q_is_abelian or s == 1:
-        members = frozenset(image)
-    else:
-        qinv = qi.inv()
-        members = frozenset(
-            r for r in image
-            if (qinv * Mat2.of(*r) * qi).is_integral()
-        )
-    return StabDescriptor(m_cap_conj(pair, q), ResidueSubgroup(s, members))
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
 
-def _check(name, law, inputs, outputs, verdict) -> dict:
+# verdicts of a check record, from best to worst
+VERDICTS = ("pass", "inconclusive", "fail")
+
+
+def check_record(name: str, law: str, inputs: dict, outputs: dict,
+                 verdict: str) -> dict:
+    """One check of a verification report."""
+    if verdict not in VERDICTS:
+        raise ValueError(f"unknown verdict {verdict!r}")
     return {
         "name": name,
         "law": law,
@@ -732,6 +671,12 @@ def _check(name, law, inputs, outputs, verdict) -> dict:
         "outputs": outputs,
         "verdict": verdict,
     }
+
+
+def worst_verdict(records) -> str:
+    """The worst verdict among check records (fail, then inconclusive,
+    then pass); "pass" when there are none."""
+    return max((r["verdict"] for r in records), key=VERDICTS.index, default="pass")
 
 
 def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
@@ -760,36 +705,34 @@ def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
                 except ConductorOverflow:
                     pass
             checks.append(
-                _check("hecke_index_q", "[M:M_q] and [R:R_q] finite",
-                       {"q": qs}, out, verdict)
+                check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
+                             {"q": qs}, out, verdict)
             )
         except (EnumerationBound, ConductorOverflow) as exc:
             checks.append(
-                _check("hecke_index_q", "[M:M_q] and [R:R_q] finite",
-                       {"q": qs}, {"error": str(exc)}, "inconclusive")
+                check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
+                             {"q": qs}, {"error": str(exc)}, "inconclusive")
             )
     for n in n_samples:
         nv = (Fraction(n[0]), Fraction(n[1]))
         ns = f"({rat_to_str(nv[0])},{rat_to_str(nv[1])})"
         idx = index_r_coset_stab(pair, nv)
         checks.append(
-            _check("hecke_index_n", "[R:R_(n,M)] finite",
-                   {"n": ns}, {"index": idx}, "pass")
+            check_record("hecke_index_n", "[R:R_(n,M)] finite",
+                         {"n": ns}, {"index": idx}, "pass")
         )
-    verdicts = {c["verdict"] for c in checks}
-    overall = "fail" if "fail" in verdicts else (
-        "inconclusive" if "inconclusive" in verdicts else "pass")
-    return {"checks": checks, "verdict": overall}
+    return {"checks": checks, "verdict": worst_verdict(checks)}
 
 
 def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
-                         threshold: int = 2, prev: dict | None = None) -> dict:
+                         prev: dict | None = None) -> dict:
     """Finite-stage evidence for reducedness.
 
-    Computes the intersection of M meet qMq^-1 over the stage and the kernel
-    surrogate of the R-action at a congruence level.  The verdict is only
-    "certified" when the indices clear the threshold and strictly grow
-    relative to the previous (coarser) stage report.
+    Computes the intersection of M meet qMq^-1 over the stage and the image
+    of R at a congruence level, whose residues other than the identity act
+    nontrivially on (1/s)M / M.  The verdict is only "certified" when both
+    indices are at least 2 and strictly grow relative to the previous
+    (coarser) stage report.
     """
     if pair.family == HEISENBERG:
         m_index = 1
@@ -804,9 +747,8 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         s = 1
         for q in stage:
             lat = lattice_intersect(lat, transform_lattice(q, pair.m_lattice))
-            scale = q.denominator_lcm()
-            det = abs((Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)).det())
-            s = lcm(s, int(det))
+            _, (a, b, c, d) = q.integralize()
+            s = lcm(s, abs(a * d - b * c))
         m_index = lattice_index(pair.m_lattice, lat)
         if level is not None:
             s = level
@@ -817,13 +759,7 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         for g in pair.r_generators:
             if ring.reduce_mat(g) == ident and g != Mat2.identity():
                 trivial.append(str(g))
-        if s == 1:
-            r_index = 1
-        else:
-            image = r_image_mod(pair, s)
-            # kernel surrogate: residues acting trivially on (1/s)M / M
-            kernel = [r for r in image if r == ident]
-            r_index = len(image) // len(kernel)
+        r_index = 1 if s == 1 else len(r_image_mod(pair, s))
         m_shape = str(lat)
 
     growing = prev is None or (
@@ -832,8 +768,8 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         and (m_index > prev["m_index"] or r_index > prev["r_index"])
     )
     certified = (
-        m_index >= threshold
-        and r_index >= threshold
+        m_index >= 2
+        and r_index >= 2
         and not trivial
         and growing
         and (prev is None or prev["verdict"] in ("certified", "inconclusive"))
@@ -865,8 +801,8 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
     inter_rhs_all = {}
     for h in h_samples:
         if not pair.in_h(h):
-            checks.append(_check("stab_sample", "h in H", {"h": str(h)},
-                                 {}, "fail"))
+            checks.append(check_record("stab_sample", "h in H", {"h": str(h)},
+                                       {}, "fail"))
             continue
         m_part, r_part = h.n, h.q
         lhs_all = True
@@ -901,7 +837,7 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
             lhs_all = lhs_all and lhs_xq
             rhs_all = rhs_all and rhs_xq
             ok = (lhs_n == rhs_n) and (lhs_q == rhs_q) and (lhs_xq == rhs_xq)
-            checks.append(_check(
+            checks.append(check_record(
                 "stab_identity",
                 "H_n = M R_(n,M); H_q = M_q R_q; H_qn meet H_q = M_q (q R_(n,M) q^-1 meet R)",
                 {"h": str(h), "x": str(x)},
@@ -913,16 +849,14 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
         inter_rhs_all[str(h)] = rhs_all
     for key in inter_lhs_all:
         ok = inter_lhs_all[key] == inter_rhs_all[key]
-        checks.append(_check(
+        checks.append(check_record(
             "stab_intersection",
             "intersection over samples of H_x meet H_q equals the product of the parts",
             {"h": key},
             {"membership": [inter_lhs_all[key], inter_rhs_all[key]]},
             "pass" if ok else "fail",
         ))
-    verdicts = {c["verdict"] for c in checks}
-    return {"checks": checks,
-            "verdict": "fail" if "fail" in verdicts else "pass"}
+    return {"checks": checks, "verdict": worst_verdict(checks)}
 
 
 def downward_directed_report(pair: PairDescriptor, q_samples) -> dict:
@@ -944,13 +878,11 @@ def downward_directed_report(pair: PairDescriptor, q_samples) -> dict:
                 transform_lattice(q2, pair.m_lattice),
             )
             ok = target.contains_lattice(transform_lattice(witness, pair.m_lattice))
-            checks.append(_check(
+            checks.append(check_record(
                 "downward_directed",
                 "scalar k with kM inside q1 M meet q2 M",
                 {"q1": str(q1), "q2": str(q2)},
                 {"witness": str(witness), "contained": ok},
                 "pass" if ok else "fail",
             ))
-    verdicts = {c["verdict"] for c in checks}
-    return {"checks": checks,
-            "verdict": "fail" if "fail" in verdicts else "pass"}
+    return {"checks": checks, "verdict": worst_verdict(checks)}

@@ -23,6 +23,7 @@ from .arith import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
+    satisfies,
     smith_invariants,
     transform_lattice,
 )
@@ -56,12 +57,11 @@ def _primitive_int(m: Mat2) -> tuple[tuple[int, int, int, int], int]:
     Returns (entries, det).  Scalar factors do not change conjugation, so
     all congruence conditions may be computed from this representative.
     """
-    if m.det() == 0:
+    _, (a, b, c, d) = m.integralize()
+    if a * d == b * c:
         raise ValueError(f"{m} is singular")
-    scale = m.denominator_lcm()
-    ints = [int(x * scale) for x in m.entries()]
-    g = gcd(*ints)
-    a, b, c, d = (x // g for x in ints)
+    g = gcd(a, b, c, d)
+    a, b, c, d = a // g, b // g, c // g, d // g
     return (a, b, c, d), a * d - b * c
 
 
@@ -143,20 +143,15 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
                         )
                     reps.add(img)
                     frontier.append(img)
-    family = CosetFamily(pair, tuple(sorted(reps, key=str)))
-    family.validate()
-    return family
+    return CosetFamily(pair, tuple(sorted(reps, key=str)))
 
 
-def make_envelope(family: CosetFamily, extra: Lattice | None = None) -> EnvelopeLattice:
-    """Sum of M with every rep-conjugate t^-1.M (and an optional extra
-    lattice), closed under the R-action."""
+def make_envelope(family: CosetFamily) -> EnvelopeLattice:
+    """Sum of M with every rep-conjugate t^-1.M, closed under the R-action."""
     pair = family.pair
     f = pair.m_lattice
     for t in family.reps:
         f = lattice_sum(f, transform_lattice(t.inv(), pair.m_lattice))
-    if extra is not None:
-        f = lattice_sum(f, extra)
     # close under R: each pass only enlarges, and everything stays inside a
     # fixed (1/k)Z^2, so this terminates
     while True:
@@ -166,9 +161,7 @@ def make_envelope(family: CosetFamily, extra: Lattice | None = None) -> Envelope
         if grown == f:
             break
         f = grown
-    env = EnvelopeLattice(f)
-    env.validate(family)
-    return env
+    return EnvelopeLattice(f)
 
 
 def core_lattice(family: CosetFamily) -> Lattice:
@@ -222,22 +215,14 @@ def stage_level(family: CosetFamily, envelope: EnvelopeLattice) -> int:
     return level
 
 
-def _satisfies(residue, conditions) -> bool:
-    r0, r1, r2, r3 = residue
-    for n, c0, c1, c2, c3, e in conditions:
-        if (c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 - e) % n:
-            return False
-    return True
-
-
 def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
-                  conductor_cap: int, closure_bound: int | None = None):
+                  conductor_cap: int):
     """(image of R mod the stage level, residue core inside it)."""
     level, conditions = _rel_conditions(family, envelope)
     if level > conductor_cap:
         raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
-    image = frozenset(r_image_mod(family.pair, level, closure_bound))
-    members = frozenset(r for r in image if _satisfies(r, conditions))
+    image = frozenset(r_image_mod(family.pair, level))
+    members = frozenset(r for r in image if satisfies(r, conditions))
     return image, ResidueSubgroup(level, members)
 
 
@@ -245,11 +230,10 @@ def core_residue_subgroup(
     family: CosetFamily,
     envelope: EnvelopeLattice,
     conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
-    closure_bound: int | None = None,
 ) -> ResidueSubgroup:
     """Residues of R (mod the stage level) whose conjugate
     by every rep moves each envelope generator by a vector of M."""
-    return _residue_core(family, envelope, conductor_cap, closure_bound)[1]
+    return _residue_core(family, envelope, conductor_cap)[1]
 
 
 def _int_hnf_triple(lat: Lattice) -> tuple[int, int, int]:
@@ -392,7 +376,7 @@ class TowerStage:
 def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
                 conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
                 order_cap: int = DEFAULT_ORDER_CAP) -> TowerStage:
-    """Assemble and verify the finite stage for a validated (family, envelope)."""
+    """Validate (family, envelope), then assemble and verify its finite stage."""
     pair = family.pair
     _require_planar(pair)
     family.validate()
@@ -500,16 +484,13 @@ def triangle_commutes(fine: TowerStage, mid: TowerStage,
     return all(down.apply(via.apply(x)) == direct.apply(x) for x in axes)
 
 
-def verify_stage_invariants(family: CosetFamily, envelope: EnvelopeLattice,
-                            stage: TowerStage | None = None) -> dict:
+def verify_stage_invariants(stage: TowerStage) -> dict:
     """Normality and action-triviality certificates for a stage.
 
     At the stage's congruence level: the residue core is normal under the R
     generators; the core lattice is fixed by the R generators; every residue
     core element moves every M generator by a core-lattice vector.
     """
-    if stage is None:
-        stage = build_stage(family, envelope)
     pair = stage.pair
     ring = ResidueRing(stage.level)
     gen_residues = [ring.reduce_mat(g) for g in pair.r_generators]

@@ -5,6 +5,7 @@ points are enumerated from raw generators, finite matrix groups are built
 by exhaustive scans, and group indices are recovered by direct counting.
 """
 
+import functools
 from fractions import Fraction
 from math import floor, lcm
 
@@ -115,6 +116,32 @@ def vector_orbit(mats, start, s):
     return orbit
 
 
+
+
+def fraction_r_q_index(image, q):
+    """[R : R_q] from the image of R modulo the level of q: with qi the
+    integralized q, a residue r lies in R_q when qi^-1 r qi is integral,
+    i.e. when qi^-1 maps r times each column of qi to an integral vector.
+    qi^-1 is a Fraction matrix and r the integer lift of the residue.  As
+    |det qi| qi^-1 is integral, integrality of qi^-1 w depends only on the
+    integer vector w mod |det qi|, so it is computed once per class."""
+    scale = q.denominator_lcm()
+    qi = Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
+    qinv = qi.inv()
+    s = int(abs(qi.det()))
+    cols = [(int(qi.a), int(qi.c)), (int(qi.b), int(qi.d))]
+
+    @functools.cache
+    def maps_to_integral(w0, w1):
+        x0, x1 = qinv.apply((Fraction(w0), Fraction(w1)))
+        return x0.denominator == 1 and x1.denominator == 1
+
+    count = sum(
+        1 for r in image
+        if all(maps_to_integral((r[0] * v0 + r[1] * v1) % s, (r[2] * v0 + r[3] * v1) % s)
+               for v0, v1 in cols))
+    assert len(image) % count == 0
+    return len(image) // count
 
 
 def fraction_core_conditions(family, envelope):

@@ -139,7 +139,7 @@ def test_criterion_4_tower_coherence():
         fam = make_coset_family(pair, seeds)
         env = make_envelope(fam)
         st = build_stage(fam, env)
-        ok = ok and verify_stage_invariants(fam, env, st)["verdict"] == "pass"
+        ok = ok and verify_stage_invariants(st)["verdict"] == "pass"
         ok = ok and st.order == st.m_index * st.r_index
         stages.append(st)
     for fine, coarse in ((1, 0), (2, 1), (2, 0)):

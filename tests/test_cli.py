@@ -211,10 +211,9 @@ def test_tower_two_stages(capsys):
     assert by_name["tower.triangle_2_0"]["outputs"]["commutes"] is True
 
 
-def test_tower_build_under_python_O_matches(capsys, tmp_path):
-    # the stage certificates are explicit checks, so they also run with
-    # assert statements stripped; the report must not change
-    argv = ["tower", "build", "--seed", "[[2,0],[0,1]]"]
+def _matches_under_python_O(argv, tmp_path, capsys):
+    """Run argv in-process and in a ``python -O`` subprocess; return both
+    exit codes after checking that the report bytes are equal."""
     out_in, out_o = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
     code = main(argv + ["--out", str(out_in)])
     capsys.readouterr()
@@ -225,8 +224,24 @@ def test_tower_build_under_python_O_matches(capsys, tmp_path):
         [sys.executable, "-O", "-m", "heckepairs.cli", *argv, "--out", str(out_o)],
         env=env, capture_output=True, timeout=120,
     )
-    assert proc.returncode == code == 0
     assert out_o.read_bytes() == out_in.read_bytes()
+    return code, proc.returncode
+
+
+def test_tower_build_under_python_O_matches(capsys, tmp_path):
+    # the stage certificates are explicit checks, so they also run with
+    # assert statements stripped; the report must not change
+    argv = ["tower", "build", "--seed", "[[2,0],[0,1]]"]
+    assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "verify"],
+    ["gl2", "decompose", "--p", "2", "--matrix", "[[1,1/2],[0,1]]"],
+], ids=["pair-verify", "gl2-decompose"])
+def test_certificates_under_python_O_match(capsys, tmp_path, argv):
+    # index, lattice and splitting certificates are explicit checks too
+    assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
 
 
 def test_tower_rejects_heisenberg_config(capsys, tmp_path):

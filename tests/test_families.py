@@ -4,10 +4,18 @@ from fractions import Fraction
 import pytest
 
 from heckepairs.arith import Mat2, QuadInt, quad_pow_mod, val_p
-from heckepairs.errors import BadDiscriminant, DetNotAllowed, InsufficientData, SizeCap
+from heckepairs.errors import (
+    BadDiscriminant,
+    CertificateFailed,
+    DetNotAllowed,
+    InsufficientData,
+    SizeCap,
+)
 from heckepairs.families import (
     HeisPoint,
     OmegaVerdict,
+    TriangularSplit,
+    _certify_padic,
     fundamental_unit,
     heis_conj_meet_index,
     heis_orbit,
@@ -127,6 +135,18 @@ def test_split_padic_rejects():
         split_padic(Mat2.of(F(1, 3), 0, 0, 3), 2)  # 1/3 outside Z[1/2]
     with pytest.raises(DetNotAllowed):
         split_padic(Mat2.of(1, 1, 1, 1), 2)  # singular
+
+
+def test_certify_padic_rejects_a_split_that_does_not_reassemble():
+    g = Mat2.of(1, F(1, 2), 0, 1)
+    good = split_padic(g, 2)
+    _certify_padic(g, good, 2)
+    # every other certificate still holds: t is lower triangular with a
+    # p-power diagonal, k is p-integral with determinant +-1
+    bad = TriangularSplit(good.t, good.k * Mat2.of(1, 1, 0, 1))
+    assert bad.t * bad.k != g
+    with pytest.raises(CertificateFailed, match="reassemble"):
+        _certify_padic(g, bad, 2)
 
 
 def rand_padic_matrix(rng, p):

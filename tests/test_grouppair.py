@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from heckepairs.arith import Lattice, Mat2
+from heckepairs.arith import Lattice, Mat2, unit_sign
 from heckepairs.errors import ConfigInvalid, DescriptorMismatch, NotInQ
 from heckepairs.grouppair import (
     PairDescriptor,
+    ResidueSubgroup,
+    check_record,
     downward_directed_report,
     hecke_indices_report,
     index_m_cap_conj,
@@ -14,12 +16,13 @@ from heckepairs.grouppair import (
     index_r_cap_conj_residue,
     index_r_coset_stab,
     m_cap_conj,
+    r_image_mod,
     reduced_stage_report,
-    stab_descriptor_n,
     stabilizer_identities_report,
+    worst_verdict,
 )
 
-from oracles import slpm_elements_mod, vector_orbit
+from oracles import fraction_r_q_index, slpm_elements_mod, vector_orbit
 
 F = Fraction
 
@@ -61,7 +64,7 @@ def random_element(pair, rng):
             if pair.p is not None:
                 q = Mat2.scalar(F(pair.p) ** k) * q
                 det = q.det()
-                if det == 0 or not pair._unit_in_ring(det):
+                if unit_sign(det, pair.p) is None:
                     continue
             elif q.det() == 0:
                 continue
@@ -179,6 +182,36 @@ def test_index_r_cap_conj_residue_agrees(p, gl2_q):
     assert index_r_cap_conj_residue(gl2_q, q) == p + 1
     q2 = Mat2.of(1, 1, 0, 1) * Mat2.diag(p, 1)
     assert index_r_cap_conj_residue(gl2_q, q2) == index_r_cap_conj(gl2_q, q2)
+
+
+_SHEAR = Mat2.of(1, 1, 0, 1)
+
+# (p, q) with the level |det| of the integralized q at most 27: diagonal,
+# sheared, non-integral, scalar and full (no zero entry) q over Z[1/2],
+# Z[1/3], Z[1/5], and Q
+_R_Q_CASES = [
+    (2, Mat2.diag(4, 2)), (2, _SHEAR * Mat2.diag(4, 1)),
+    (2, Mat2.diag(F(1, 2), 4)), (2, Mat2.scalar(2)),
+    (3, Mat2.diag(27, 1)), (3, _SHEAR * Mat2.diag(9, 1)),
+    (3, Mat2.diag(F(1, 3), 3)), (3, Mat2.scalar(3)), (3, Mat2.of(2, 1, 1, 2)),
+    (5, Mat2.diag(5, 1)), (5, _SHEAR * Mat2.diag(5, 1)),
+    (5, Mat2.diag(F(1, 5), 1)), (5, Mat2.of(3, 1, 1, 2)),
+    (None, Mat2.diag(2, 3)), (None, _SHEAR * Mat2.diag(4, 3)),
+    (None, Mat2.diag(F(2, 3), 1)), (None, Mat2.scalar(F(2, 3))),
+    (None, Mat2.of(2, 1, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("p, q", _R_Q_CASES, ids=[f"{p}-{q}" for p, q in _R_Q_CASES])
+def test_index_r_cap_conj_residue_matches_fraction_oracle(p, q):
+    pair = PairDescriptor.planar_gl2(p)
+    assert pair.in_q(q)
+    s, (a, b, c, d) = q.integralize()
+    level = abs(a * d - b * c)
+    assert level <= 27 and Mat2.of(a, b, c, d) == Mat2.scalar(s) * q
+    index = index_r_cap_conj_residue(pair, q)
+    assert index == fraction_r_q_index(r_image_mod(pair, level), q)
+    assert index == index_r_cap_conj(pair, q)
 
 
 def test_index_r_cap_conj_abelian(quad2, heis):
@@ -320,15 +353,31 @@ def test_stab_identities_heisenberg(heis):
     assert rep["verdict"] == "pass"
 
 
-def test_stab_descriptor_n(gl2_z12):
-    sd = stab_descriptor_n(gl2_z12, (F(1, 2), F(0)))
-    assert sd.r_condition.level == 2
-    # index of the stabilizer inside the mod-2 image is the orbit size 3
+def test_residue_subgroup_not_normal_under_r(gl2_z12):
+    # the stabilizer of (1, 0) mod 2 inside the mod-2 image of R
     image = slpm_elements_mod(2)
-    assert len(image) // len(sd.r_condition.elements) == 3
-    assert sd.r_condition.is_normal_under(
-        [tuple(int(e) % 2 for e in g.entries()) for g in gl2_z12.r_generators]
-    ) is False  # stabilizer of a point is not normal here
+    stab = ResidueSubgroup(2, frozenset(r for r in image if (r[0], r[2]) == (1, 0)))
+    gens = [tuple(int(e) % 2 for e in g.entries()) for g in gl2_z12.r_generators]
+    assert len(stab) == 2
+    assert stab.is_normal_under(gens) is False  # stabilizer of a point
+    assert ResidueSubgroup(2, frozenset(image)).is_normal_under(gens) is True
+
+
+def test_check_record_rejects_bad_verdict():
+    rec = check_record("c", "law", {}, {}, "inconclusive")
+    assert rec["verdict"] == "inconclusive"
+    with pytest.raises(ValueError):
+        check_record("c", "law", {}, {}, "certified")
+
+
+def test_worst_verdict():
+    def recs(*verdicts):
+        return [check_record("c", "law", {}, {}, v) for v in verdicts]
+
+    assert worst_verdict([]) == "pass"
+    assert worst_verdict(recs("pass", "pass")) == "pass"
+    assert worst_verdict(recs("pass", "inconclusive")) == "inconclusive"
+    assert worst_verdict(recs("inconclusive", "fail", "pass")) == "fail"
 
 
 def test_downward_directed(gl2_q):
@@ -438,13 +487,3 @@ def test_n_meet_conjugate_of_h_is_transformed_lattice(gl2_z12):
                 velem = pair.element(v, Mat2.identity())
                 in_conj = pair.in_h(pair.mul(pair.mul(xi, velem), x))
                 assert in_conj == qm.contains(v)
-
-
-def test_stab_descriptor_q(gl2_z12):
-    from heckepairs.grouppair import stab_descriptor_q
-
-    sd = stab_descriptor_q(gl2_z12, Mat2.diag(2, 1))
-    assert sd.m_lattice == Lattice.rectangular(2, 1)
-    assert sd.r_condition.level == 2
-    image = slpm_elements_mod(2)
-    assert len(image) // len(sd.r_condition.elements) == 3  # [R : R_q]
