@@ -12,7 +12,6 @@ from .arith import (
     Mat2,
     QuadInt,
     ResidueRing,
-    hnf,
     lattice_index,
     lattice_intersect,
     lattice_sum,

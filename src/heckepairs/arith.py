@@ -1,9 +1,11 @@
 """Exact arithmetic substrate: rationals, 2x2 matrices, planar lattices,
 residue rings and real quadratic integers.
 
-Everything here is immutable and exact: ``fractions.Fraction`` for
-rationals, plain integers for the integer normal forms; no floating point
-is used anywhere.
+Everything here is immutable and exact; no floating point is used
+anywhere.  Lattices, like group elements, are integers over one least
+denominator, and their operations run on integers.  ``fractions.Fraction``
+is used only to parse and print: in the ``Mat2`` view and the rational
+helpers.
 """
 
 from __future__ import annotations
@@ -179,18 +181,11 @@ class Mat2:
     def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
         return (self.a, self.b, self.c, self.d)
 
-    def denominator_lcm(self) -> int:
-        return lcm(
-            self.a.denominator,
-            self.b.denominator,
-            self.c.denominator,
-            self.d.denominator,
-        )
-
     def integralize(self) -> tuple[int, tuple[int, int, int, int]]:
         """(s, (a, b, c, d)) with s the least common denominator of the
         entries and self = (a, b; c, d)/s, as in ``GElem``."""
-        s = self.denominator_lcm()
+        s = lcm(self.a.denominator, self.b.denominator, self.c.denominator,
+                self.d.denominator)
         return s, tuple(x.numerator * (s // x.denominator) for x in self.entries())
 
     def to_lists(self) -> list[list[str]]:
@@ -243,69 +238,27 @@ def hnf_int(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     return g, (x * c + y * d) % dd, dd
 
 
-def _hnf_columns(vectors: list[tuple[Rat, Rat]]) -> tuple[Rat, Rat, Rat]:
-    """Canonical column form (a, c, d) of the Z-span of the given vectors.
-
-    The span must have full rank; the canonical basis is the columns
-    (a, c), (0, d) with a > 0, d > 0 and 0 <= c < d.
-    """
-    scale = lcm(*(x.denominator for v in vectors for x in v)) if vectors else 1
-    ints = [(int(v[0] * scale), int(v[1] * scale)) for v in vectors]
-    ints = [v for v in ints if v != (0, 0)]
-
-    # Combine columns until a single one carries the gcd of the first row.
-    lead: tuple[int, int] | None = None
-    seconds: list[int] = []
-    for v in ints:
-        if v[0] == 0:
-            seconds.append(v[1])
-        elif lead is None:
-            lead = v
-        else:
-            g, x, y = _xgcd(lead[0], v[0])
-            new = (g, x * lead[1] + y * v[1])
-            # both columns reduced against the new lead stay in the span
-            seconds.append(lead[1] - (lead[0] // g) * new[1])
-            seconds.append(v[1] - (v[0] // g) * new[1])
-            lead = new
-    if lead is None:
-        raise SingularBasis("generators span a rank-deficient lattice")
-    a, c = lead
-    if a < 0:
-        a, c = -a, -c
-    d = 0
-    for s in seconds:
-        d = gcd(d, s)
-    if d == 0:
-        raise SingularBasis("generators span a rank-deficient lattice")
-    c %= d
-    return (Fraction(a, scale), Fraction(c, scale), Fraction(d, scale))
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank lattice in Q^2 in canonical column form.
+    """Full-rank lattice L in Q^2, held as integers over one denominator.
 
-    The basis matrix is [[a, 0], [c, d]] (columns (a, c) and (0, d)) with
-    a > 0, d > 0, 0 <= c < d.  Canonical form is unique, so two lattices
-    are equal iff their fields coincide.
+    ``s`` is the least positive integer with s.L inside Z^2, and (a, c, d)
+    is the canonical column form of the integer lattice s.L (see
+    ``hnf_int``): a > 0, d > 0, 0 <= c < d, so L has the basis
+    [[a, 0], [c, d]]/s.  Both are unique, so two lattices are equal iff
+    their fields coincide.  ``basis`` is the ``Mat2`` view.
     """
 
-    a: Rat
-    c: Rat
-    d: Rat
+    s: int
+    a: int
+    c: int
+    d: int
 
     @staticmethod
     def from_basis(basis: Mat2) -> "Lattice":
         """Canonicalize the Z-span of the columns of ``basis``."""
-        scale, ints = basis.integralize()
-        a, c, d = hnf_int(*ints)
-        return Lattice(Fraction(a, scale), Fraction(c, scale), Fraction(d, scale))
-
-    @staticmethod
-    def from_vectors(vectors) -> "Lattice":
-        vecs = [(Fraction(x), Fraction(y)) for x, y in vectors]
-        return Lattice(*_hnf_columns(vecs))
+        s, ints = basis.integralize()
+        return _lattice(s, *hnf_int(*ints))
 
     @staticmethod
     def standard() -> "Lattice":
@@ -318,86 +271,110 @@ class Lattice:
         return Lattice.from_basis(Mat2.diag(x, y))
 
     def basis(self) -> Mat2:
-        return Mat2(self.a, Fraction(0), self.c, self.d)
+        s = self.s
+        return Mat2(Fraction(self.a, s), Fraction(0), Fraction(self.c, s),
+                    Fraction(self.d, s))
 
-    def det(self) -> Rat:
-        return self.a * self.d
-
-    def vectors(self) -> list[tuple[Rat, Rat]]:
-        return [(self.a, self.c), (Fraction(0), self.d)]
-
-    def contains(self, v: tuple[Rat, Rat]) -> bool:
-        # v = u1*(a,c) + u2*(0,d) with integer u's
-        u1 = Fraction(v[0]) / self.a
-        if u1.denominator != 1:
+    def _has(self, x: int, y: int, t: int) -> bool:
+        """Whether (x, y)/t lies in the lattice: s(x, y)/t = u(a, c) + v(0, d)
+        with integers u, v."""
+        s, a = self.s, self.a
+        if s * x % t or s * y % t:
             return False
-        u2 = (Fraction(v[1]) - u1 * self.c) / self.d
-        return u2.denominator == 1
+        x, y = s * x // t, s * y // t
+        return x % a == 0 and (y - x // a * self.c) % self.d == 0
+
+    def contains(self, v) -> bool:
+        """Whether the rational vector v (ints or Fractions) lies in the lattice."""
+        (xn, xd), (yn, yd) = ((x.numerator, x.denominator) for x in v)
+        t = lcm(xd, yd)
+        return self._has(xn * (t // xd), yn * (t // yd), t)
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(v) for v in other.vectors())
-
-    def reduce_vector(self, v: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-        """Canonical representative of v modulo this lattice.
-
-        Lands in the fundamental box [0, a) x [0, d).
-        """
-        x, y = Fraction(v[0]), Fraction(v[1])
-        k = x // self.a
-        x, y = x - k * self.a, y - k * self.c
-        y -= (y // self.d) * self.d
-        return (x, y)
-
-    def dual(self) -> "Lattice":
-        """The dual lattice {x : <x, v> in Z for all v in self}."""
-        b = self.basis()
-        # columns of transpose-inverse
-        return Lattice.from_basis(Mat2(b.a, b.c, Fraction(0), b.d).inv())
-
-    def scaled(self, k) -> "Lattice":
-        k = Fraction(k)
-        if k == 0:
-            raise SingularBasis("scaling a lattice by 0")
-        k = abs(k)
-        return Lattice(self.a * k, (self.c * k) % (self.d * k), self.d * k)
+        return (self._has(other.a, other.c, other.s)
+                and self._has(0, other.d, other.s))
 
     def __str__(self) -> str:
-        return str(self.basis())
+        a, c, d = (ratio_to_str(x, self.s) for x in (self.a, self.c, self.d))
+        return f"[[{a},0],[{c},{d}]]"
 
 
-_STD_LATTICE = Lattice(Fraction(1), Fraction(0), Fraction(1))
+def _lattice(s: int, a: int, c: int, d: int) -> Lattice:
+    """The lattice whose canonical form over the denominator s is (a, c, d),
+    brought to its least denominator."""
+    g = gcd(s, a, c, d)
+    return Lattice(s // g, a // g, c // g, d // g)
 
 
-def hnf(raw_basis: Mat2) -> Lattice:
-    """Canonical lattice spanned by the columns of a nonsingular matrix."""
-    return Lattice.from_basis(raw_basis)
+def _common(l1: Lattice, l2: Lattice):
+    """(s, (a1, c1, d1), (a2, c2, d2)): both canonical forms over the
+    common denominator s."""
+    s = lcm(l1.s, l2.s)
+    k1, k2 = s // l1.s, s // l2.s
+    return s, (k1 * l1.a, k1 * l1.c, k1 * l1.d), (k2 * l2.a, k2 * l2.c, k2 * l2.d)
+
+
+_STD_LATTICE = Lattice(1, 1, 0, 1)
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    """Smallest lattice containing both arguments."""
-    return Lattice.from_vectors(l1.vectors() + l2.vectors())
+    """Smallest lattice containing both arguments.
+
+    Over a common denominator its first coordinates are the multiples of
+    g = gcd(a1, a2), reached by the lift x(a1, c1) + y(a2, c2) = (g, c).
+    Subtracting multiples of that lift leaves (0, c_i - (a_i/g) c), so the
+    sum meets the second axis in the multiples of the gcd of those and d1, d2.
+    """
+    s, (a1, c1, d1), (a2, c2, d2) = _common(l1, l2)
+    g, x, y = _xgcd(a1, a2)
+    c = x * c1 + y * c2
+    d = gcd(d1, d2, c1 - a1 // g * c, c2 - a2 // g * c)
+    return _lattice(s, g, c % d, d)
 
 
 def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Intersection, computed through duals: (L1* + L2*)* = L1 meet L2."""
-    return lattice_sum(l1.dual(), l2.dual()).dual()
+    """Intersection, read off the two canonical forms.
+
+    Over a common denominator, (x, y) lies in (a, c, d) iff x = ua and
+    y = uc mod d for an integer u.  So the meet reaches the second axis in
+    lcm(d1, d2)Z, and x = m.lcm(a1, a2) is a first coordinate iff
+    y = m e1 mod d1 and y = m e2 mod d2 with e_i = (lcm(a1, a2)/a_i) c_i have
+    a common solution, i.e. iff G = gcd(d1, d2) divides m(e1 - e2).
+    """
+    s, (a1, c1, d1), (a2, c2, d2) = _common(l1, l2)
+    a = lcm(a1, a2)
+    e1, e2 = a // a1 * c1, a // a2 * c2
+    g, x, _ = _xgcd(d1, d2)
+    m = g // gcd(g, e1 - e2)
+    # x d1 = g mod d2, so this y solves both congruences for the least m
+    y = m * e1 + x * d1 * (m * (e2 - e1) // g)
+    d = d1 // g * d2
+    return _lattice(s, m * a, y % d, d)
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:
     """Index [big : small]; raises NotSublattice unless small is contained."""
     if not big.contains_lattice(small):
         raise NotSublattice(f"{small} is not contained in {big}")
-    ratio = small.det() / big.det()
-    if ratio.denominator != 1 or ratio <= 0:
-        raise CertificateFailed(f"index of {small} in {big} is {ratio}")
-    return int(ratio)
+    # the ratio of the covolumes a d / s^2
+    num = small.a * small.d * big.s * big.s
+    den = big.a * big.d * small.s * small.s
+    if num % den:
+        raise CertificateFailed(
+            f"index of {small} in {big} is {ratio_to_str(num, den)}")
+    return num // den
 
 
-def transform_lattice(q: Mat2, lat: Lattice) -> Lattice:
-    """Image lattice q . L (conjugation action on a planar translation group)."""
-    if q.det() == 0:
-        raise SingularBasis("transforming by a singular matrix")
-    return Lattice.from_vectors([q.apply(v) for v in lat.vectors()])
+def transform_lattice(q, lat: Lattice) -> Lattice:
+    """Image lattice q.L (conjugation action on a planar translation group).
+
+    q is a ``Mat2`` or, in the form ``Mat2.integralize`` returns, a
+    denominator t with integers (e, f, g, h) standing for (e, f; g, h)/t.
+    """
+    t, (e, f, g, h) = q.integralize() if isinstance(q, Mat2) else q
+    a, c, d = lat.a, lat.c, lat.d
+    return _lattice(t * lat.s,
+                    *hnf_int(e * a + f * c, f * d, g * a + h * c, h * d))
 
 
 def smith_invariants(lat: Lattice) -> tuple[int, int]:
@@ -406,12 +383,10 @@ def smith_invariants(lat: Lattice) -> tuple[int, int]:
     For a 2x2 integer matrix the first factor is the gcd of the entries and
     the second is |det| divided by it.
     """
-    std = Lattice.standard()
-    if not std.contains_lattice(lat):
+    if lat.s != 1:
         raise NotSublattice("lattice is not contained in Z^2")
-    a, c, d = int(lat.a), int(lat.c), int(lat.d)
-    d1 = gcd(a, gcd(c, d))
-    d2 = (a * d) // d1
+    d1 = gcd(lat.a, lat.c, lat.d)
+    d2 = (lat.a * lat.d) // d1
     if d2 % d1:
         raise CertificateFailed(f"invariant factors {d1}, {d2} do not divide")
     return (d1, d2)
@@ -550,9 +525,6 @@ class QuadInt:
 
     def norm(self) -> int:
         return self.m * self.m - self.d * self.n * self.n
-
-    def conj(self) -> "QuadInt":
-        return QuadInt(self.m, -self.n, self.d)
 
     def reduce_mod(self, s: int) -> "QuadInt":
         return QuadInt(self.m % s, self.n % s, self.d)

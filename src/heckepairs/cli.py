@@ -11,6 +11,7 @@ inconclusive.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,6 +33,7 @@ from .errors import (
     CertificateFailed,
     ConductorOverflow,
     ConfigInvalid,
+    DetNotAllowed,
     EnumerationBound,
     HeckePairsError,
     SizeCap,
@@ -269,6 +271,21 @@ def _random_h_elements(pair: PairDescriptor, rng: random.Random, count: int):
 # commands
 
 
+@contextlib.contextmanager
+def _verdict_on_error(report: Report, name: str, law: str, inputs: dict):
+    """Run the block, which adds its own records.  If it hits a bound
+    (``EnumerationBound``, ``SizeCap``, ``ConductorOverflow``), add one
+    inconclusive record under (name, law, inputs) and go on after the
+    block; if a certificate fails or an input is refused
+    (``CertificateFailed``, ``DetNotAllowed``), one fail record."""
+    try:
+        yield
+    except (EnumerationBound, SizeCap, ConductorOverflow) as exc:
+        report.add(name, law, inputs, {"error": str(exc)}, "inconclusive")
+    except (CertificateFailed, DetNotAllowed) as exc:
+        report.add(name, law, inputs, {"error": str(exc)}, "fail")
+
+
 def cmd_pair_verify(cfg: RunConfig) -> Report:
     report = Report("pair verify", cfg)
     pair = cfg.pair
@@ -311,24 +328,18 @@ def cmd_dcoset(cfg: RunConfig, element_text: str) -> Report:
     report = Report("dcoset", cfg)
     pair = cfg.pair
     x = parse_element(pair, element_text)
-    try:
+    law = "degree and modular function of a double coset"
+    inputs = {"element": str(x)}
+    with _verdict_on_error(report, "dcoset", law, inputs):
         dc = double_coset(x, cfg.coset_enum_max)
         dci = double_coset(pair.inv(x), cfg.coset_enum_max)
-        report.add(
-            "dcoset", "degree and modular function of a double coset",
-            {"element": str(x)},
-            {
-                "left_reps": [str(y) for y in dc.left_reps],
-                "L": dc.degree,
-                "L_inverse": dci.degree,
-                "delta": rat_to_str(Fraction(dc.degree, dci.degree)),
-                "key": dc.key,
-            },
-            "pass",
-        )
-    except EnumerationBound as exc:
-        report.add("dcoset", "degree and modular function of a double coset",
-                   {"element": str(x)}, {"error": str(exc)}, "inconclusive")
+        report.add("dcoset", law, inputs, {
+            "left_reps": [str(y) for y in dc.left_reps],
+            "L": dc.degree,
+            "L_inverse": dci.degree,
+            "delta": rat_to_str(Fraction(dc.degree, dci.degree)),
+            "key": dc.key,
+        }, "pass")
     return report
 
 
@@ -347,7 +358,9 @@ def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
             raise ConfigInvalid(f"bad element file {path}: {exc}") from exc
 
     f, g = load(f_path), load(g_path)
-    try:
+    inputs = {"f": f.to_json(), "g": g.to_json()}
+    with _verdict_on_error(report, "hecke.product", "convolution product",
+                           inputs):
         fg = convolve(f, g, cfg.coset_enum_max)
         fs = involution(f, cfg.coset_enum_max)
         gs = involution(g, cfg.coset_enum_max)
@@ -355,25 +368,15 @@ def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
         assoc_lhs = convolve(fg, f, cfg.coset_enum_max)
         assoc_rhs = convolve(f, gf, cfg.coset_enum_max)
         report.add(
-            "hecke.product", "convolution product",
-            {"f": f.to_json(), "g": g.to_json()},
+            "hecke.product", "convolution product", inputs,
             {"f*g": fg.to_json(), "f^*": fs.to_json(), "g^*": gs.to_json()},
             "pass",
         )
         report.add(
-            "hecke.assoc", "(f*g)*f equals f*(g*f)",
-            {"f": f.to_json(), "g": g.to_json()},
+            "hecke.assoc", "(f*g)*f equals f*(g*f)", inputs,
             {"equal": assoc_lhs == assoc_rhs},
             "pass" if assoc_lhs == assoc_rhs else "fail",
         )
-    except EnumerationBound as exc:
-        report.add("hecke.product", "convolution product",
-                   {"f": f.to_json(), "g": g.to_json()},
-                   {"error": str(exc)}, "inconclusive")
-    except CertificateFailed as exc:
-        report.add("hecke.product", "convolution product",
-                   {"f": f.to_json(), "g": g.to_json()},
-                   {"error": str(exc)}, "fail")
     return report
 
 
@@ -389,14 +392,13 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
         prefixes = prefixes[: stages + 1]
     built = []
     for i, prefix in enumerate(prefixes):
-        try:
+        st = None
+        with _verdict_on_error(report, f"tower.stage_{i}", "stage construction",
+                               {"seeds": [str(q) for q in prefix]}):
             fam = make_coset_family(pair, prefix)
             env = make_envelope(fam)
             st = build_stage(fam, env, cfg.conductor_max, cfg.stage_order_max)
-        except (ConductorOverflow, SizeCap, EnumerationBound) as exc:
-            report.add(f"tower.stage_{i}", "stage construction",
-                       {"seeds": [str(q) for q in prefix]},
-                       {"error": str(exc)}, "inconclusive")
+        if st is None:
             break
         built.append(st)
         inv = verify_stage_invariants(st)
@@ -437,7 +439,9 @@ def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report
     report = Report("gl2 decompose", cfg)
     _require(p is None or is_prime(p), f"--p {p} is not a prime")
     g = parse_matrix(matrix_text)
-    try:
+    law = "g = t k with t lower triangular and k unimodular"
+    with _verdict_on_error(report, "gl2.decompose", law,
+                           {"matrix": matrix_text, "p": p}):
         split = split_padic(g, p) if p is not None else split_global(g)
         outputs = {
             "t": str(split.t),
@@ -445,56 +449,49 @@ def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report
             "reassembles": split.t * split.k == g,
             "det_k": rat_to_str(split.k.det()),
         }
-        report.add("gl2.decompose",
-                   "g = t k with t lower triangular and k unimodular",
-                   {"matrix": str(g), "p": p}, outputs, "pass")
-    except HeckePairsError as exc:
-        report.add("gl2.decompose",
-                   "g = t k with t lower triangular and k unimodular",
-                   {"matrix": matrix_text, "p": p}, {"error": str(exc)}, "fail")
+        report.add("gl2.decompose", law, {"matrix": str(g), "p": p}, outputs,
+                   "pass")
     return report
 
 
 def cmd_quad_units(cfg: RunConfig, d: int, modulus: int) -> Report:
     report = Report("quad units", cfg)
     _require(modulus >= 2, f"--mod must be at least 2, got {modulus}")
-    try:
-        rep = unit_image_gap(d, modulus)
-    except BadDiscriminant as exc:
-        raise ConfigInvalid(f"--d {d}: {exc}") from exc
-    outputs = {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in rep.items() if k != "data"}
-    report.add("quad.units",
-               "global units map to a (possibly proper) subgroup of the "
-               "units of the residue ring",
-               {"d": d, "mod": modulus}, outputs, "pass")
+    law = ("global units map to a (possibly proper) subgroup of the units "
+           "of the residue ring")
+    inputs = {"d": d, "mod": modulus}
+    with _verdict_on_error(report, "quad.units", law, inputs):
+        try:
+            rep = unit_image_gap(d, modulus)
+        except BadDiscriminant as exc:
+            raise ConfigInvalid(f"--d {d}: {exc}") from exc
+        outputs = {k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in rep.items() if k != "data"}
+        report.add("quad.units", law, inputs, outputs, "pass")
     return report
 
 
 def cmd_heis_orbit(cfg: RunConfig, modulus: int, z: int, w: int) -> Report:
     report = Report("heis orbit", cfg)
     _require(modulus >= 1, f"--mod must be at least 1, got {modulus}")
-    orbit = heis_orbit(z, w, modulus)
-    report.add("heis.orbit",
-               "translation orbit of (z, w) is (z, w + zZ) mod s",
-               {"mod": modulus, "z": z, "w": w},
-               {"orbit": sorted(map(list, orbit)), "size": len(orbit)},
-               "pass")
+    law = "translation orbit of (z, w) is (z, w + zZ) mod s"
+    inputs = {"mod": modulus, "z": z, "w": w}
+    with _verdict_on_error(report, "heis.orbit", law, inputs):
+        orbit = heis_orbit(z, w, modulus)
+        report.add("heis.orbit", law, inputs,
+                   {"orbit": sorted(map(list, orbit)), "size": len(orbit)},
+                   "pass")
     return report
 
 
 def cmd_slpm(cfg: RunConfig, modulus: int) -> Report:
     report = Report("gl2 slpm", cfg)
     _require(modulus >= 1, f"--mod must be at least 1, got {modulus}")
-    try:
+    law = "unimodular generators fill all det +-1 residues"
+    with _verdict_on_error(report, "gl2.slpm", law, {"mod": modulus}):
         rep = slpm_surjectivity(modulus)
-        report.add("gl2.slpm",
-                   "unimodular generators fill all det +-1 residues",
-                   {"mod": modulus}, rep, "pass" if rep["match"] else "fail")
-    except SizeCap as exc:
-        report.add("gl2.slpm",
-                   "unimodular generators fill all det +-1 residues",
-                   {"mod": modulus}, {"error": str(exc)}, "inconclusive")
+        report.add("gl2.slpm", law, {"mod": modulus}, rep,
+                   "pass" if rep["match"] else "fail")
     return report
 
 

@@ -416,11 +416,6 @@ class PairDescriptor:
         a, c = self._quad_canon(a, c)
         return a, self.d * c, c, a
 
-    def _canon_q(self, q: Mat2) -> Mat2:
-        """Canonical representative of the coset qR (planar families)."""
-        s, ints = q.integralize()
-        return Mat2(*(Fraction(x, s) for x in self._canon_q_ints(*ints)))
-
     def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
         """Normalize a + b*sqrt(d) by the unit group {+-u^k}.
 
@@ -530,7 +525,8 @@ class ResidueSubgroup:
 def _r_gens_mod(pair: PairDescriptor, s: int):
     """R generators and their inverses reduced mod s."""
     ring = ResidueRing(s)
-    return [ring.reduce_mat(h) for g in pair.r_generators for h in (g, g.inv())]
+    gens = [ring.reduce_mat(g) for g in pair.r_generators]
+    return [h for g in gens for h in (g, ring.mat_inv(g))]
 
 
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
@@ -567,7 +563,7 @@ def index_r_cap_conj(pair: PairDescriptor, q,
     start = Lattice.from_basis(q)
     seen = {start}
     frontier = [start]
-    gens = [g for r in pair.r_generators for g in (r, r.inv())]
+    gens = [g.integralize() for r in pair.r_generators for g in (r, r.inv())]
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -796,9 +792,10 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
     H_x meet H_q against the corresponding product of intersections.
     """
     checks = []
-    ident = pair.identity()
     inter_lhs_all = {}
     inter_rhs_all = {}
+    m_caps = [None if pair.family == HEISENBERG else m_cap_conj(pair, x.q)
+              for x in x_samples]
     for h in h_samples:
         if not pair.in_h(h):
             checks.append(check_record("stab_sample", "h in H", {"h": str(h)},
@@ -807,7 +804,7 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
         m_part, r_part = h.n, h.q
         lhs_all = True
         rhs_all = True
-        for x in x_samples:
+        for x, m_cap in zip(x_samples, m_caps):
             q = x.q
             qinv = -q if pair.family == HEISENBERG else q.inv()
             n = pair.q_act(qinv, x.n)  # x = q.n with this n
@@ -824,16 +821,16 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
                 rhs_q = pair.in_m(m_part) and (q * m_part[1]).denominator == 1 \
                     and pair.in_r(r_part)
             else:
-                rhs_q = m_cap_conj(pair, q).contains(m_part) and \
-                    in_r_cap_conj(pair, q, r_part)
+                in_m_cap = m_cap.contains(m_part)
+                rhs_q = in_m_cap and in_r_cap_conj(pair, q, r_part)
             # identity for H_x meet H_q
             lhs_xq = lhs_q and pair.conj_in_h(x, h)
             if pair.family == HEISENBERG:
                 rhs_xq = rhs_q and (r_part * n[1]).denominator == 1
             else:
                 conj = q.inv() * r_part * q
-                rhs_xq = m_cap_conj(pair, q).contains(m_part) and \
-                    pair.in_r(conj) and in_r_coset_stab(pair, n, conj)
+                rhs_xq = in_m_cap and pair.in_r(conj) and \
+                    in_r_coset_stab(pair, n, conj)
             lhs_all = lhs_all and lhs_xq
             rhs_all = rhs_all and rhs_xq
             ok = (lhs_n == rhs_n) and (lhs_q == rhs_q) and (lhs_xq == rhs_xq)
@@ -869,9 +866,7 @@ def downward_directed_report(pair: PairDescriptor, q_samples) -> dict:
     checks = []
     for i, q1 in enumerate(q_samples):
         for q2 in q_samples[i:]:
-            lam1 = q1.inv().denominator_lcm()
-            lam2 = q2.inv().denominator_lcm()
-            lam = lcm(lam1, lam2)
+            lam = lcm(q1.inv().integralize()[0], q2.inv().integralize()[0])
             witness = Mat2.scalar(lam)
             target = lattice_intersect(
                 transform_lattice(q1, pair.m_lattice),

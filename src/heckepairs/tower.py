@@ -8,7 +8,9 @@ conjugate by every rep moves the envelope into M; their semidirect product
 is the finite shadow of the completed H.
 
 Planar families only (the envelope representation is a lattice in Q^2).
-There M = Z^2, so all quotient arithmetic is on plain integers.
+There M = Z^2.  Coset reps, lattices and quotients are all integers (over
+one least denominator where they are rational); ``Fraction`` appears only
+in the ``Mat2`` seeds and R generators that come in.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from math import gcd, lcm
 
 from .arith import (
     Lattice,
-    Mat2,
     ResidueRing,
     lattice_index,
     lattice_intersect,
@@ -51,43 +52,62 @@ def _require_planar(pair: PairDescriptor) -> None:
         )
 
 
-def _primitive_int(m: Mat2) -> tuple[tuple[int, int, int, int], int]:
-    """Scale a nonzero rational matrix to a primitive integer matrix.
+def _primitive_int(a: int, b: int, c: int, d: int
+                   ) -> tuple[tuple[int, int, int, int], int]:
+    """Divide a nonsingular integer matrix by the gcd of its entries.
 
     Returns (entries, det).  Scalar factors do not change conjugation, so
     all congruence conditions may be computed from this representative.
     """
-    _, (a, b, c, d) = m.integralize()
     if a * d == b * c:
-        raise ValueError(f"{m} is singular")
+        raise ValueError(f"({a}, {b}; {c}, {d}) is singular")
     g = gcd(a, b, c, d)
     a, b, c, d = a // g, b // g, c // g, d // g
     return (a, b, c, d), a * d - b * c
+
+
+def _mul(x, y) -> tuple[int, int, int, int]:
+    """Product of two integer 2x2 matrices (a, b, c, d)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _inv(t):
+    """t^-1 = s adj(q)/det(q) for t = (s, q), q integral, in the same form."""
+    s, (a, b, c, d) = t
+    det = a * d - b * c
+    k = s if det > 0 else -s
+    return abs(det), (k * d, -k * b, -k * c, k * a)
 
 
 @dataclass(frozen=True)
 class CosetFamily:
     """Finite union of cosets tR in Q, stable under R on both sides.
 
-    ``reps`` holds one canonical representative per coset; the identity
-    coset is always present.
+    ``reps`` holds one canonical representative per coset, as
+    ``Mat2.integralize`` writes a matrix: (s, (a, b, c, d)) for
+    (a, b; c, d)/s with s least, and (a, b, c, d) reduced by the
+    ``PairDescriptor._canon_q_ints`` that keys cosets in ``canon_coset``.
+    The identity coset is always present.
     """
 
     pair: PairDescriptor
-    reps: tuple[Mat2, ...]
+    reps: tuple[tuple[int, tuple[int, int, int, int]], ...]
 
     def validate(self) -> None:
         pair = self.pair
-        if pair._canon_q(Mat2.identity()) not in self.reps:
-            raise FamilyConditionViolated("identity coset missing from the family")
+        canon = pair._canon_q_ints
         rep_set = set(self.reps)
+        if (1, canon(1, 0, 0, 1)) not in rep_set:
+            raise FamilyConditionViolated("identity coset missing from the family")
         for g in pair.r_generators:
-            for t in self.reps:
-                if pair._canon_q(g * t) not in rep_set:
+            _, gi = g.integralize()
+            for s, t in self.reps:
+                if (s, canon(*_mul(gi, t))) not in rep_set:
                     raise FamilyConditionViolated(
                         f"family is not left R-stable at generator {g}"
                     )
-                if pair._canon_q(t * g) not in rep_set:
+                if (s, canon(*_mul(t, gi))) not in rep_set:
                     raise FamilyConditionViolated(
                         f"family is not right R-stable at generator {g}"
                     )
@@ -111,10 +131,11 @@ class EnvelopeLattice:
                 )
         for t in family.reps:
             if not self.lattice.contains_lattice(
-                transform_lattice(t.inv(), pair.m_lattice)
+                transform_lattice(_inv(t), pair.m_lattice)
             ):
                 raise FamilyConditionViolated(
-                    f"envelope misses the conjugate of M by {t}^-1"
+                    f"envelope misses the conjugate of M by the inverse of "
+                    f"the rep (s, numerators) = {t}"
                 )
 
 
@@ -122,20 +143,24 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
                       bound: int = DEFAULT_FAMILY_BOUND) -> CosetFamily:
     """Smallest two-sided R-stable coset family covering the seeds and R."""
     _require_planar(pair)
-    reps = {pair._canon_q(Mat2.identity())}
-    gens = [g for r in pair.r_generators for g in (r, r.inv())]
+    canon = pair._canon_q_ints
+    reps = {(1, canon(1, 0, 0, 1))}
+    r_ints = [g.integralize() for g in pair.r_generators]
+    gens = [h for t in r_ints for _, h in (t, _inv(t))]
     for q in seed_qs:
         if not pair.in_q(q):
             raise FamilyConditionViolated(f"seed {q} is not in Q")
-        start = pair._canon_q(q)
+        s, ints = q.integralize()
+        start = (s, canon(*ints))
         if start in reps:
             continue
         reps.add(start)
         frontier = [start]
         while frontier:
-            t = frontier.pop()
+            s, t = frontier.pop()
             for g in gens:
-                img = pair._canon_q(g * t)
+                # g is unimodular, so s stays the least denominator
+                img = (s, canon(*_mul(g, t)))
                 if img not in reps:
                     if len(reps) >= bound:
                         raise EnumerationBound(
@@ -143,7 +168,7 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
                         )
                     reps.add(img)
                     frontier.append(img)
-    return CosetFamily(pair, tuple(sorted(reps, key=str)))
+    return CosetFamily(pair, tuple(sorted(reps)))
 
 
 def make_envelope(family: CosetFamily) -> EnvelopeLattice:
@@ -151,7 +176,7 @@ def make_envelope(family: CosetFamily) -> EnvelopeLattice:
     pair = family.pair
     f = pair.m_lattice
     for t in family.reps:
-        f = lattice_sum(f, transform_lattice(t.inv(), pair.m_lattice))
+        f = lattice_sum(f, transform_lattice(_inv(t), pair.m_lattice))
     # close under R: each pass only enlarges, and everything stays inside a
     # fixed (1/k)Z^2, so this terminates
     while True:
@@ -185,12 +210,13 @@ def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
     Each coordinate of it is linear in the entries of r: a condition is
     (n, c0, c1, c2, c3, e) meaning c0 r0 + c1 r1 + c2 r2 + c3 r3 = e mod n.
     The identity rep's conditions come first; conditions that every r
-    meets are dropped.
+    meets are dropped.  The envelope generators are (a, c)/k and (0, d)/k
+    for the envelope's canonical form (k; a, c, d), and k is least for them.
     """
-    vs = envelope.lattice.vectors()
-    k = lcm(*(x.denominator for v in vs for x in v))
-    ws = [(int(v[0] * k), int(v[1] * k)) for v in vs]
-    ints = sorted((_primitive_int(t) for t in family.reps),
+    env = envelope.lattice
+    k = env.s
+    ws = [(env.a, env.c), (0, env.d)]
+    ints = sorted((_primitive_int(*t) for _, t in family.reps),
                   key=lambda td: td[0] != (1, 0, 0, 1))
     dets = 1
     conds = {}
@@ -236,13 +262,6 @@ def core_residue_subgroup(
     return _residue_core(family, envelope, conductor_cap)[1]
 
 
-def _int_hnf_triple(lat: Lattice) -> tuple[int, int, int]:
-    a, c, d = lat.a, lat.c, lat.d
-    if not a.denominator == c.denominator == d.denominator == 1:
-        raise ValueError(f"{lat} is not an integral lattice")
-    return int(a), int(c), int(d)
-
-
 def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
     """Whether the residue acts trivially on M / core: (r - 1)e_j lies in
     the core lattice (HNF triple a, c, d) for both unit vectors e_j."""
@@ -269,11 +288,12 @@ class TowerStage:
         self.m_core = m_core
         self.r_core = r_core
         self.level = r_core.level
+        # the index certifies m_core inside M = Z^2, i.e. its denominator is 1
         self.m_index = lattice_index(pair.m_lattice, m_core)
         self.r_index = len(image) // len(r_core.elements)
         self.order = self.m_index * self.r_index
 
-        self._core = _int_hnf_triple(m_core)
+        self._core = (m_core.a, m_core.c, m_core.d)
         self.m_invariants = smith_invariants(m_core)
 
         ring = ResidueRing(self.level)
@@ -383,17 +403,18 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     envelope.validate(family)
     m_core = core_lattice(family)
     image, r_core = _residue_core(family, envelope, conductor_cap)
+    # the index certifies m_core inside M = Z^2, i.e. its denominator is 1
+    m_index = lattice_index(pair.m_lattice, m_core)
 
     # the residue core must act trivially on M / core, else the semidirect
     # quotient would be ill-defined (a construction bug, not a user error)
-    core = _int_hnf_triple(m_core)
+    core = (m_core.a, m_core.c, m_core.d)
     for residue in r_core.elements:
         if not _fixes_quotient(core, residue):
             raise ActionNotWellDefined(
                 f"residue {residue} moves a unit vector outside the core lattice"
             )
 
-    m_index = lattice_index(pair.m_lattice, m_core)
     r_index = len(image) // len(r_core.elements)
     if m_index * r_index > order_cap:
         raise SizeCap(

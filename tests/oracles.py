@@ -7,7 +7,7 @@ by exhaustive scans, and group indices are recovered by direct counting.
 
 import functools
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from heckepairs.arith import Lattice, Mat2
 
@@ -34,11 +34,10 @@ def span_points(gen1, gen2, bound):
 
 def lattice_box_points(lat: Lattice, bound):
     """Points of a canonical-form lattice in [-bound, bound]^2, enumerated
-    directly from the triangular basis.  The enumeration runs on integers
-    scaled by the basis's common denominator; points are Fractions only
+    directly from the triangular basis.  The enumeration runs on the
+    integer form over the lattice's denominator; points are Fractions only
     when that denominator is not 1."""
-    s = lcm(lat.a.denominator, lat.c.denominator, lat.d.denominator)
-    a, c, d = int(lat.a * s), int(lat.c * s), int(lat.d * s)
+    s, a, c, d = lat.s, lat.a, lat.c, lat.d
     lim = floor(Fraction(bound) * s)
     pts = set()
     for i in range(-(lim // a), lim // a + 1):
@@ -56,18 +55,18 @@ def all_hnf_lattices(max_det):
     for a in range(1, max_det + 1):
         for d in range(1, max_det // a + 1):
             for c in range(d):
-                out.append(Lattice(Fraction(a), Fraction(c), Fraction(d)))
+                out.append(Lattice(1, a, c, d))
     return out
 
 
 def quotient_order(lat: Lattice) -> int:
     """|Z^2 / L| by counting distinct residues of integer points."""
     assert Lattice.standard().contains_lattice(lat)
-    n = int(lat.a * lat.d)
+    n = lat.a * lat.d
     residues = set()
     for x in range(2 * n):
         for y in range(2 * n):
-            residues.add(lat.reduce_vector((Fraction(x), Fraction(y))))
+            residues.add(reduce_vector(lat, (Fraction(x), Fraction(y))))
     return len(residues)
 
 
@@ -84,6 +83,118 @@ def quotient_exponent(lat: Lattice) -> int:
     from math import lcm
 
     return lcm(o1, o2)
+
+
+def reduce_vector(lat: Lattice, v):
+    """Canonical representative of v modulo the lattice, in the fundamental
+    box [0, a) x [0, d) of its Fraction basis [[a, 0], [c, d]]."""
+    b = lat.basis()
+    x, y = Fraction(v[0]), Fraction(v[1])
+    k = x // b.a
+    x, y = x - k * b.a, y - k * b.c
+    y -= (y // b.d) * b.d
+    return (x, y)
+
+
+def scaled(lat: Lattice, k) -> Lattice:
+    """The lattice |k|.L for a nonzero rational k, from the canonical form
+    (s; a, c, d) directly: (s den; a num, c num, d num), made least."""
+    k = abs(Fraction(k))
+    assert k != 0
+    s = lat.s * k.denominator
+    a, c, d = (x * k.numerator for x in (lat.a, lat.c, lat.d))
+    g = gcd(s, a, c, d)
+    return Lattice(s // g, a // g, c // g, d // g)
+
+
+# ---------------------------------------------------------------------------
+# Fraction lattice oracles: a lattice is the Fraction triple (a, c, d) of
+# its canonical basis [[a, 0], [c, d]], with a > 0, d > 0 and 0 <= c < d
+
+
+def hnf_columns(vectors):
+    """Canonical triple (a, c, d) of the Z-span of full-rank Fraction vectors."""
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    ints = [(int(v[0] * scale), int(v[1] * scale)) for v in vectors]
+    ints = [v for v in ints if v != (0, 0)]
+
+    # Combine columns until a single one carries the gcd of the first row.
+    lead = None
+    seconds = []
+    for v in ints:
+        if v[0] == 0:
+            seconds.append(v[1])
+        elif lead is None:
+            lead = v
+        else:
+            g, x, y = _xgcd(lead[0], v[0])
+            new = (g, x * lead[1] + y * v[1])
+            # both columns reduced against the new lead stay in the span
+            seconds.append(lead[1] - (lead[0] // g) * new[1])
+            seconds.append(v[1] - (v[0] // g) * new[1])
+            lead = new
+    assert lead is not None, "rank-deficient span"
+    a, c = lead
+    if a < 0:
+        a, c = -a, -c
+    d = 0
+    for t in seconds:
+        d = gcd(d, t)
+    assert d != 0, "rank-deficient span"
+    return (Fraction(a, scale), Fraction(c % d, scale), Fraction(d, scale))
+
+
+def _xgcd(a, b):
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = _xgcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def fraction_triple(lat: Lattice):
+    """The Fraction triple of a lattice, read from its ``basis`` view."""
+    b = lat.basis()
+    return (b.a, b.c, b.d)
+
+
+def _columns(t):
+    a, c, d = t
+    return [(a, c), (Fraction(0), d)]
+
+
+def fraction_sum(t1, t2):
+    return hnf_columns(_columns(t1) + _columns(t2))
+
+
+def fraction_dual(t):
+    """The dual {x : <x, v> in Z for all v}: the columns of the inverse
+    transpose of the basis."""
+    a, c, d = t
+    dual = Mat2(a, c, Fraction(0), d).inv()
+    return hnf_columns([(dual.a, dual.c), (dual.b, dual.d)])
+
+
+def fraction_intersect(t1, t2):
+    """(L1* + L2*)* = L1 meet L2."""
+    return fraction_dual(fraction_sum(fraction_dual(t1), fraction_dual(t2)))
+
+
+def fraction_transform(q: Mat2, t):
+    return hnf_columns([q.apply(v) for v in _columns(t)])
+
+
+def fraction_contains(t, v):
+    a, c, d = t
+    u1 = Fraction(v[0]) / a
+    return u1.denominator == 1 and ((Fraction(v[1]) - u1 * c) / d).denominator == 1
+
+
+def fraction_index(big, small):
+    """[big : small] as the ratio of the covolumes a d."""
+    ratio = (small[0] * small[2]) / (big[0] * big[2])
+    assert ratio.denominator == 1
+    return int(ratio)
 
 
 def slpm_elements_mod(s):
@@ -125,8 +236,8 @@ def fraction_r_q_index(image, q):
     qi^-1 is a Fraction matrix and r the integer lift of the residue.  As
     |det qi| qi^-1 is integral, integrality of qi^-1 w depends only on the
     integer vector w mod |det qi|, so it is computed once per class."""
-    scale = q.denominator_lcm()
-    qi = Mat2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
+    _, ints = q.integralize()
+    qi = Mat2.of(*ints)
     qinv = qi.inv()
     s = int(abs(qi.det()))
     cols = [(int(qi.a), int(qi.c)), (int(qi.b), int(qi.d))]
@@ -147,9 +258,12 @@ def fraction_r_q_index(image, q):
 def fraction_core_conditions(family, envelope):
     """Residue-core conditions over Fraction: for each family rep t, the
     pair (t^-1, [(v, t.v)]) over the envelope generators v.  Conjugation
-    ignores scalars, so the reps are used as they are."""
-    vs = envelope.lattice.vectors()
-    return [(t.inv(), [(v, t.apply(v)) for v in vs]) for t in family.reps]
+    ignores scalars, so each rep (s, numerators) is used as its numerator
+    matrix."""
+    b = envelope.lattice.basis()
+    vs = [(b.a, b.c), (b.b, b.d)]
+    reps = [Mat2.of(*t) for _, t in family.reps]
+    return [(t.inv(), [(v, t.apply(v)) for v in vs]) for t in reps]
 
 
 def fraction_satisfies(residue, conditions):

@@ -231,7 +231,8 @@ def test_criterion_7_finite_unimodular_images():
 
 
 def _int_box_points(lat, bound):
-    a, c, d = int(lat.a), int(lat.c), int(lat.d)
+    assert lat.s == 1
+    a, c, d = lat.a, lat.c, lat.d
     pts = set()
     for i in range(-(bound // a), bound // a + 1):
         x = i * a
@@ -257,9 +258,11 @@ def test_criterion_8_oracle_equivalence():
             ok = ok and _int_box_points(meet, box) == (points[l1] & points[l2])
             join_pts = _int_box_points(join, box)
             for lat in (l1, l2):
-                for v in lat.vectors():  # canonical entries are within the box
-                    ok = ok and (int(v[0]), int(v[1])) in join_pts
-            ok = ok and meet.det() * join.det() == l1.det() * l2.det()
+                # canonical entries are within the box
+                for v in ((lat.a, lat.c), (0, lat.d)):
+                    ok = ok and v in join_pts
+            det = [lat.a * lat.d for lat in (meet, join, l1, l2)]
+            ok = ok and det[0] * det[1] == det[2] * det[3]
         if not ok:
             break
     for s in range(1, 61):

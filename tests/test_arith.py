@@ -11,8 +11,6 @@ from heckepairs.arith import (
     Mat2,
     QuadInt,
     ResidueRing,
-    _hnf_columns,
-    hnf,
     hnf_int,
     lattice_index,
     lattice_intersect,
@@ -26,9 +24,16 @@ from heckepairs.arith import (
 )
 from heckepairs.errors import BadDiscriminant, NotPrime, NotSublattice, SingularBasis
 
-from oracles import lattice_box_points, quotient_exponent, quotient_order, span_points
+from oracles import (
+    lattice_box_points,
+    quotient_exponent,
+    quotient_order,
+    scaled,
+    span_points,
+)
 
 Z2 = Lattice.standard()
+hnf = Lattice.from_basis
 
 
 def rand_int_mat(rng, lo=-6, hi=6):
@@ -48,10 +53,10 @@ def test_hnf_identity():
 
 def test_hnf_shear_basis():
     # columns (2,0),(1,1); canonical form verified against the box oracle
-    lat = Lattice.from_vectors([(2, 0), (1, 1)])
-    assert lat.det() == 2
+    lat = hnf(Mat2.of(2, 1, 0, 1))
+    assert lat.basis().det() == 2
     assert lattice_box_points(lat, 4) == span_points((2, 0), (1, 1), 4)
-    assert lat == Lattice(Fraction(1), Fraction(1), Fraction(2))
+    assert lat == Lattice(1, 1, 1, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -79,7 +84,9 @@ def test_hnf_idempotent_on_random_bases():
 
 def test_hnf_rational_basis():
     lat = hnf(Mat2.of(Fraction(1, 2), 0, 0, Fraction(1, 3)))
-    assert lat == Lattice(Fraction(1, 2), Fraction(0), Fraction(1, 3))
+    # held over the least denominator 6 as (3, 0, 2)
+    assert lat == Lattice(6, 3, 0, 2)
+    assert lat.basis() == Mat2.of(Fraction(1, 2), 0, 0, Fraction(1, 3))
 
 
 def _sympy_hnf(vectors):
@@ -108,19 +115,22 @@ def test_hnf_int_against_sympy():
 
 
 def test_hnf_columns_against_sympy():
-    sympy = pytest.importorskip("sympy")
+    # the sum of two rational lattices is the Hermite form of their four
+    # concatenated basis columns
+    pytest.importorskip("sympy")
     rng = random.Random(29)
     checked = 0
     while checked < 100:
-        vecs = [(Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
-                 Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
-                for _ in range(rng.randint(2, 5))]
+        m1, m2 = (Mat2(*(Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                         for _ in range(4))) for _ in range(2))
+        if m1.det() == 0 or m2.det() == 0:
+            continue
+        vecs = [(m.a, m.c) for m in (m1, m2)] + [(m.b, m.d) for m in (m1, m2)]
         scale = math.lcm(*(x.denominator for v in vecs for x in v))
         ints = [(int(x * scale), int(y * scale)) for x, y in vecs]
-        if sympy.Matrix(ints).rank() < 2:
-            continue
         expected = tuple(Fraction(k, scale) for k in _sympy_hnf(ints))
-        assert _hnf_columns(vecs) == expected
+        b = lattice_sum(hnf(m1), hnf(m2)).basis()
+        assert (b.a, b.c, b.d) == expected
         checked += 1
 
 
@@ -147,7 +157,7 @@ def test_intersect_rectangular():
 
 
 def test_intersect_shear_oracle():
-    l1 = Lattice.from_vectors([(2, 0), (1, 1)])
+    l1 = hnf(Mat2.of(2, 1, 0, 1))
     l2 = Lattice.rectangular(1, 2)
     meet = lattice_intersect(l1, l2)
     assert meet == Lattice.rectangular(2, 2)
@@ -157,7 +167,7 @@ def test_intersect_shear_oracle():
 
 
 def test_intersect_idempotent():
-    lat = Lattice.from_vectors([(3, 1), (0, 5)])
+    lat = hnf(Mat2.of(3, 0, 1, 5))
     assert lattice_intersect(lat, lat) == lat
 
 
@@ -166,7 +176,7 @@ def test_sum_coprime_scalars():
 
 
 def test_sum_idempotent():
-    lat = Lattice.from_vectors([(4, 1), (0, 6)])
+    lat = hnf(Mat2.of(4, 0, 1, 6))
     assert lattice_sum(lat, lat) == lat
 
 
@@ -176,7 +186,7 @@ def test_sum_rectangular():
 
 def test_index_examples():
     assert lattice_index(Z2, Lattice.rectangular(5, 1)) == 5
-    assert lattice_index(Z2, Lattice.from_vectors([(2, 0), (1, 1)])) == 2
+    assert lattice_index(Z2, hnf(Mat2.of(2, 1, 0, 1))) == 2
     assert lattice_index(Z2, Lattice.rectangular(2, 2)) == 4
 
 
@@ -192,10 +202,11 @@ def test_duality_identity_random():
         l1 = hnf(rand_int_mat(rng))
         l2 = hnf(rand_int_mat(rng))
         if rng.random() < 0.3:
-            l1 = l1.scaled(Fraction(1, rng.randint(1, 3)))
+            l1 = scaled(l1, Fraction(1, rng.randint(1, 3)))
         meet = lattice_intersect(l1, l2)
         join = lattice_sum(l1, l2)
-        assert meet.det() * join.det() == l1.det() * l2.det()
+        det = [lat.basis().det() for lat in (meet, join, l1, l2)]
+        assert det[0] * det[1] == det[2] * det[3]
         assert join.contains_lattice(l1) and join.contains_lattice(l2)
         assert l1.contains_lattice(meet) and l2.contains_lattice(meet)
 
@@ -210,7 +221,7 @@ def test_meet_join_small_dets_rigorous():
     for _ in range(300):
         l1, l2 = rng.choice(lats), rng.choice(lats)
         meet = lattice_intersect(l1, l2)
-        bound = 2 * int(l1.det() * l2.det())
+        bound = 2 * int(l1.basis().det() * l2.basis().det())
         assert lattice_box_points(meet, bound) == (
             lattice_box_points(l1, bound) & lattice_box_points(l2, bound)
         )
@@ -225,7 +236,7 @@ def test_transform_diag():
 
 
 def test_transform_identity():
-    lat = Lattice.from_vectors([(3, 2), (0, 4)])
+    lat = hnf(Mat2.of(3, 0, 2, 4))
     assert transform_lattice(Mat2.identity(), lat) == lat
 
 
@@ -245,7 +256,7 @@ def test_transform_rejects_singular():
 def test_smith_examples():
     assert smith_invariants(Lattice.rectangular(2, 2)) == (2, 2)
     assert smith_invariants(Lattice.rectangular(5, 1)) == (1, 5)
-    assert smith_invariants(Lattice.from_vectors([(2, 0), (1, 1)])) == (1, 2)
+    assert smith_invariants(hnf(Mat2.of(2, 1, 0, 1))) == (1, 2)
 
 
 def test_smith_against_quotient_enumeration():
@@ -261,7 +272,7 @@ def test_smith_against_quotient_enumeration():
 
 def test_smith_requires_integrality():
     with pytest.raises(NotSublattice):
-        smith_invariants(Lattice.standard().scaled(Fraction(1, 2)))
+        smith_invariants(scaled(Lattice.standard(), Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from heckepairs import cli
 from heckepairs.arith import Mat2
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
+from heckepairs.errors import CertificateFailed
 from heckepairs.grouppair import PairDescriptor
 
 
@@ -288,6 +289,22 @@ def test_heis_orbit_cli(capsys):
     assert code == 0
     record = json.loads(out.splitlines()[1])
     assert record["outputs"]["orbit"] == [[2, 1], [2, 3], [2, 5]]
+
+
+def test_family_certificate_failure_is_a_fail_record(capsys, monkeypatch):
+    def broken(*args):
+        raise CertificateFailed("broken certificate")
+
+    monkeypatch.setattr(cli, "unit_image_gap", broken)
+    monkeypatch.setattr(cli, "heis_orbit", broken)
+    for argv, name in ((["quad", "units", "--d", "2", "--mod", "17"], "quad.units"),
+                       (["heis", "orbit", "--mod", "6", "--z", "2", "--w", "1"],
+                        "heis.orbit")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        (rec,) = [json.loads(line) for line in out.splitlines()[1:-2]]
+        assert rec["name"] == name and rec["verdict"] == "fail"
+        assert rec["outputs"] == {"error": "broken certificate"}
 
 
 def test_usage_error_exit_2(capsys):

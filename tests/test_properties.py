@@ -1,8 +1,10 @@
-"""Property tests for the integer group law and the canonical cosets.
+"""Property tests for the integer group law, the canonical cosets and the
+integer lattice layer.
 
 The oracles recompute products, inverses and membership in H with plain
-``Fraction`` arithmetic from the ``.n``/``.q`` views of the elements, so they
-share no code with the integer kernel under test.
+``Fraction`` arithmetic from the ``.n``/``.q`` views of the elements, and
+lattice sums, meets, images, indices and membership from Fraction bases,
+so they share no code with the integer kernels under test.
 """
 
 from fractions import Fraction as F
@@ -13,8 +15,25 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from heckepairs.arith import Mat2  # noqa: E402
+from heckepairs.arith import (  # noqa: E402
+    Lattice,
+    Mat2,
+    lattice_index,
+    lattice_intersect,
+    lattice_sum,
+    transform_lattice,
+)
 from heckepairs.grouppair import PairDescriptor  # noqa: E402
+
+from oracles import (  # noqa: E402
+    fraction_contains,
+    fraction_index,
+    fraction_intersect,
+    fraction_sum,
+    fraction_transform,
+    fraction_triple,
+    hnf_columns,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -159,3 +178,30 @@ def test_h_generators_lie_in_h():
     for pair in PAIRS.values():
         for h in pair.h_generators():
             assert oracle_in_h(pair, h)
+
+
+@st.composite
+def rational_bases(draw):
+    m = Mat2(*(draw(fractions) for _ in range(4)))
+    assume(m.det() != 0)
+    return m
+
+
+@SETTINGS
+@given(m1=rational_bases(), m2=rational_bases(), q=rational_bases(),
+       v=st.tuples(fractions, fractions), u=st.tuples(small, small))
+def test_lattice_ops_match_fraction_oracle(m1, m2, q, v, u):
+    l1, l2 = Lattice.from_basis(m1), Lattice.from_basis(m2)
+    t1, t2 = (hnf_columns([(m.a, m.c), (m.b, m.d)]) for m in (m1, m2))
+    assert fraction_triple(l1) == t1 and fraction_triple(l2) == t2
+    join, meet = lattice_sum(l1, l2), lattice_intersect(l1, l2)
+    assert fraction_triple(join) == fraction_sum(t1, t2)
+    assert fraction_triple(meet) == fraction_intersect(t1, t2)
+    image = transform_lattice(q, l1)
+    assert fraction_triple(image) == fraction_transform(q, t1)
+    assert transform_lattice(q.integralize(), l1) == image
+    assert lattice_index(join, l1) == fraction_index(fraction_sum(t1, t2), t1)
+    assert lattice_index(l2, meet) == fraction_index(t2, fraction_intersect(t1, t2))
+    assert l1.contains(v) == fraction_contains(t1, v)
+    w = m1.apply(u)  # a point of l1
+    assert l1.contains(w) and fraction_contains(t1, w)

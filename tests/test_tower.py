@@ -10,6 +10,7 @@ from heckepairs.errors import (
     ConductorOverflow,
     FamilyConditionViolated,
     NotComparable,
+    NotSublattice,
     SizeCap,
 )
 from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, r_image_mod
@@ -19,7 +20,6 @@ from heckepairs.tower import (
     EnvelopeLattice,
     TowerStage,
     _fixes_quotient,
-    _int_hnf_triple,
     _primitive_int,
     _rel_conditions,
     build_stage,
@@ -37,6 +37,7 @@ from oracles import (
     elementwise_triangle,
     fraction_core_conditions,
     fraction_satisfies,
+    scaled,
 )
 
 F = Fraction
@@ -92,8 +93,8 @@ def test_family_diag2(pair):
 
 
 def test_family_validate_catches_broken(pair):
-    broken = CosetFamily(pair, (pair._canon_q(Mat2.identity()),
-                                pair._canon_q(Mat2.diag(2, 1))))
+    broken = CosetFamily(pair, ((1, pair._canon_q_ints(1, 0, 0, 1)),
+                                (1, pair._canon_q_ints(2, 0, 0, 1))))
     with pytest.raises(FamilyConditionViolated):
         broken.validate()
 
@@ -105,7 +106,7 @@ def test_envelope_trivial(pair):
 
 def test_envelope_diag2(pair):
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
-    assert make_envelope(fam).lattice == Lattice.standard().scaled(F(1, 2))
+    assert make_envelope(fam).lattice == scaled(Lattice.standard(), F(1, 2))
 
 
 def test_envelope_validation_rejects_small(pair):
@@ -136,7 +137,7 @@ def test_core_residue_trivial_envelope(pair):
 
 def test_core_residue_level2(pair):
     fam = make_coset_family(pair, [])
-    env = EnvelopeLattice(Lattice.standard().scaled(F(1, 2)))
+    env = EnvelopeLattice(scaled(Lattice.standard(), F(1, 2)))
     env.validate(fam)
     sub = core_residue_subgroup(fam, env)
     assert sub.level == 2
@@ -437,11 +438,17 @@ def test_stage_rejects_corrupted_image(pair):
         TowerStage(fam, env, core_lattice(fam), r_core, image - {dropped})
 
 
-def test_integer_inputs_are_checked():
+def test_integer_inputs_are_checked(pair):
     with pytest.raises(ValueError):
-        _primitive_int(Mat2.of(1, 2, 2, 4))
-    with pytest.raises(ValueError):
-        _int_hnf_triple(Lattice.standard().scaled(F(1, 2)))
+        _primitive_int(1, 2, 2, 4)
+    # a stage takes its core as an integer triple only once its index in
+    # M = Z^2 has certified that the core's denominator is 1
+    fam = make_coset_family(pair, [])
+    env = make_envelope(fam)
+    r_core = core_residue_subgroup(fam, env)
+    image = frozenset(r_image_mod(pair, r_core.level))
+    with pytest.raises(NotSublattice):
+        TowerStage(fam, env, scaled(Lattice.standard(), F(1, 2)), r_core, image)
 
 
 def test_fixes_quotient_examples():
@@ -452,3 +459,26 @@ def test_fixes_quotient_examples():
     # (2, 0) is not
     assert _fixes_quotient((2, 1, 2), (3, 0, 1, 1))
     assert not _fixes_quotient((2, 1, 2), (3, 0, 0, 1))
+
+
+def test_stage_layer_builds_no_fractions(pair, stage1, monkeypatch):
+    # envelope, core lattice, stage assembly, invariants and the connecting
+    # map all run on integers: not one Fraction is built on the p = 2
+    # family of diag(2,1); diag(4,1)
+    fam = make_coset_family(pair, [Mat2.diag(2, 1), Mat2.diag(4, 1)])
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    env = make_envelope(fam)
+    core_lattice(fam)
+    stage = build_stage(fam, env)
+    assert verify_stage_invariants(stage)["verdict"] == "pass"
+    assert ConnectingMap(stage, stage1).verify()["homomorphism"]
+    monkeypatch.undo()
+    assert built == 0
