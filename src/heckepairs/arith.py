@@ -265,11 +265,6 @@ class Lattice:
         """The lattice Z^2."""
         return _STD_LATTICE
 
-    @staticmethod
-    def rectangular(x, y) -> "Lattice":
-        """The lattice xZ x yZ."""
-        return Lattice.from_basis(Mat2.diag(x, y))
-
     def basis(self) -> Mat2:
         s = self.s
         return Mat2(Fraction(self.a, s), Fraction(0), Fraction(self.c, s),
@@ -317,19 +312,27 @@ def _common(l1: Lattice, l2: Lattice):
 _STD_LATTICE = Lattice(1, 1, 0, 1)
 
 
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    """Smallest lattice containing both arguments.
+def hnf_sum(a1: int, c1: int, d1: int,
+            a2: int, c2: int, d2: int) -> tuple[int, int, int]:
+    """Canonical form of the sum of two integer lattices given by their
+    canonical forms (see ``hnf_int``).
 
-    Over a common denominator its first coordinates are the multiples of
-    g = gcd(a1, a2), reached by the lift x(a1, c1) + y(a2, c2) = (g, c).
-    Subtracting multiples of that lift leaves (0, c_i - (a_i/g) c), so the
-    sum meets the second axis in the multiples of the gcd of those and d1, d2.
+    Its first coordinates are the multiples of g = gcd(a1, a2), reached by
+    the lift x(a1, c1) + y(a2, c2) = (g, c).  Subtracting multiples of that
+    lift leaves (0, c_i - (a_i/g) c), so the sum meets the second axis in
+    the multiples of the gcd of those and d1, d2.
     """
-    s, (a1, c1, d1), (a2, c2, d2) = _common(l1, l2)
     g, x, y = _xgcd(a1, a2)
     c = x * c1 + y * c2
     d = gcd(d1, d2, c1 - a1 // g * c, c2 - a2 // g * c)
-    return _lattice(s, g, c % d, d)
+    return g, c % d, d
+
+
+def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
+    """Smallest lattice containing both arguments (``hnf_sum`` over a
+    common denominator)."""
+    s, t1, t2 = _common(l1, l2)
+    return _lattice(s, *hnf_sum(*t1, *t2))
 
 
 def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:

@@ -27,6 +27,7 @@ from .cosets import (
     double_coset,
     forget_double_cosets,
     involution,
+    l_of,
 )
 from .errors import (
     BadDiscriminant,
@@ -332,12 +333,12 @@ def cmd_dcoset(cfg: RunConfig, element_text: str) -> Report:
     inputs = {"element": str(x)}
     with _verdict_on_error(report, "dcoset", law, inputs):
         dc = double_coset(x, cfg.coset_enum_max)
-        dci = double_coset(pair.inv(x), cfg.coset_enum_max)
+        l_inverse = l_of(pair.inv(x), cfg.coset_enum_max)
         report.add("dcoset", law, inputs, {
             "left_reps": [str(y) for y in dc.left_reps],
             "L": dc.degree,
-            "L_inverse": dci.degree,
-            "delta": rat_to_str(Fraction(dc.degree, dci.degree)),
+            "L_inverse": l_inverse,
+            "delta": rat_to_str(Fraction(dc.degree, l_inverse)),
             "key": dc.key,
         }, "pass")
     return report

@@ -1,10 +1,16 @@
 """Double cosets HxH, the degree L(x), the modular function, and the
 *-algebra spanned by double-coset characteristic functions.
 
-Enumeration is generator-driven: the left cosets inside HxH are the orbit
-of xH under left multiplication by the generators of H, with cosets held in
-the canonical form produced by ``PairDescriptor.canon_coset``.  Coefficients
-are exact rationals throughout.
+Enumeration follows the semidirect-product factorization of H = M x| R.
+For x = (n, q), M moves xH within the class MxH, which holds the
+[M : M meet qM] left cosets m.xH, and R permutes these classes.  So the
+left cosets inside HxH are the M-translates r.m.xH over one element r.x
+of each class in the R-orbit of MxH, and L(x) = [M : M meet qM] times the
+length of that orbit.  The orbit is walked on the keys of
+``PairDescriptor.canon_class``, each left coset is put once in the
+canonical form of ``PairDescriptor.canon_coset``, and ``l_of`` counts
+without enumerating a left coset.  Coefficients are exact rationals
+throughout.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 
 from .arith import rat_from_str, rat_to_str, Mat2
 from .errors import CertificateFailed, DescriptorMismatch, EnumerationBound
-from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor
+from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box
 
 
 @dataclass(frozen=True)
@@ -44,30 +50,66 @@ def _too_many(x: GElem, bound: int) -> EnumerationBound:
     )
 
 
-def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
+def _memo_lookup(x: GElem, bound: int) -> DoubleCoset | None:
+    """The memo's double coset of x, if it holds one, checked against the
+    bound."""
+    dc = x.pair._dcosets.get(x.pair.canon_coset(x))
+    if dc is not None and dc.degree > bound:
+        raise _too_many(x, bound)
+    return dc
+
+
+def _r_orbit(x: GElem, m_index: int, bound: int) -> list[GElem]:
+    """Elements r.x with r in R, one in each class of the R-orbit of MxH.
+
+    The orbit is closed under the generators of R alone: it is finite, so
+    each generator permutes it.  Raises once the orbit holds more than
+    bound / m_index classes, that is once L(x) > bound.
+    """
+    if m_index > bound:
+        raise _too_many(x, bound)
     pair = x.pair
-    start = pair.canon_coset(x)
-    memo = pair._dcosets
-    dc = memo.get(start)
-    if dc is not None:
-        if dc.degree > bound:
-            raise _too_many(x, bound)
-        return dc
-    gens = pair.h_generators()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        y = frontier.pop()
-        for h in gens:
-            z = pair.canon_coset(pair.mul(h, y))
-            if z not in seen:
-                if len(seen) >= bound:
+    gens = pair.r_elements()
+    seen = {pair.canon_class(x)}
+    orbit = [x]
+    for y in orbit:
+        for g in gens:
+            z = pair.mul(g, y)
+            key = pair.canon_class(z)
+            if key not in seen:
+                if m_index * (len(seen) + 1) > bound:
                     raise _too_many(x, bound)
-                seen.add(z)
-                frontier.append(z)
-    reps = tuple(sorted(seen, key=str))
+                seen.add(key)
+                orbit.append(z)
+    return orbit
+
+
+def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
+    dc = _memo_lookup(x, bound)
+    if dc is not None:
+        return dc
+    pair = x.pair
+    a, d = m_cap_box(x)
+    orbit = _r_orbit(x, a * d, bound)
+    one = pair.identity().v[2:]
+    translates = [pair.mul(GElem(1, (i, j) + one, pair), x)
+                  for i in range(a) for j in range(d)]
+    # y = r.x with r in R, so r = y.x^-1, and the r.m.x over the M-translates
+    # m.x of xH are the M-translates of yH
+    xinv = pair.inv(x)
+    cosets = set()
+    for y in orbit:
+        r = pair.mul(y, xinv)
+        for mx in translates:
+            cosets.add(pair.canon_coset(pair.mul(r, mx)))
+    if len(cosets) != a * d * len(orbit):
+        raise CertificateFailed(
+            f"{len(cosets)} left cosets in H.{x}.H, not [M:M_q] = {a * d} "
+            f"times the {len(orbit)} classes of the R-orbit")
+    reps = tuple(sorted(cosets, key=str))
     rep = reps[0]
     dc = DoubleCoset(rep, reps, str(rep))
+    memo = pair._dcosets
     if len(memo) > DEFAULT_COSET_BOUND:
         memo.clear()
     for y in reps:
@@ -83,8 +125,14 @@ def forget_double_cosets(pair: PairDescriptor) -> None:
 
 
 def l_of(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> int:
-    """L(x) = |HxH / H|."""
-    return double_coset(x, bound).degree
+    """L(x) = |HxH / H| = [M : M meet qM] times the length of the R-orbit of
+    MxH, read from the memo when it holds HxH; no left coset is
+    enumerated."""
+    dc = _memo_lookup(x, bound)
+    if dc is not None:
+        return dc.degree
+    a, d = m_cap_box(x)
+    return a * d * len(_r_orbit(x, a * d, bound))
 
 
 def delta(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> Fraction:

@@ -28,6 +28,7 @@ from .arith import (
     ResidueRing,
     check_discriminant,
     hnf_int,
+    hnf_sum,
     in_z_inv_p,
     lattice_index,
     lattice_intersect,
@@ -390,6 +391,14 @@ class PairDescriptor:
         """h in xHx^-1, tested directly on the group law."""
         return self.in_h(self.mul(self.mul(self.inv(x), h), x))
 
+    def r_elements(self) -> list[GElem]:
+        """The generators of R, as elements (0, r) of H."""
+        out = []
+        for g in self.r_generators:
+            gq = (g,) if self.family == HEISENBERG else g.entries()
+            out.append(GElem(1, (0, 0) + tuple(int(e) for e in gq), self))
+        return out
+
     def h_generators(self) -> list[GElem]:
         """Generators of H = M x| R together with their inverses."""
         qid = self.identity().v[2:]
@@ -398,10 +407,8 @@ class PairDescriptor:
         for v0, v1 in vecs:
             out.append(GElem(1, (v0, v1) + qid, self))
             out.append(GElem(1, (-v0, -v1) + qid, self))
-        for g in self.r_generators:
-            gq = (g,) if self.family == HEISENBERG else g.entries()
-            out.append(GElem(1, (0, 0) + tuple(int(e) for e in gq), self))
-            out.append(self.inv(out[-1]))
+        for r in self.r_elements():
+            out += (r, self.inv(r))
         return out
 
     # -- canonical coset representatives ----------------------------------------
@@ -474,9 +481,30 @@ class PairDescriptor:
         n0, n1, a, b, c, d = x.v
         q = self._canon_q_ints(a, b, c, d)
         # reduce n into the box of the lattice q*.M = q*.Z^2
-        ha, hc, hd = hnf_int(*q)
-        k = n0 // ha
-        return self._reduced(s, (n0 - k * ha, (n1 - k * hc) % hd) + q)
+        return self._reduced(s, _box(n0, n1, *hnf_int(*q)) + q)
+
+    def canon_class(self, x: GElem) -> GElem:
+        """Canonical element of MxH, the union of the left cosets m.xH over
+        m in M: the q-part is canonical for qR as in ``canon_coset``, and n
+        is reduced modulo M + qM instead of qM.  Equal classes map to equal
+        results."""
+        s = x.s
+        if self.family == HEISENBERG:
+            # M + qM = (qZ + Z)/Z x Z, and qZ + Z = (gcd(p, s)/s)Z for q = p/s
+            a, u, p = x.v
+            return self._reduced(s, (a % gcd(p, s), u % s, p % s))
+        n0, n1, a, b, c, d = x.v
+        q = self._canon_q_ints(a, b, c, d)
+        # over the denominator s, M = Z^2 has the canonical form (s, 0, s)
+        box = hnf_sum(*hnf_int(*q), s, 0, s)
+        return self._reduced(s, _box(n0, n1, *box) + q)
+
+
+def _box(n0: int, n1: int, a: int, c: int, d: int) -> tuple[int, int]:
+    """The representative of (n0, n1) modulo the integer lattice with
+    canonical form (a, c, d) in its box [0, a) x [0, d)."""
+    k = n0 // a
+    return n0 - k * a, (n1 - k * c) % d
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +563,25 @@ def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
     return ring.close_under_mul(_r_gens_mod(pair, s), bound)
 
 
-def m_cap_conj(pair: PairDescriptor, q: Mat2) -> Lattice:
-    """The lattice M meet q.M (planar families)."""
+def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
+    """The lattice M meet q.M (planar families); q is a ``Mat2`` or its
+    ``integralize()`` pair."""
     if pair.family != PLANAR:
         raise ValueError("m_cap_conj is defined for planar families only")
     return lattice_intersect(pair.m_lattice, transform_lattice(q, pair.m_lattice))
+
+
+def m_cap_box(x: GElem) -> tuple[int, int]:
+    """(a, d) such that the points (i, j) with 0 <= i < a and 0 <= j < d
+    of M lie one in each class of M / (M meet qM), for x = (n, q); so
+    [M : M meet qM] = a d."""
+    s, v = x.s, x.v
+    if x.pair.family == HEISENBERG:
+        # M = {0} x Z and M meet qM = {0} x kZ, k the denominator of q = p/s
+        return 1, s // gcd(v[2], s)
+    # M meet qM lies in M = Z^2, so its canonical form has denominator 1
+    lat = m_cap_conj(x.pair, (s, v[2:]))
+    return lat.a, lat.d
 
 
 def index_m_cap_conj(pair: PairDescriptor, q) -> int:

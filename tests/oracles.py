@@ -1,8 +1,10 @@
 """Independent brute-force oracles shared by the test suite.
 
-Everything here avoids the canonicalization and BFS code paths under test:
-points are enumerated from raw generators, finite matrix groups are built
-by exhaustive scans, and group indices are recovered by direct counting.
+Everything here avoids the code paths under test beyond the group law and
+the coset key ``canon_coset``: points are enumerated from raw generators,
+left cosets by a search over the generators of H, finite matrix groups
+are built by exhaustive scans, and group indices are recovered by direct
+counting.
 """
 
 import functools
@@ -10,6 +12,11 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from heckepairs.arith import Lattice, Mat2
+
+
+def rectangular(x, y) -> Lattice:
+    """The lattice xZ x yZ."""
+    return Lattice.from_basis(Mat2.diag(x, y))
 
 
 def span_points(gen1, gen2, bound):
@@ -195,6 +202,27 @@ def fraction_index(big, small):
     ratio = (small[0] * small[2]) / (big[0] * big[2])
     assert ratio.denominator == 1
     return int(ratio)
+
+
+def bfs_left_cosets(x, bound=100000):
+    """The left cosets inside HxH, in the canonical form of ``canon_coset``,
+    by breadth-first search: the orbit of xH under left multiplication by
+    the generators of H and their inverses.  None when more than ``bound``."""
+    pair = x.pair
+    gens = pair.h_generators()
+    start = pair.canon_coset(x)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        y = frontier.pop()
+        for h in gens:
+            z = pair.canon_coset(pair.mul(h, y))
+            if z not in seen:
+                if len(seen) >= bound:
+                    return None
+                seen.add(z)
+                frontier.append(z)
+    return seen
 
 
 def slpm_elements_mod(s):

@@ -28,6 +28,7 @@ from oracles import (
     lattice_box_points,
     quotient_exponent,
     quotient_order,
+    rectangular,
     scaled,
     span_points,
 )
@@ -151,16 +152,16 @@ def test_smith_against_sympy():
 
 
 def test_intersect_rectangular():
-    l1 = Lattice.rectangular(2, 1)
-    l2 = Lattice.rectangular(1, 3)
-    assert lattice_intersect(l1, l2) == Lattice.rectangular(2, 3)
+    l1 = rectangular(2, 1)
+    l2 = rectangular(1, 3)
+    assert lattice_intersect(l1, l2) == rectangular(2, 3)
 
 
 def test_intersect_shear_oracle():
     l1 = hnf(Mat2.of(2, 1, 0, 1))
-    l2 = Lattice.rectangular(1, 2)
+    l2 = rectangular(1, 2)
     meet = lattice_intersect(l1, l2)
-    assert meet == Lattice.rectangular(2, 2)
+    assert meet == rectangular(2, 2)
     assert lattice_box_points(meet, 8) == (
         lattice_box_points(l1, 8) & lattice_box_points(l2, 8)
     )
@@ -172,7 +173,7 @@ def test_intersect_idempotent():
 
 
 def test_sum_coprime_scalars():
-    assert lattice_sum(Lattice.rectangular(2, 2), Lattice.rectangular(3, 3)) == Z2
+    assert lattice_sum(rectangular(2, 2), rectangular(3, 3)) == Z2
 
 
 def test_sum_idempotent():
@@ -181,18 +182,18 @@ def test_sum_idempotent():
 
 
 def test_sum_rectangular():
-    assert lattice_sum(Lattice.rectangular(2, 1), Lattice.rectangular(1, 2)) == Z2
+    assert lattice_sum(rectangular(2, 1), rectangular(1, 2)) == Z2
 
 
 def test_index_examples():
-    assert lattice_index(Z2, Lattice.rectangular(5, 1)) == 5
+    assert lattice_index(Z2, rectangular(5, 1)) == 5
     assert lattice_index(Z2, hnf(Mat2.of(2, 1, 0, 1))) == 2
-    assert lattice_index(Z2, Lattice.rectangular(2, 2)) == 4
+    assert lattice_index(Z2, rectangular(2, 2)) == 4
 
 
 def test_index_requires_containment():
     with pytest.raises(NotSublattice):
-        lattice_index(Lattice.rectangular(2, 2), Z2)
+        lattice_index(rectangular(2, 2), Z2)
 
 
 def test_duality_identity_random():
@@ -232,7 +233,7 @@ def test_meet_join_small_dets_rigorous():
 
 
 def test_transform_diag():
-    assert transform_lattice(Mat2.diag(2, 1), Z2) == Lattice.rectangular(2, 1)
+    assert transform_lattice(Mat2.diag(2, 1), Z2) == rectangular(2, 1)
 
 
 def test_transform_identity():
@@ -254,8 +255,8 @@ def test_transform_rejects_singular():
 
 
 def test_smith_examples():
-    assert smith_invariants(Lattice.rectangular(2, 2)) == (2, 2)
-    assert smith_invariants(Lattice.rectangular(5, 1)) == (1, 5)
+    assert smith_invariants(rectangular(2, 2)) == (2, 2)
+    assert smith_invariants(rectangular(5, 1)) == (1, 5)
     assert smith_invariants(hnf(Mat2.of(2, 1, 0, 1))) == (1, 2)
 
 

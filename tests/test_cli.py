@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -239,10 +240,37 @@ def test_tower_build_under_python_O_matches(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["pair", "verify"],
     ["gl2", "decompose", "--p", "2", "--matrix", "[[1,1/2],[0,1]]"],
-], ids=["pair-verify", "gl2-decompose"])
+    ["dcoset", "--element", "[[16,0],[0,1]]"],
+], ids=["pair-verify", "gl2-decompose", "dcoset"])
 def test_certificates_under_python_O_match(capsys, tmp_path, argv):
-    # index, lattice and splitting certificates are explicit checks too
+    # index, lattice, splitting and left-coset count certificates are
+    # explicit checks too
     assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
+    # a reference cycle left by a job lives until a full collection and
+    # raises the peak memory of a process that runs many jobs
+    f = {"terms": [{"rep": {"n": ["0", "0"], "q": [["2", "0"], ["0", "1"]]},
+                    "coeff": "1"}]}
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(f))
+    commands = [
+        ["dcoset", "--element", "[[2,0],[0,1]]"],
+        ["hecke", "mul", "--f", str(fp), "--g", str(fp)],
+        ["tower", "build", "--seed", "[[2,0],[0,1]]"],
+        ["pair", "verify"],
+    ]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert gc.collect() == 0, argv
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_tower_rejects_heisenberg_config(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from heckepairs.arith import Mat2
+from heckepairs.cli import main
 from heckepairs.cosets import (
     HeckeElement,
     convolve,
@@ -338,11 +340,8 @@ def test_enumeration_bound_on_warm_memo():
     assert l_of(x, bound=24) == 24
 
 
-def test_convolve_canon_calls_bounded():
-    # T4 * T4 for T4 = 1 on H.diag(4,1).H canonicalizes 24 * 24 products; the
-    # memo keeps the product cosets from each re-running a BFS, which made
-    # over 1.5 million canon_coset calls
-    pair = PairDescriptor.planar_gl2(p=2)
+def count_canon_calls(pair):
+    """Replace pair.canon_coset by a counting wrapper; returns the call list."""
     canon, calls = pair.canon_coset, []
 
     def counting(x):
@@ -350,6 +349,50 @@ def test_convolve_canon_calls_bounded():
         return canon(x)
 
     pair.canon_coset = counting
+    return calls
+
+
+def test_l_of_enumerates_no_left_coset():
+    # L(diag(64,1)) = [M:M_q] [R:R_q] = 64 * 96; the only canon_coset call
+    # is the memo lookup
+    pair = PairDescriptor.planar_gl2(p=2)
+    calls = count_canon_calls(pair)
+    assert l_of(pair.element((0, 0), Mat2.diag(64, 1))) == 6144
+    assert len(calls) <= 1
+
+
+def test_double_coset_one_canon_call_per_left_coset():
+    # the generator search over H made about 61,000 canon_coset calls here
+    pair = PairDescriptor.planar_gl2(p=2)
+    calls = count_canon_calls(pair)
+    assert double_coset(pair.element((0, 0), Mat2.diag(64, 1))).degree == 6144
+    assert len(calls) <= 6144 + 16
+
+
+def test_l_of_bound_without_enumeration():
+    pair = PairDescriptor.planar_gl2(p=2)
+    calls = count_canon_calls(pair)
+    with pytest.raises(EnumerationBound):
+        l_of(pair.element((0, 0), Mat2.diag(4, 1)), bound=3)
+    assert len(calls) <= 1
+
+
+def test_dcoset_inverse_side_bound_names_the_inverse(capsys):
+    # L(diag(1/2,1)) = 3 fits the bound, L of its inverse diag(2,1) is 6
+    code = main(["dcoset", "--element", "[[1/2,0],[0,1]]", "--bound-cosets", "4"])
+    record = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert code == 3
+    assert record["outputs"]["error"] == (
+        "more than 4 left cosets in H.n=(0,0);q=[[2,0],[0,1]].H; "
+        "the pair may not be Hecke at this element, or raise the bound")
+
+
+def test_convolve_canon_calls_bounded():
+    # T4 * T4 for T4 = 1 on H.diag(4,1).H canonicalizes 24 * 24 products; the
+    # memo keeps the product cosets from each re-running a BFS, which made
+    # over 1.5 million canon_coset calls
+    pair = PairDescriptor.planar_gl2(p=2)
+    calls = count_canon_calls(pair)
     t4 = HeckeElement.char_fn(pair.element((0, 0), Mat2.diag(4, 1)))
     convolve(t4, t4)
     assert len(calls) <= 10_000

@@ -22,7 +22,7 @@ from heckepairs.grouppair import (
     worst_verdict,
 )
 
-from oracles import fraction_r_q_index, slpm_elements_mod, vector_orbit
+from oracles import fraction_r_q_index, rectangular, slpm_elements_mod, vector_orbit
 
 F = Fraction
 
@@ -142,7 +142,7 @@ def test_heisenberg_reduction(heis):
 def test_m_cap_conj_examples(gl2_q):
     pair = gl2_q
     for p in (2, 3, 5):
-        assert m_cap_conj(pair, Mat2.diag(p, 1)) == Lattice.rectangular(p, 1)
+        assert m_cap_conj(pair, Mat2.diag(p, 1)) == rectangular(p, 1)
     # q in R normalizes M
     assert m_cap_conj(pair, Mat2.of(1, 1, 0, 1)) == Lattice.standard()
     # expanding conjugate meets M in all of M
@@ -155,7 +155,7 @@ def test_m_cap_conj_box_oracle(gl2_q):
     q = Mat2.diag(3, 1)
     lat = m_cap_conj(gl2_q, q)
     pts_m = lattice_box_points(Lattice.standard(), 8)
-    pts_conj = lattice_box_points(Lattice.rectangular(3, 1), 8)
+    pts_conj = lattice_box_points(rectangular(3, 1), 8)
     assert lattice_box_points(lat, 8) == pts_m & pts_conj
 
 

@@ -1,10 +1,11 @@
-"""Property tests for the integer group law, the canonical cosets and the
-integer lattice layer.
+"""Property tests for the integer group law, the canonical cosets, the
+left cosets of a double coset and the integer lattice layer.
 
 The oracles recompute products, inverses and membership in H with plain
 ``Fraction`` arithmetic from the ``.n``/``.q`` views of the elements, and
 lattice sums, meets, images, indices and membership from Fraction bases,
-so they share no code with the integer kernels under test.
+so they share no code with the integer kernels under test.  The left
+cosets inside HxH are checked against a search over the generators of H.
 """
 
 from fractions import Fraction as F
@@ -23,9 +24,12 @@ from heckepairs.arith import (  # noqa: E402
     lattice_sum,
     transform_lattice,
 )
+from heckepairs.cosets import double_coset, forget_double_cosets, l_of  # noqa: E402
+from heckepairs.errors import EnumerationBound  # noqa: E402
 from heckepairs.grouppair import PairDescriptor  # noqa: E402
 
 from oracles import (  # noqa: E402
+    bfs_left_cosets,
     fraction_contains,
     fraction_index,
     fraction_intersect,
@@ -178,6 +182,66 @@ def test_h_generators_lie_in_h():
     for pair in PAIRS.values():
         for h in pair.h_generators():
             assert oracle_in_h(pair, h)
+
+
+@st.composite
+def small_gl2_elements(draw, pair, diagonal, dens):
+    # q = u1 diag(e1, e2) u2 with u1, u2 in GL(2, Z), so L(x) stays small
+    unimodular = st.sampled_from([(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1),
+                                  (0, 1, 1, 0), (2, 1, 1, 1), (1, 0, 0, -1)])
+    diag = (F(draw(diagonal)), F(0), F(0), F(draw(diagonal)))
+    q = _mm(_mm(draw(unimodular), diag), draw(unimodular))
+    n = tuple(F(draw(small), draw(dens)) for _ in range(2))
+    return pair.element(n, Mat2(*q))
+
+
+SMALL_ELEMENTS = {
+    "gl2_z12": small_gl2_elements(GL2_Z12, st.sampled_from([1, -1, 2, F(1, 2), 4]),
+                                  st.sampled_from([1, 2, 4])),
+    "gl2_q": small_gl2_elements(GL2_Q, st.sampled_from([1, 2, 3, F(1, 2), F(2, 3)]),
+                                st.sampled_from([1, 2, 3, 6])),
+    "quad2": quad_elements(),
+    "heis": heis_elements(),
+}
+
+# elements (n, q) with n outside M and q outside R
+MIXED = {
+    "gl2_z12": GL2_Z12.element((F(1, 2), F(3, 4)), Mat2.of(2, 1, 0, 1)),
+    "gl2_q": GL2_Q.element((F(1, 3), 0), Mat2.of(F(2, 3), 0, 1, 1)),
+    "quad2": QUAD2.element((F(1, 3), F(1, 2)), Mat2.of(3, 2, 1, 3)),
+    "heis": HEIS.element((F(1, 2), F(1, 3)), F(5, 6)),
+}
+
+
+def check_left_cosets_against_bfs(x):
+    """double_coset and l_of on a cold memo against the search over the
+    generators of H; True when L(x) <= 500 and the check ran."""
+    pair = x.pair
+    forget_double_cosets(pair)
+    try:
+        degree = l_of(x, bound=500)
+    except EnumerationBound:
+        return False
+    expected = bfs_left_cosets(x)
+    assert degree == len(expected)
+    assert set(double_coset(x).left_reps) == expected
+    forget_double_cosets(pair)
+    return True
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_left_cosets_match_bfs_oracle(name, data):
+    assume(check_left_cosets_against_bfs(data.draw(SMALL_ELEMENTS[name])))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_left_cosets_match_bfs_oracle_mixed(name):
+    x = MIXED[name]
+    pair = x.pair
+    assert not pair.in_m(x.n) and not pair.in_r(x.q)
+    assert check_left_cosets_against_bfs(x)
 
 
 @st.composite

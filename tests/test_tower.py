@@ -37,6 +37,7 @@ from oracles import (
     elementwise_triangle,
     fraction_core_conditions,
     fraction_satisfies,
+    rectangular,
     scaled,
 )
 
@@ -118,7 +119,7 @@ def test_envelope_validation_rejects_small(pair):
 def test_core_lattice_examples(pair):
     assert core_lattice(make_coset_family(pair, [])) == pair.m_lattice
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
-    assert core_lattice(fam) == Lattice.rectangular(2, 2)
+    assert core_lattice(fam) == rectangular(2, 2)
 
 
 def test_core_lattice_monotone(pair):
