@@ -444,16 +444,19 @@ class ResidueRing:
         return ((m[0] * v[0] + m[1] * v[1]) % s, (m[2] * v[0] + m[3] * v[1]) % s)
 
     def close_under_mul(self, gens, bound: int | None = None) -> set:
-        """Multiplicative closure of 2x2 residue matrices (BFS)."""
+        """Multiplicative closure of 2x2 residue matrices (BFS); for invertible
+        gens, the group they generate, as g^-1 is a power of g mod s."""
+        s = self.modulus
         gens = [tuple(g) for g in gens]
         seen = set(gens)
         seen.add(self.identity_mat())
         frontier = list(seen)
         while frontier:
             new = []
-            for g in gens:
-                for x in frontier:
-                    y = self.mat_mul(g, x)
+            for g0, g1, g2, g3 in gens:
+                for x0, x1, x2, x3 in frontier:
+                    y = ((g0 * x0 + g1 * x2) % s, (g0 * x1 + g1 * x3) % s,
+                         (g2 * x0 + g3 * x2) % s, (g2 * x1 + g3 * x3) % s)
                     if y not in seen:
                         seen.add(y)
                         new.append(y)

@@ -251,11 +251,7 @@ def slpm_surjectivity(s: int, size_cap: int = 40) -> dict:
     if s > size_cap:
         raise SizeCap(f"s = {s} exceeds the exhaustive-scan cap {size_cap}")
     ring = ResidueRing(s)
-    gens = []
-    for g in _GL2_STANDARD_GENS:
-        gens.append(ring.reduce_mat(g))
-        gens.append(ring.reduce_mat(g.inv()))
-    image = ring.close_under_mul(gens)
+    image = ring.close_under_mul([ring.reduce_mat(g) for g in _GL2_STANDARD_GENS])
     if s == 1:
         target = 1
     else:

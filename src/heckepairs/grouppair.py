@@ -525,13 +525,13 @@ class ResidueSubgroup:
     def __post_init__(self):
         ring = ResidueRing(self.level)
         if ring.identity_mat() not in self.elements:
-            raise ValueError("residue subgroup must contain the identity")
+            raise CertificateFailed("residue subgroup must contain the identity")
         for x in self.elements:
             if ring.mat_inv(x) not in self.elements:
-                raise ValueError(f"residue subgroup not closed under inverse at {x}")
+                raise CertificateFailed(f"residue subgroup not closed under inverse at {x}")
             for y in self.elements:
                 if ring.mat_mul(x, y) not in self.elements:
-                    raise ValueError("residue subgroup not closed under product")
+                    raise CertificateFailed("residue subgroup not closed under product")
 
     def __len__(self):
         return len(self.elements)
@@ -551,10 +551,10 @@ class ResidueSubgroup:
 
 
 def _r_gens_mod(pair: PairDescriptor, s: int):
-    """R generators and their inverses reduced mod s."""
+    """R generators reduced mod s, without inverses: on each finite closure
+    or orbit a generator permutes, its inverse is one of its powers."""
     ring = ResidueRing(s)
-    gens = [ring.reduce_mat(g) for g in pair.r_generators]
-    return [h for g in gens for h in (g, ring.mat_inv(g))]
+    return [ring.reduce_mat(g) for g in pair.r_generators]
 
 
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
@@ -596,7 +596,8 @@ def index_r_cap_conj(pair: PairDescriptor, q,
     """[R : R meet qRq^-1], as the orbit size of the coset qR under R.
 
     For the matrix families the coset qR is the column span of q, so the
-    orbit is enumerated on canonical lattices; abelian Q gives 1 directly.
+    orbit is enumerated on canonical lattices, with the R generators alone
+    as it is finite; abelian Q gives 1 directly.
     """
     if not pair.in_q(q):
         raise NotInQ(f"{q} is not in Q")
@@ -605,7 +606,7 @@ def index_r_cap_conj(pair: PairDescriptor, q,
     start = Lattice.from_basis(q)
     seen = {start}
     frontier = [start]
-    gens = [g.integralize() for r in pair.r_generators for g in (r, r.inv())]
+    gens = [r.integralize() for r in pair.r_generators]
     while frontier:
         cur = frontier.pop()
         for g in gens:

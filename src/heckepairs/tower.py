@@ -145,8 +145,8 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
     _require_planar(pair)
     canon = pair._canon_q_ints
     reps = {(1, canon(1, 0, 0, 1))}
-    r_ints = [g.integralize() for g in pair.r_generators]
-    gens = [h for t in r_ints for _, h in (t, _inv(t))]
+    # each left R-orbit of cosets is finite, so the generators alone reach it
+    gens = [g.integralize()[1] for g in pair.r_generators]
     for q in seed_qs:
         if not pair.in_q(q):
             raise FamilyConditionViolated(f"seed {q} is not in Q")
@@ -460,25 +460,25 @@ class ConnectingMap:
         g the m-parts of both sides depend only on the m of x, and the
         r-parts only on its r: the m-parts are compared at x = (m, 1) for
         every m, the r-parts at x = (0, r) for every residue coset r.  The
-        image of phi is the product of the images of its m and r maps.
+        r-part of g x is the coset key of g_r r, so the r-parts are read
+        from residue keys alone, once per distinct r-part g_r of the
+        generators.  The image of phi is the product of the images of its
+        m and r maps.
         """
         fine, coarse = self.fine, self.coarse
         m0, r0 = fine.identity()
         phi_m = {m: self.apply((m, r0))[0] for m in fine.m_elements}
         phi_r = {r: self.apply((m0, r))[1] for r in fine._sorted_rkeys}
-        pm0, pr0 = phi_m[m0], phi_r[r0]
-
-        def hom_at(g) -> bool:
-            pg = self.apply(g)
-            return all(
-                phi_m[fine.mul(g, (m, r0))[0]] == coarse.mul(pg, (pm, pr0))[0]
-                for m, pm in phi_m.items()
-            ) and all(
-                phi_r[fine.mul(g, (m0, r))[1]] == coarse.mul(pg, (pm0, pr))[1]
-                for r, pr in phi_r.items()
-            )
-
-        hom_ok = all(hom_at(g) for g in fine.generators())
+        pgs = {g: self.apply(g) for g in fine.generators()}
+        hom_ok = all(
+            phi_m[fine.mul(g, (m, r0))[0]] == coarse.mul(pg, (pm, phi_r[r0]))[0]
+            for g, pg in pgs.items() for m, pm in phi_m.items()
+        ) and all(
+            phi_r[fine.coset_key_of[fine._ring.mat_mul(g_r, r)]]
+            == coarse.coset_key_of[coarse._ring.mat_mul(pg_r, pr)]
+            for g_r, pg_r in {g_r: phi_r[g_r] for _, g_r in pgs}.items()
+            for r, pr in phi_r.items()
+        )
         surjective = (len(set(phi_m.values())) * len(set(phi_r.values()))
                       == coarse.order)
         return {

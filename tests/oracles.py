@@ -240,6 +240,23 @@ def slpm_elements_mod(s):
     return out
 
 
+def close_with_inverses(ring, gens):
+    """Subgroup of GL(2, Z/s) generated by residue matrices, closed under
+    both the generators and their inverses (no finiteness argument)."""
+    steps = [tuple(g) for g in gens]
+    steps += [ring.mat_inv(g) for g in steps]
+    seen = {ring.identity_mat()}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in steps:
+            y = ring.mat_mul(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def vector_orbit(mats, start, s):
     """Orbit of a vector in (Z/s)^2 under an explicit set of matrices."""
     orbit = set()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from heckepairs import cli
+from heckepairs import cli, tower
 from heckepairs.arith import Mat2
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
@@ -211,6 +211,21 @@ def test_tower_two_stages(capsys):
             assert o["order"] == o["m_index"] * o["r_index"]
     assert by_name["tower.connect_2_1"]["outputs"]["surjective"] is True
     assert by_name["tower.triangle_2_0"]["outputs"]["commutes"] is True
+
+
+def test_tower_residue_core_certificate_failure_is_a_fail_record(capsys,
+                                                                monkeypatch):
+    satisfies = tower.satisfies
+    # a residue core without the identity is not a subgroup
+    monkeypatch.setattr(tower, "satisfies",
+                        lambda r, conds: r != (1, 0, 0, 1) and satisfies(r, conds))
+    code, out, _ = run(capsys, "tower", "build", "--seed", "[[2,0],[0,1]]")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()[1:-2]]
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        ("tower.stage_0", "pass"), ("tower.stage_1", "fail")]
+    assert records[1]["outputs"] == {
+        "error": "residue subgroup must contain the identity"}
 
 
 def _matches_under_python_O(argv, tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckepairs.arith import Lattice, Mat2, unit_sign
+from heckepairs.arith import Lattice, Mat2, ResidueRing, unit_sign
 from heckepairs.errors import ConfigInvalid, DescriptorMismatch, NotInQ
 from heckepairs.grouppair import (
     PairDescriptor,
@@ -22,7 +22,13 @@ from heckepairs.grouppair import (
     worst_verdict,
 )
 
-from oracles import fraction_r_q_index, rectangular, slpm_elements_mod, vector_orbit
+from oracles import (
+    close_with_inverses,
+    fraction_r_q_index,
+    rectangular,
+    slpm_elements_mod,
+    vector_orbit,
+)
 
 F = Fraction
 
@@ -212,6 +218,35 @@ def test_index_r_cap_conj_residue_matches_fraction_oracle(p, q):
     index = index_r_cap_conj_residue(pair, q)
     assert index == fraction_r_q_index(r_image_mod(pair, level), q)
     assert index == index_r_cap_conj(pair, q)
+
+
+@pytest.mark.parametrize("pair", [
+    PairDescriptor.planar_gl2(p=2),
+    PairDescriptor.quad_torus(2),
+    PairDescriptor.quad_torus(3),
+], ids=["gl2-z12", "quad-d2", "quad-d3"])
+def test_r_image_mod_matches_closure_with_inverses(pair):
+    # the closure steps with the R generators alone, which suffices in a
+    # finite group; the oracle also steps with their inverses
+    for s in range(1, 17):
+        ring = ResidueRing(s)
+        gens = [ring.reduce_mat(g) for g in pair.r_generators]
+        assert r_image_mod(pair, s) == close_with_inverses(ring, gens)
+
+
+def test_r_image_mod_order_closed_form(gl2_z12):
+    # |SL+-(2, Z/s)| = c s^3 prod_{p | s} (1 - p^-2), c = 2 for s > 2,
+    # c = 1 for s = 2, and 1 for s = 1: R = GL(2, Z) maps onto it
+    for s in range(1, 25):
+        order, rest, p = s ** 3, s, 2
+        while rest > 1:
+            if rest % p == 0:
+                order = order // (p * p) * (p * p - 1)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        order *= 2 if s > 2 else 1
+        assert len(r_image_mod(gl2_z12, s)) == order, s
 
 
 def test_index_r_cap_conj_abelian(quad2, heis):

@@ -395,13 +395,20 @@ def test_triangle_matches_elementwise_oracle(stage0, stage1, stage2):
         assert elementwise_triangle(via, down, direct) is True
 
 
-def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
-    bad = copy.copy(stage1)
-    bad.coset_key_of = dict(stage1.coset_key_of)
-    # send one residue to the coset key of another coset
-    residue = next(r for r, key in sorted(bad.coset_key_of.items()) if r != key)
+def _corrupt_coset_key(stage, residues, image=lambda key: key):
+    """A copy of the stage that sends the first of ``residues`` that is not
+    a coset key to the key of another coset, one of another image."""
+    bad = copy.copy(stage)
+    bad.coset_key_of = dict(stage.coset_key_of)
+    residue = next(r for r in residues if r != stage.coset_key_of[r])
+    old = image(stage.coset_key_of[residue])
     bad.coset_key_of[residue] = next(
-        key for key in bad._sorted_rkeys if key != bad.coset_key_of[residue])
+        key for key in stage._sorted_rkeys if image(key) != old)
+    return bad
+
+
+def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
+    bad = _corrupt_coset_key(stage1, sorted(stage1.coset_key_of))
     cm = ConnectingMap(stage2, bad)
     assert all_pairs_verify(cm)["homomorphism"] is False
     assert cm.verify()["homomorphism"] is False
@@ -409,6 +416,16 @@ def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
     assert triangle_commutes(stage2, stage1, bad) is False
     assert elementwise_triangle(ConnectingMap(stage2, stage1),
                                 ConnectingMap(stage1, bad), cm) is False
+    # the R-axis reads the fine stage's residue keys directly: corrupt one it
+    # reads, a product g_r r of a generator's r-part and a coset key, so that
+    # its image in stage1 moves
+    ring, down = stage2._ring, ConnectingMap(stage2, stage1)
+    reached = [ring.mat_mul(g_r, r) for _, g_r in stage2.generators()
+               for r in stage2._sorted_rkeys]
+    bad = _corrupt_coset_key(stage2, reached, lambda key: down.apply(((0, 0), key)))
+    cm = ConnectingMap(bad, stage1)
+    assert cm.verify()["homomorphism"] is False
+    assert cm.verify() == all_pairs_verify(cm)
 
 
 def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
@@ -425,7 +442,9 @@ def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
         monkeypatch.setattr(st, "mul", counting(st.mul))
     rep = ConnectingMap(stage2, stage1).verify()
     assert rep["homomorphism"] and rep["surjective"]
-    assert calls <= 40000  # 491,520 when every element meets every generator
+    # only the M-axis multiplies, once on each side; the R-axis reads residue
+    # keys (491,520 calls when every element meets every generator)
+    assert calls <= 2 * len(stage2.generators()) * len(stage2.m_elements) == 160
 
 
 def test_stage_rejects_corrupted_image(pair):
