@@ -162,9 +162,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def inv(self) -> "Mat2":
         det = self.det()
         if det == 0:
@@ -204,6 +201,17 @@ class Mat2:
 
 
 _MAT2_ID = Mat2.of(1, 0, 0, 1)
+
+
+def mat_mul_int(x, y) -> tuple[int, int, int, int]:
+    """Product of two integer 2x2 matrices (a, b, c, d)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def mat_str(m) -> str:
+    """The integer matrix (a, b, c, d) as ``Mat2`` prints it: [[a,b],[c,d]]."""
+    return "[[{},{}],[{},{}]]".format(*m)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -407,14 +415,10 @@ class ResidueRing:
             raise ValueError("modulus must be >= 1")
         self.modulus = modulus
 
-    def reduce_mat(self, m: Mat2) -> tuple[int, int, int, int]:
+    def reduce_mat(self, m) -> tuple[int, int, int, int]:
+        """The integer matrix (a, b, c, d) reduced mod s."""
         s = self.modulus
-        out = []
-        for x in m.entries():
-            if x.denominator != 1:
-                raise ValueError(f"entry {x} is not integral")
-            out.append(int(x) % s)
-        return tuple(out)
+        return tuple(x % s for x in m)
 
     def mat_mul(self, x, y) -> tuple[int, int, int, int]:
         s = self.modulus
@@ -534,10 +538,6 @@ class QuadInt:
 
     def reduce_mod(self, s: int) -> "QuadInt":
         return QuadInt(self.m % s, self.n % s, self.d)
-
-    def matrix(self) -> Mat2:
-        """Multiplication-by-self matrix (a, db; b, a) on the (m, n) plane."""
-        return Mat2.of(self.m, self.d * self.n, self.n, self.m)
 
     def __str__(self) -> str:
         return f"{self.m}+{self.n}*sqrt({self.d})"

@@ -37,6 +37,7 @@ from .errors import (
     DetNotAllowed,
     EnumerationBound,
     HeckePairsError,
+    NotInQ,
     SizeCap,
 )
 from .families import (
@@ -172,21 +173,22 @@ def load_pair(path: str | None) -> tuple[PairDescriptor, str]:
     return PairDescriptor.from_config(cfg), path
 
 
+def _parse_rats(parts, what: str, text: str) -> list[Fraction]:
+    try:
+        return [rat_from_str(p) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
 def parse_matrix(text: str) -> Mat2:
     """Parse "[[a,b],[c,d]]" with exact rational entries."""
     body = text.replace(" ", "")
     if not (body.startswith("[[") and body.endswith("]]")):
         raise ConfigInvalid(f"cannot parse matrix {text!r}")
-    rows = body[2:-2].split("],[")
-    if len(rows) != 2:
+    rows = [row.split(",") for row in body[2:-2].split("],[")]
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise ConfigInvalid(f"cannot parse matrix {text!r}")
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ConfigInvalid(f"cannot parse matrix {text!r}")
-        entries.extend(rat_from_str(p) for p in parts)
-    return Mat2(*entries)
+    return Mat2(*_parse_rats(rows[0] + rows[1], "matrix", text))
 
 
 def parse_vector(text: str) -> tuple[Fraction, Fraction]:
@@ -196,7 +198,7 @@ def parse_vector(text: str) -> tuple[Fraction, Fraction]:
     parts = body[1:-1].split(",")
     if len(parts) != 2:
         raise ConfigInvalid(f"cannot parse vector {text!r}")
-    return (rat_from_str(parts[0]), rat_from_str(parts[1]))
+    return tuple(_parse_rats(parts, "vector", text))
 
 
 def _require(ok: bool, message: str) -> None:
@@ -222,8 +224,8 @@ def parse_element(pair: PairDescriptor, text: str):
             return pair.element(parse_vector(body), q)
         if pair.family == HEISENBERG:
             return pair.element((0, 0), rat_from_str(body))
-    except HeckePairsError:
-        raise
+    except NotInQ as exc:
+        raise ConfigInvalid(f"element {text!r} is not in G: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid(f"cannot parse element {text!r}: {exc}") from exc
     raise ConfigInvalid(f"cannot parse element {text!r}")
@@ -355,7 +357,8 @@ def cmd_hecke_mul(cfg: RunConfig, f_path: str, g_path: str) -> Report:
                                               cfg.coset_enum_max)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read element file {path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError, NotInQ) as exc:
             raise ConfigInvalid(f"bad element file {path}: {exc}") from exc
 
     f, g = load(f_path), load(g_path)
@@ -388,6 +391,10 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
     seeds = []
     if seed_text:
         seeds = [parse_matrix(part) for part in seed_text.split(";") if part]
+    for q in seeds:
+        # other families are refused at stage 0, with exit 1
+        _require(pair.family != PLANAR or pair.in_q(q),
+                 f"seed {q} is not in Q for {pair!r}")
     prefixes = [seeds[:i] for i in range(len(seeds) + 1)]
     if stages is not None:
         prefixes = prefixes[: stages + 1]
@@ -441,8 +448,8 @@ def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report
     _require(p is None or is_prime(p), f"--p {p} is not a prime")
     g = parse_matrix(matrix_text)
     law = "g = t k with t lower triangular and k unimodular"
-    with _verdict_on_error(report, "gl2.decompose", law,
-                           {"matrix": matrix_text, "p": p}):
+    inputs = {"matrix": str(g), "p": p}
+    with _verdict_on_error(report, "gl2.decompose", law, inputs):
         split = split_padic(g, p) if p is not None else split_global(g)
         outputs = {
             "t": str(split.t),
@@ -450,8 +457,7 @@ def cmd_gl2_decompose(cfg: RunConfig, p: int | None, matrix_text: str) -> Report
             "reassembles": split.t * split.k == g,
             "det_k": rat_to_str(split.k.det()),
         }
-        report.add("gl2.decompose", law, {"matrix": str(g), "p": p}, outputs,
-                   "pass")
+        report.add("gl2.decompose", law, inputs, outputs, "pass")
     return report
 
 

@@ -266,7 +266,7 @@ def slpm_surjectivity(s: int, size_cap: int = 40) -> dict:
         "image_size": len(image),
         "target_size": target,
         "match": len(image) == target,
-        "contains_reflection": ring.reduce_mat(Mat2.diag(1, -1)) in image,
+        "contains_reflection": ring.reduce_mat((1, 0, 0, -1)) in image,
     }
 
 

@@ -11,9 +11,12 @@ Three families are built in, each with its fixed M and R:
   (1, q; 0, 1) acting through the second coordinate, R the integer ones.
 
 Group elements are written n*q, so (n1, q1)(n2, q2) = (n1 + q1.n2, q1 q2)
-with N additive.  The group law runs on integers over one common
-denominator (see ``GElem``); ``Fraction`` and ``Mat2`` appear only where
-elements are parsed and where the reports and tests read them.
+with N additive.  The group law, the R generators (integer 4-tuples, an
+integer in the heisenberg family) and the membership tests of the
+stabilizer identities run on integers over one common denominator (see
+``GElem``); ``Fraction`` and ``Mat2`` appear only where elements and
+sample q are parsed and printed, and in the ``GElem.n``/``GElem.q`` views
+the tests read.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .arith import (
     in_z_inv_p,
     lattice_index,
     lattice_intersect,
+    mat_mul_int,
+    mat_str,
     pell_fundamental,
     rat_from_str,
     rat_to_str,
@@ -60,11 +65,8 @@ UNIPOTENT = "unipotent"
 # default cap on an exhaustive coset or orbit enumeration
 DEFAULT_COSET_BOUND = 100000
 
-_GL2_STANDARD_GENS = (
-    Mat2.of(1, 1, 0, 1),
-    Mat2.of(1, 0, 1, 1),
-    Mat2.diag(1, -1),
-)
+# the R generators of the full matrix family, as integer entries (a, b, c, d)
+_GL2_STANDARD_GENS = ((1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, -1))
 
 
 class GElem:
@@ -164,7 +166,7 @@ class PairDescriptor:
         if family == HEISENBERG:
             self.q_kind = UNIPOTENT
             self.m_lattice = None
-            self.r_generators = (Fraction(1),)
+            self.r_generators = (1,)
         else:
             if q_kind not in (FULL_GL2, QUAD_TORUS):
                 raise ConfigInvalid(f"planar family needs Q kind, got {q_kind!r}")
@@ -179,7 +181,7 @@ class PairDescriptor:
                 self.d = d
                 self.quad_unit = pell_fundamental(d)
                 m0, n0 = self.quad_unit
-                self.r_generators = (Mat2.scalar(-1), Mat2.of(m0, d * n0, n0, m0))
+                self.r_generators = ((-1, 0, 0, -1), (m0, d * n0, n0, m0))
             else:
                 self.r_generators = _GL2_STANDARD_GENS
         if m_lattice is not None and m_lattice != self.m_lattice:
@@ -242,7 +244,8 @@ class PairDescriptor:
                 if family == HEISENBERG:
                     r_generators = [rat_from_str(str(g)) for g in cfg["R_generators"]]
                 else:
-                    r_generators = [Mat2.from_lists(g) for g in cfg["R_generators"]]
+                    r_generators = [Mat2.from_lists(g).entries()
+                                    for g in cfg["R_generators"]]
             return PairDescriptor(family, base_ring, p, q_kind, d, m_lattice, r_generators)
         except ConfigInvalid:
             raise
@@ -259,9 +262,10 @@ class PairDescriptor:
             if self.d is not None:
                 cfg["d"] = self.d
             cfg["M_basis"] = self.m_lattice.basis().to_lists()
-            cfg["R_generators"] = [g.to_lists() for g in self.r_generators]
+            cfg["R_generators"] = [[[str(a), str(b)], [str(c), str(d)]]
+                                   for a, b, c, d in self.r_generators]
         else:
-            cfg["R_generators"] = [rat_to_str(g) for g in self.r_generators]
+            cfg["R_generators"] = [str(g) for g in self.r_generators]
         return cfg
 
     # -- membership predicates on parsed values ----------------------------------
@@ -277,26 +281,10 @@ class PairDescriptor:
             return False
         return unit_sign(q.det(), self.p) is not None
 
-    def in_r(self, q) -> bool:
-        if self.family == HEISENBERG:
-            return isinstance(q, Fraction) and q.denominator == 1
-        return (
-            isinstance(q, Mat2)
-            and self.in_q(q)
-            and q.is_integral()
-            and abs(q.det()) == 1
-        )
-
     def in_n(self, n: tuple[Fraction, Fraction]) -> bool:
         if self.family == HEISENBERG:
             return True
         return in_z_inv_p(n[0], self.p) and in_z_inv_p(n[1], self.p)
-
-    def in_m(self, n: tuple[Fraction, Fraction]) -> bool:
-        n0, n1 = Fraction(n[0]), Fraction(n[1])
-        if self.family == HEISENBERG:
-            return n0 % 1 == 0 and n1.denominator == 1
-        return n0.denominator == 1 and n1.denominator == 1
 
     def in_h(self, x: GElem) -> bool:
         # the least denominator is 1 exactly when every coordinate is an
@@ -347,13 +335,6 @@ class PairDescriptor:
             return GElem(1, (0, 0, 0), self)
         return GElem(1, (0, 0, 1, 0, 0, 1), self)
 
-    def q_act(self, q, n: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        """Action of a parsed q on a parsed n (conjugation inside G, written
-        additively)."""
-        if self.family == HEISENBERG:
-            return ((n[0] + q * n[1]) % 1, n[1])
-        return q.apply(n)
-
     def mul(self, x: GElem, y: GElem) -> GElem:
         if x.pair is not y.pair and x.pair != y.pair:
             raise DescriptorMismatch("elements belong to different descriptors")
@@ -393,11 +374,9 @@ class PairDescriptor:
 
     def r_elements(self) -> list[GElem]:
         """The generators of R, as elements (0, r) of H."""
-        out = []
-        for g in self.r_generators:
-            gq = (g,) if self.family == HEISENBERG else g.entries()
-            out.append(GElem(1, (0, 0) + tuple(int(e) for e in gq), self))
-        return out
+        if self.family == HEISENBERG:
+            return [GElem(1, (0, 0, g), self) for g in self.r_generators]
+        return [GElem(1, (0, 0) + g, self) for g in self.r_generators]
 
     def h_generators(self) -> list[GElem]:
         """Generators of H = M x| R together with their inverses."""
@@ -606,11 +585,10 @@ def index_r_cap_conj(pair: PairDescriptor, q,
     start = Lattice.from_basis(q)
     seen = {start}
     frontier = [start]
-    gens = [r.integralize() for r in pair.r_generators]
     while frontier:
         cur = frontier.pop()
-        for g in gens:
-            img = transform_lattice(g, cur)
+        for g in pair.r_generators:
+            img = transform_lattice((1, g), cur)
             if img not in seen:
                 if len(seen) >= bound:
                     raise EnumerationBound(f"orbit of {q} exceeded {bound}")
@@ -619,14 +597,30 @@ def index_r_cap_conj(pair: PairDescriptor, q,
     return len(seen)
 
 
+def _r_q_conditions(a: int, b: int, c: int, d: int) -> list:
+    """The congruences on r, in the form ``satisfies`` reads, that cut R_q
+    out of R for q = Q/t with Q = (a, b; c, d) (planar families).
+
+    With D = det Q and A = adj Q, q^-1 r q = A r Q / D is integral exactly
+    when A r Q = 0 mod |D|, a condition on r mod |D|.  Entry (i, j) of A r Q
+    is linear in the entries of r, one congruence per entry; those that
+    every r meets are dropped.
+    """
+    s = abs(a * d - b * c)
+    conditions = []
+    for x, y in ((d, -b), (-c, a)):  # the rows of A
+        for u, v in ((a, c), (b, d)):  # the columns of Q
+            row = tuple(z % s for z in (x * u, x * v, y * u, y * v))
+            if any(row):
+                conditions.append((s, *row, 0))
+    return conditions
+
+
 def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000) -> int:
     """[R : R_q] recovered at congruence level s = |det| of the integralized q.
 
     Independent of the orbit method: counts |image of R mod s| divided by the
-    number of residues r in R_q.  With qi the integralized q, D = det qi and
-    A = adj qi, q^-1 r q = A r qi / D is integral exactly when
-    A r qi = 0 mod |D|, a condition on r mod |D|.  Entry (i, j) of A r qi is
-    linear in the entries of r, one congruence per entry.
+    number of residues r in R_q, which ``_r_q_conditions`` cuts out.
     """
     if pair.q_is_abelian:
         return 1
@@ -636,12 +630,7 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000)
         return 1
     if s > conductor_cap:
         raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
-    conditions = []
-    for x, y in ((d, -b), (-c, a)):  # the rows of A
-        for u, v in ((a, c), (b, d)):  # the columns of qi
-            row = tuple(z % s for z in (x * u, x * v, y * u, y * v))
-            if any(row):
-                conditions.append((s, *row, 0))
+    conditions = _r_q_conditions(a, b, c, d)
     image = r_image_mod(pair, s)
     member = sum(1 for r in image if satisfies(r, conditions))
     if not member or len(image) % member:
@@ -651,14 +640,15 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000)
 
 
 def index_r_coset_stab(pair: PairDescriptor, n) -> int:
-    """[R : stabilizer of n + M], the size of the R-orbit of n + M in N/M."""
+    """[R : stabilizer of n + M], the size of the R-orbit of n + M in N/M,
+    for n a pair of rationals (ints or Fractions)."""
+    (x0, s0), (x1, s1) = ((x.numerator, x.denominator) for x in n)
     if pair.family == HEISENBERG:
-        return Fraction(n[1]).denominator
-    c = (Fraction(n[0]), Fraction(n[1]))
-    s = lcm(c[0].denominator, c[1].denominator)
+        return s1
+    s = lcm(s0, s1)
     if s == 1:
         return 1
-    v = (int(c[0] * s) % s, int(c[1] * s) % s)
+    v = (x0 * (s // s0) % s, x1 * (s // s1) % s)
     gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)
     orbit = {v}
@@ -671,23 +661,6 @@ def index_r_coset_stab(pair: PairDescriptor, n) -> int:
                 orbit.add(w)
                 frontier.append(w)
     return len(orbit)
-
-
-def in_r_coset_stab(pair: PairDescriptor, n, r) -> bool:
-    """r n r^-1 in nM, i.e. r.n - n in M (r must already lie in R)."""
-    if pair.family == HEISENBERG:
-        return (r * n[1]).denominator == 1
-    rn = pair.q_act(r, n)
-    return pair.m_lattice.contains((rn[0] - n[0], rn[1] - n[1]))
-
-
-def in_r_cap_conj(pair: PairDescriptor, q, r) -> bool:
-    """r in R meet qRq^-1."""
-    if not pair.in_r(r):
-        return False
-    if pair.q_is_abelian:
-        return True
-    return pair.in_r(q.inv() * r * q)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +751,7 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         for q in stage:
             m_index = lcm(m_index, Fraction(q).denominator)
         s = level if level is not None else max(m_index, 2)
-        trivial = [rat_to_str(g) for g in pair.r_generators if g % s == 0 and g != 0]
+        trivial = [str(g) for g in pair.r_generators if g % s == 0 and g != 0]
         r_index = s
         m_shape = f"{m_index}Z"
     else:
@@ -794,10 +767,8 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         s = max(s, 1)
         ring = ResidueRing(s)
         ident = ring.identity_mat()
-        trivial = []
-        for g in pair.r_generators:
-            if ring.reduce_mat(g) == ident and g != Mat2.identity():
-                trivial.append(str(g))
+        trivial = [mat_str(g) for g in pair.r_generators
+                   if ring.reduce_mat(g) == ident and g != (1, 0, 0, 1)]
         r_index = 1 if s == 1 else len(r_image_mod(pair, s))
         m_shape = str(lat)
 
@@ -823,57 +794,71 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
     }
 
 
+def _moves_into_m(r, n0: int, n1: int, t: int) -> bool:
+    """Whether (r - 1)n lies in M = Z^2, for an integer matrix r and
+    n = (n0, n1)/t: (r - 1)(n0, n1) = 0 mod t."""
+    r0, r1, r2, r3 = r
+    return ((r0 - 1) * n0 + r1 * n1) % t == 0 and (r2 * n0 + (r3 - 1) * n1) % t == 0
+
+
 def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> dict:
     """Check the product forms of the stabilizer subgroups on samples.
 
     For x = q n and h = m r in H this compares direct conjugation tests
     against the lattice/congruence descriptions:
-      * h in H_n        <->  m in M       and r n r^-1 in nM
+      * h in H_n        <->  r n r^-1 in nM
       * h in H_q        <->  m in M_q     and r in R_q
       * h in H_x meet H_q <-> m in M_q    and q^-1 r q in stab of n + M
     and, over the whole sample, membership in the intersection of all
     H_x meet H_q against the corresponding product of intersections.
+    (m in M and r in R hold as h lies in H.)  The right sides run on
+    integers: with n = (n0, n1)/t and q = Q/s, r n r^-1 in nM is
+    (r - 1)(n0, n1) = 0 mod t, M_q = M meet qM is a lattice, r in R_q is
+    the congruences of ``_r_q_conditions``, and q^-1 r q is then the integer
+    matrix adj(Q) r Q / det Q.  In the heisenberg family, with q = p/s,
+    r n r^-1 in nM is r n1 = 0 mod t and m in M_q is p m1 = 0 mod s.
     """
+    heis = pair.family == HEISENBERG
+    samples = []
+    for x in x_samples:
+        q_elem = pair._reduced(x.s, (0, 0) + x.v[2:])
+        n_elem = pair.mul(pair.inv(q_elem), x)  # x = q.n with this n
+        if heis:
+            samples.append((x, q_elem, n_elem, None, None))
+        else:
+            qv = q_elem.v[2:]
+            samples.append((x, q_elem, n_elem, m_cap_conj(pair, (q_elem.s, qv)),
+                            _r_q_conditions(*qv)))
     checks = []
     inter_lhs_all = {}
     inter_rhs_all = {}
-    m_caps = [None if pair.family == HEISENBERG else m_cap_conj(pair, x.q)
-              for x in x_samples]
     for h in h_samples:
         if not pair.in_h(h):
             checks.append(check_record("stab_sample", "h in H", {"h": str(h)},
                                        {}, "fail"))
             continue
-        m_part, r_part = h.n, h.q
+        # h lies in H, so it has the denominator 1
+        m0, m1, *r = h.v
         lhs_all = True
         rhs_all = True
-        for x, m_cap in zip(x_samples, m_caps):
-            q = x.q
-            qinv = -q if pair.family == HEISENBERG else q.inv()
-            n = pair.q_act(qinv, x.n)  # x = q.n with this n
-            n_elem = pair.element(n, Fraction(0) if pair.family == HEISENBERG else Mat2.identity())
-            q_elem = pair.element((0, 0), q)
-
-            # identity for H_n
-            lhs_n = pair.in_h(h) and pair.conj_in_h(n_elem, h)
-            rhs_n = pair.in_m(m_part) and pair.in_r(r_part) and \
-                in_r_coset_stab(pair, n, r_part)
-            # identity for H_q
-            lhs_q = pair.in_h(h) and pair.conj_in_h(q_elem, h)
-            if pair.family == HEISENBERG:
-                rhs_q = pair.in_m(m_part) and (q * m_part[1]).denominator == 1 \
-                    and pair.in_r(r_part)
-            else:
-                in_m_cap = m_cap.contains(m_part)
-                rhs_q = in_m_cap and in_r_cap_conj(pair, q, r_part)
-            # identity for H_x meet H_q
+        for x, q_elem, n_elem, m_cap, r_q in samples:
+            t, (n0, n1) = n_elem.s, n_elem.v[:2]
+            lhs_n = pair.conj_in_h(n_elem, h)
+            lhs_q = pair.conj_in_h(q_elem, h)
             lhs_xq = lhs_q and pair.conj_in_h(x, h)
-            if pair.family == HEISENBERG:
-                rhs_xq = rhs_q and (r_part * n[1]).denominator == 1
+            if heis:
+                rhs_n = r[0] * n1 % t == 0
+                rhs_q = q_elem.v[2] * m1 % q_elem.s == 0
+                rhs_xq = rhs_q and rhs_n
             else:
-                conj = q.inv() * r_part * q
-                rhs_xq = in_m_cap and pair.in_r(conj) and \
-                    in_r_coset_stab(pair, n, conj)
+                rhs_n = _moves_into_m(r, n0, n1, t)
+                rhs_q = m_cap.contains((m0, m1)) and satisfies(r, r_q)
+                rhs_xq = False
+                if rhs_q:
+                    a, b, c, d = q_elem.v[2:]
+                    det = a * d - b * c
+                    conj = mat_mul_int(mat_mul_int((d, -b, -c, a), r), (a, b, c, d))
+                    rhs_xq = _moves_into_m([z // det for z in conj], n0, n1, t)
             lhs_all = lhs_all and lhs_xq
             rhs_all = rhs_all and rhs_xq
             ok = (lhs_n == rhs_n) and (lhs_q == rhs_q) and (lhs_xq == rhs_xq)
@@ -899,6 +884,15 @@ def stabilizer_identities_report(pair: PairDescriptor, x_samples, h_samples) -> 
     return {"checks": checks, "verdict": worst_verdict(checks)}
 
 
+def _inv_denominator(q: Mat2) -> int:
+    """The least common denominator of the entries of q^-1.  For q = Q/s,
+    q^-1 = s adj(Q)/D with D = det Q, and the entries of adj(Q) have the gcd
+    g of those of Q, so it is |D| / gcd(D, s g)."""
+    s, (a, b, c, d) = q.integralize()
+    det = a * d - b * c
+    return abs(det) // gcd(det, s * gcd(a, b, c, d))
+
+
 def downward_directed_report(pair: PairDescriptor, q_samples) -> dict:
     """For each pair of conjugates of M, exhibit a scalar conjugate inside both.
 
@@ -909,18 +903,18 @@ def downward_directed_report(pair: PairDescriptor, q_samples) -> dict:
     checks = []
     for i, q1 in enumerate(q_samples):
         for q2 in q_samples[i:]:
-            lam = lcm(q1.inv().integralize()[0], q2.inv().integralize()[0])
-            witness = Mat2.scalar(lam)
+            lam = lcm(_inv_denominator(q1), _inv_denominator(q2))
+            witness = (lam, 0, 0, lam)
             target = lattice_intersect(
                 transform_lattice(q1, pair.m_lattice),
                 transform_lattice(q2, pair.m_lattice),
             )
-            ok = target.contains_lattice(transform_lattice(witness, pair.m_lattice))
+            ok = target.contains_lattice(transform_lattice((1, witness), pair.m_lattice))
             checks.append(check_record(
                 "downward_directed",
                 "scalar k with kM inside q1 M meet q2 M",
                 {"q1": str(q1), "q2": str(q2)},
-                {"witness": str(witness), "contained": ok},
+                {"witness": mat_str(witness), "contained": ok},
                 "pass" if ok else "fail",
             ))
     return {"checks": checks, "verdict": worst_verdict(checks)}

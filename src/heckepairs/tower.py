@@ -8,9 +8,9 @@ conjugate by every rep moves the envelope into M; their semidirect product
 is the finite shadow of the completed H.
 
 Planar families only (the envelope representation is a lattice in Q^2).
-There M = Z^2.  Coset reps, lattices and quotients are all integers (over
-one least denominator where they are rational); ``Fraction`` appears only
-in the ``Mat2`` seeds and R generators that come in.
+There M = Z^2.  Coset reps, lattices, quotients and the R generators are
+all integers (over one least denominator where they are rational);
+``Fraction`` appears only in the ``Mat2`` seeds that come in.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .arith import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
+    mat_mul_int,
+    mat_str,
     satisfies,
     smith_invariants,
     transform_lattice,
@@ -66,12 +68,6 @@ def _primitive_int(a: int, b: int, c: int, d: int
     return (a, b, c, d), a * d - b * c
 
 
-def _mul(x, y) -> tuple[int, int, int, int]:
-    """Product of two integer 2x2 matrices (a, b, c, d)."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
 def _inv(t):
     """t^-1 = s adj(q)/det(q) for t = (s, q), q integral, in the same form."""
     s, (a, b, c, d) = t
@@ -101,15 +97,14 @@ class CosetFamily:
         if (1, canon(1, 0, 0, 1)) not in rep_set:
             raise FamilyConditionViolated("identity coset missing from the family")
         for g in pair.r_generators:
-            _, gi = g.integralize()
             for s, t in self.reps:
-                if (s, canon(*_mul(gi, t))) not in rep_set:
+                if (s, canon(*mat_mul_int(g, t))) not in rep_set:
                     raise FamilyConditionViolated(
-                        f"family is not left R-stable at generator {g}"
+                        f"family is not left R-stable at generator {mat_str(g)}"
                     )
-                if (s, canon(*_mul(t, gi))) not in rep_set:
+                if (s, canon(*mat_mul_int(t, g))) not in rep_set:
                     raise FamilyConditionViolated(
-                        f"family is not right R-stable at generator {g}"
+                        f"family is not right R-stable at generator {mat_str(g)}"
                     )
 
 
@@ -125,9 +120,9 @@ class EnvelopeLattice:
             raise FamilyConditionViolated("envelope does not contain M")
         # finite index over M is automatic for two full-rank lattices
         for g in pair.r_generators:
-            if transform_lattice(g, self.lattice) != self.lattice:
+            if transform_lattice((1, g), self.lattice) != self.lattice:
                 raise FamilyConditionViolated(
-                    f"envelope is not stable under the R generator {g}"
+                    f"envelope is not stable under the R generator {mat_str(g)}"
                 )
         for t in family.reps:
             if not self.lattice.contains_lattice(
@@ -146,7 +141,6 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
     canon = pair._canon_q_ints
     reps = {(1, canon(1, 0, 0, 1))}
     # each left R-orbit of cosets is finite, so the generators alone reach it
-    gens = [g.integralize()[1] for g in pair.r_generators]
     for q in seed_qs:
         if not pair.in_q(q):
             raise FamilyConditionViolated(f"seed {q} is not in Q")
@@ -158,9 +152,9 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
         frontier = [start]
         while frontier:
             s, t = frontier.pop()
-            for g in gens:
+            for g in pair.r_generators:
                 # g is unimodular, so s stays the least denominator
-                img = (s, canon(*_mul(g, t)))
+                img = (s, canon(*mat_mul_int(g, t)))
                 if img not in reps:
                     if len(reps) >= bound:
                         raise EnumerationBound(
@@ -182,7 +176,7 @@ def make_envelope(family: CosetFamily) -> EnvelopeLattice:
     while True:
         grown = f
         for g in pair.r_generators:
-            grown = lattice_sum(grown, transform_lattice(g, f))
+            grown = lattice_sum(grown, transform_lattice((1, g), f))
         if grown == f:
             break
         f = grown
@@ -518,7 +512,7 @@ def verify_stage_invariants(stage: TowerStage) -> dict:
     results = {
         "r_core_normal_in_r": stage.r_core.is_normal_under(gen_residues),
         "m_core_r_stable": all(
-            transform_lattice(g, stage.m_core) == stage.m_core
+            transform_lattice((1, g), stage.m_core) == stage.m_core
             for g in pair.r_generators
         ),
         "r_core_acts_trivially_on_quotient": all(

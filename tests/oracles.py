@@ -352,3 +352,88 @@ def elementwise_triangle(via, down, direct):
     stage."""
     return all(down.apply(via.apply(x)) == direct.apply(x)
                for x in via.fine.elements())
+
+
+# ---------------------------------------------------------------------------
+# stabilizer identities over Fraction: the membership tests on the parsed
+# (n, q) views that ``stabilizer_identities_report`` used before it ran on
+# integers
+
+
+def _in_m(pair, n):
+    n0, n1 = Fraction(n[0]), Fraction(n[1])
+    if pair.family == "heisenberg":
+        return n0 % 1 == 0 and n1.denominator == 1
+    return n0.denominator == 1 and n1.denominator == 1
+
+
+def _in_r(pair, q):
+    if pair.family == "heisenberg":
+        return isinstance(q, Fraction) and q.denominator == 1
+    return (isinstance(q, Mat2) and pair.in_q(q) and q.is_integral()
+            and abs(q.det()) == 1)
+
+
+def _q_act(pair, q, n):
+    """Action of q on n (conjugation inside G, written additively)."""
+    if pair.family == "heisenberg":
+        return ((n[0] + q * n[1]) % 1, n[1])
+    return q.apply(n)
+
+
+def _in_r_coset_stab(pair, n, r):
+    """r n r^-1 in nM, i.e. r.n - n in M (r must already lie in R)."""
+    if pair.family == "heisenberg":
+        return (r * n[1]).denominator == 1
+    rn = _q_act(pair, r, n)
+    return _in_m(pair, (rn[0] - n[0], rn[1] - n[1]))
+
+
+def _in_r_cap_conj(pair, q, r):
+    """r in R meet qRq^-1."""
+    if not _in_r(pair, r):
+        return False
+    if pair.q_is_abelian:
+        return True
+    return _in_r(pair, q.inv() * r * q)
+
+
+def _conj_in_h(pair, x, h):
+    """h in xHx^-1, i.e. x^-1 h x in H, for x = (v, q) and h = (m, r) given
+    by their Fraction views.  In the planar families
+    x^-1 h x = (q^-1 (m + (r - 1)v), q^-1 r q); in the heisenberg family,
+    with v = (v0, v1) and m = (m0, m1), it is (m0 + r v1 - q m1, m1, r)."""
+    (v0, v1), q = x
+    (m0, m1), r = h
+    if pair.family == "heisenberg":
+        return _in_m(pair, (m0 + r * v1 - q * m1, m1)) and _in_r(pair, r)
+    qinv = q.inv()
+    w = qinv.apply((m0 + (r.a - 1) * v0 + r.b * v1, m1 + r.c * v0 + (r.d - 1) * v1))
+    return _in_m(pair, w) and _in_r(pair, qinv * r * q)
+
+
+def fraction_stab_identity(pair, x, h):
+    """The outputs of the ``stab_identity`` record of (h, x) for h in H,
+    over Fraction: each left side conjugates directly, each right side is
+    the lattice/congruence description with M_q from the Fraction lattice
+    oracles."""
+    q, m, r = x.q, h.n, h.q
+    heis = pair.family == "heisenberg"
+    one = Fraction(0) if heis else Mat2.identity()
+    n = _q_act(pair, -q if heis else q.inv(), x.n)  # x = q.n with this n
+    lhs_n = _conj_in_h(pair, (n, one), (m, r))
+    lhs_q = _conj_in_h(pair, ((0, 0), q), (m, r))
+    lhs_xq = lhs_q and _conj_in_h(pair, (x.n, q), (m, r))
+    rhs_n = _in_m(pair, m) and _in_r(pair, r) and _in_r_coset_stab(pair, n, r)
+    if heis:
+        rhs_q = _in_m(pair, m) and (q * m[1]).denominator == 1 and _in_r(pair, r)
+        rhs_xq = rhs_q and (r * n[1]).denominator == 1
+    else:
+        std = (Fraction(1), Fraction(0), Fraction(1))
+        in_m_cap = fraction_contains(
+            fraction_intersect(std, fraction_transform(q, std)), m)
+        rhs_q = in_m_cap and _in_r_cap_conj(pair, q, r)
+        conj = q.inv() * r * q
+        rhs_xq = in_m_cap and _in_r(pair, conj) and _in_r_coset_stab(pair, n, conj)
+    return {"h_in_H_n": [lhs_n, rhs_n], "h_in_H_q": [lhs_q, rhs_q],
+            "h_in_H_x_and_H_q": [lhs_xq, rhs_xq]}

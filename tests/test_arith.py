@@ -341,14 +341,14 @@ def test_quad_norm_multiplicative():
 
 def test_residue_ring_matrix_ops():
     ring = ResidueRing(5)
-    m = ring.reduce_mat(Mat2.of(1, 2, 3, 4))
+    m = ring.reduce_mat((1, 2, 3, 4))
     inv = ring.mat_inv(m)
     assert ring.mat_mul(m, inv) == ring.identity_mat()
 
 
 def test_residue_ring_closure():
     ring = ResidueRing(3)
-    gens = [ring.reduce_mat(Mat2.of(1, 1, 0, 1)), ring.reduce_mat(Mat2.of(1, 0, 1, 1))]
+    gens = [ring.reduce_mat((1, 1, 0, 1)), ring.reduce_mat((1, 0, 1, 1))]
     group = ring.close_under_mul(gens)
     assert len(group) == 24  # SL(2, Z/3)
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,82 @@ def test_report_bytes_deterministic(capsys, tmp_path):
     assert main(["pair", "verify", "--seed", "7", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the stdout of `pair verify --config <name>.json --seed <seed>
+# --samples 20`, run from the directory holding the config (its relative
+# path is part of the report header)
+PAIR_VERIFY_DIGESTS = {
+    ("gl2_p2", 0): "d9f27eb6fea7b76e31da9172b31f2f70ceb90235ea5d09dfc52560815c458c28",
+    ("gl2_p2", 1): "8e11ba64515661450e51377a0b44e23914e3d5bd92b5ce4f30dafbce3f7fe0f5",
+    ("gl2_p3", 0): "e54f79f7faf1ad4ef07bbd3effda8674a82c4162a6217fb6d15b2ac28d5ee7fb",
+    ("gl2_p3", 1): "e9f62a2e4d6d222fa588025008136d1eedbbcd2843c24912251c455dd1bd73fb",
+    ("gl2_Q", 0): "6b00c5d056aa6deb800f01cb7af8cff4b3c613dedd407468d289528b611ff91b",
+    ("gl2_Q", 1): "b97ea7062d1cf4d39b4e96747e27c7357a3439a1c036b6a5fed9af6e4d315d74",
+    ("quad_d2", 0): "b3778e1bf03e77a248dc9122bf052ab3b485e26daf9706092fe70bf6f7e18efd",
+    ("quad_d2", 1): "cd8b62cefbeb2040746a9a5e987930d5fc8507d207def59b7d2ccbdf7fb4c574",
+    ("heis", 0): "6388c3303a1ca16ccc3d9d50ae7eef7d335caf6fd57b3a7e9dc0790548a66f91",
+    ("heis", 1): "68085c2c291519c803348891c3bd4514baf7997cfd9b0afdaae46c132e2f9c1f",
+}
+PAIR_CONFIGS = {
+    "gl2_p2": {"family": "planar", "base_ring": "Z[1/p]", "p": 2, "Q_kind": "full_gl2"},
+    "gl2_p3": {"family": "planar", "base_ring": "Z[1/p]", "p": 3, "Q_kind": "full_gl2"},
+    "gl2_Q": {"family": "planar", "base_ring": "Q", "Q_kind": "full_gl2"},
+    "quad_d2": {"family": "planar", "Q_kind": "quad_torus", "d": 2},
+    "heis": {"family": "heisenberg"},
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PAIR_VERIFY_DIGESTS))
+def test_pair_verify_report_bytes_pinned(capsys, tmp_path, monkeypatch, name, seed):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(PAIR_CONFIGS[name]))
+    extra = ["--conductor-max", "20"] if name == "gl2_p3" else []
+    code, out, _ = run(capsys, "pair", "verify", "--config", f"{name}.json",
+                       "--seed", str(seed), "--samples", "20", *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PAIR_VERIFY_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "build", "--seed", "[[1,x],[0,1]]"],
+    ["tower", "build", "--seed", "[[3,0],[0,1]]"],
+    ["gl2", "decompose", "--matrix", "[[1,1/0],[0,1]]"],
+    ["dcoset", "--element", "[[3,0],[0,1]]"],
+    ["dcoset", "--element", "(1/0,0)"],
+    ["hecke", "mul", "--f", "{bad_n}", "--g", "{bad_n}"],
+    ["hecke", "mul", "--f", "{bad_coeff}", "--g", "{bad_coeff}"],
+    ["hecke", "mul", "--f", "{outside}", "--g", "{outside}"],
+], ids=["seed-text", "seed-outside-q", "matrix-zero-den", "element-outside-g",
+        "vector-zero-den", "element-file-n", "element-file-coeff",
+        "element-file-outside-g"])
+def test_bad_cli_input_exits_2(capsys, tmp_path, argv):
+    # over the default Z[1/2]: det 3 is not a unit, so [[3,0],[0,1]] is
+    # outside G; bad input is a usage error, never a traceback
+    terms = {
+        "bad_n": ({"n": ["1/0", "0"], "q": [["2", "0"], ["0", "1"]]}, "1"),
+        "bad_coeff": ({"n": ["0", "0"], "q": [["2", "0"], ["0", "1"]]}, "x"),
+        "outside": ({"n": ["0", "0"], "q": [["3", "0"], ["0", "1"]]}, "1"),
+    }
+    paths = {}
+    for key, (rep, coeff) in terms.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        Path(paths[key]).write_text(json.dumps({"terms": [{"rep": rep, "coeff": coeff}]}))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_gl2_decompose_failure_reports_the_parsed_matrix(capsys):
+    # the fail record names the matrix as parsed, like the pass record
+    code, out, _ = run(capsys, "gl2", "decompose", "--p", "2",
+                       "--matrix", "[[6/2, 0], [0, 1]]")
+    assert code == 1
+    record = json.loads(out.splitlines()[1])
+    assert record["verdict"] == "fail"
+    assert record["inputs"] == {"matrix": "[[3,0],[0,1]]", "p": 2}
 
 
 @pytest.mark.parametrize("key, value", [

@@ -165,7 +165,7 @@ def test_key_merges_equivalent_diagonals(gl2):
     assert double_coset(x).key == double_coset(y).key
     # explicit witness: permutation matrices lie in R
     w = Mat2.of(0, 1, 1, 0)
-    assert gl2.in_r(w)
+    assert gl2.in_h(gl2.element((0, 0), w))
     assert w * Mat2.diag(2, 1) * w == Mat2.diag(1, 2)
 
 

@@ -388,11 +388,54 @@ def test_stab_identities_heisenberg(heis):
     assert rep["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("name", ["gl2_z12", "heis"])
+def test_stab_identities_build_no_fractions(name, request, monkeypatch):
+    # the identities are decided on the integer group law and integer
+    # congruences: not one Fraction is built on the samples of pair verify
+    from heckepairs.cli import _default_samples, _random_h_elements
+
+    pair = request.getfixturevalue(name)
+    qs, ns, _ = _default_samples(pair)
+    one = F(0) if pair.family == "heisenberg" else Mat2.identity()
+    xs = [pair.element((0, 0), q) for q in qs[:2]] + [pair.element(n, one) for n in ns[:2]]
+    hs = _random_h_elements(pair, random.Random(0), 8)
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    rep = stabilizer_identities_report(pair, xs, hs)
+    monkeypatch.undo()
+    assert rep["verdict"] == "pass"
+    assert built == 0
+
+
+def test_stab_identities_fail_without_r_q_conditions(gl2_z12, monkeypatch):
+    # q^-1 r q = (1, 1/2; 0, 1) for q = diag(2, 1) and the shear r, so h is
+    # not in H_q; with no R_q congruences the right side would say it is,
+    # so the right side is not the left side in disguise
+    from heckepairs import grouppair
+
+    x = gl2_z12.element((0, 0), Mat2.diag(2, 1))
+    h = gl2_z12.element((0, 0), Mat2.of(1, 1, 0, 1))
+    rec = stabilizer_identities_report(gl2_z12, [x], [h])["checks"][0]
+    assert rec["outputs"]["h_in_H_q"] == [False, False]
+    monkeypatch.setattr(grouppair, "_r_q_conditions", lambda *args: [])
+    rep = stabilizer_identities_report(gl2_z12, [x], [h])
+    assert rep["checks"][0]["outputs"]["h_in_H_q"] == [False, True]
+    assert rep["verdict"] == "fail"
+    assert any(c["verdict"] == "fail" for c in rep["checks"])
+
+
 def test_residue_subgroup_not_normal_under_r(gl2_z12):
     # the stabilizer of (1, 0) mod 2 inside the mod-2 image of R
     image = slpm_elements_mod(2)
     stab = ResidueSubgroup(2, frozenset(r for r in image if (r[0], r[2]) == (1, 0)))
-    gens = [tuple(int(e) % 2 for e in g.entries()) for g in gl2_z12.r_generators]
+    gens = [tuple(e % 2 for e in g) for g in gl2_z12.r_generators]
     assert len(stab) == 2
     assert stab.is_normal_under(gens) is False  # stabilizer of a point
     assert ResidueSubgroup(2, frozenset(image)).is_normal_under(gens) is True
@@ -498,7 +541,7 @@ def test_config_accepts_only_the_default_m_and_r(gl2_z12, heis):
 def test_conjugation_consistency_r_normalizes_m(gl2_q, quad2):
     for pair in (gl2_q, quad2):
         for g in pair.r_generators:
-            assert m_cap_conj(pair, g) == pair.m_lattice
+            assert m_cap_conj(pair, (1, g)) == pair.m_lattice
 
 
 def test_n_meet_conjugate_of_h_is_transformed_lattice(gl2_z12):
@@ -513,7 +556,7 @@ def test_n_meet_conjugate_of_h_is_transformed_lattice(gl2_z12):
         (Mat2.diag(F(1, 2), 1), (F(3, 4), F(1, 2))),
     ]
     for q, n in cases:
-        x = pair.element(pair.q_act(q, n), q)
+        x = pair.element(q.apply(n), q)
         qm = transform_lattice(q, pair.m_lattice)
         xi = pair.inv(x)
         for i in range(-8, 9):

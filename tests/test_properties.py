@@ -1,5 +1,6 @@
 """Property tests for the integer group law, the canonical cosets, the
-left cosets of a double coset and the integer lattice layer.
+left cosets of a double coset, the stabilizer identities and the integer
+lattice layer.
 
 The oracles recompute products, inverses and membership in H with plain
 ``Fraction`` arithmetic from the ``.n``/``.q`` views of the elements, and
@@ -26,13 +27,17 @@ from heckepairs.arith import (  # noqa: E402
 )
 from heckepairs.cosets import double_coset, forget_double_cosets, l_of  # noqa: E402
 from heckepairs.errors import EnumerationBound  # noqa: E402
-from heckepairs.grouppair import PairDescriptor  # noqa: E402
+from heckepairs.grouppair import (  # noqa: E402
+    PairDescriptor,
+    stabilizer_identities_report,
+)
 
 from oracles import (  # noqa: E402
     bfs_left_cosets,
     fraction_contains,
     fraction_index,
     fraction_intersect,
+    fraction_stab_identity,
     fraction_sum,
     fraction_transform,
     fraction_triple,
@@ -240,7 +245,9 @@ def test_left_cosets_match_bfs_oracle(name, data):
 def test_left_cosets_match_bfs_oracle_mixed(name):
     x = MIXED[name]
     pair = x.pair
-    assert not pair.in_m(x.n) and not pair.in_r(x.q)
+    one = F(0) if pair is HEIS else Mat2.identity()
+    assert not pair.in_h(pair.element(x.n, one))  # n outside M
+    assert not pair.in_h(pair.element((0, 0), x.q))  # q outside R
     assert check_left_cosets_against_bfs(x)
 
 
@@ -269,3 +276,86 @@ def test_lattice_ops_match_fraction_oracle(m1, m2, q, v, u):
     assert l1.contains(v) == fraction_contains(t1, v)
     w = m1.apply(u)  # a point of l1
     assert l1.contains(w) and fraction_contains(t1, w)
+
+
+# ---------------------------------------------------------------------------
+# stabilizer identities against their Fraction form
+
+IDENTITIES = ("h_in_H_n", "h_in_H_q", "h_in_H_x_and_H_q")
+
+
+def check_stab_report_against_oracle(pair, x, hs):
+    """Every record of ``stabilizer_identities_report`` on [x] and hs
+    against the Fraction oracle; returns the (identity, value) pairs seen."""
+    rep = stabilizer_identities_report(pair, [x], hs)
+    inside = [h for h in hs if pair.in_h(h)]
+    outside = [h for h in hs if not pair.in_h(h)]
+    by_name = {}
+    for c in rep["checks"]:
+        by_name.setdefault(c["name"], []).append(c)
+    assert [c["inputs"] for c in by_name.get("stab_sample", [])] == \
+        [{"h": str(h)} for h in outside]
+    seen = set()
+    idents = by_name.get("stab_identity", [])
+    assert len(idents) == len(inside)
+    for h, rec in zip(inside, idents):
+        assert rec["inputs"] == {"h": str(h), "x": str(x)}
+        expected = fraction_stab_identity(pair, x, h)
+        assert rec["outputs"] == expected
+        seen.update((k, v[0]) for k, v in expected.items())
+    # with one x, the intersection over the samples is its H_x meet H_q
+    xq = {rec["inputs"]["h"]: rec["outputs"]["h_in_H_x_and_H_q"] for rec in idents}
+    for rec in by_name.get("stab_intersection", []):
+        assert rec["outputs"]["membership"] == xq[rec["inputs"]["h"]]
+    assert rep["verdict"] == ("fail" if outside else "pass")
+    return seen
+
+
+@st.composite
+def stab_x_samples(draw, name):
+    # a pure q, a pure n or a mixed element
+    pair = PAIRS[name]
+    x = draw(ELEMENTS[name])
+    one = F(0) if pair is HEIS else Mat2.identity()
+    return draw(st.sampled_from([pair.element((0, 0), x.q), pair.element(x.n, one), x]))
+
+
+@st.composite
+def h_words(draw, pair):
+    h = pair.identity()
+    for g in draw(st.lists(st.sampled_from(pair.h_generators()), max_size=6)):
+        h = pair.mul(h, g)
+    return h
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_stab_identities_match_fraction_oracle(name, data):
+    pair = PAIRS[name]
+    x = data.draw(stab_x_samples(name))
+    hs = data.draw(st.lists(h_words(pair), min_size=1, max_size=6))
+    hs += data.draw(st.lists(ELEMENTS[name], max_size=2))  # mostly outside H
+    check_stab_report_against_oracle(pair, x, hs)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_stab_identities_take_both_values(name):
+    import random
+
+    pair = PAIRS[name]
+    x = MIXED[name]
+    one = F(0) if pair is HEIS else Mat2.identity()
+    xs = [pair.element((0, 0), x.q), pair.element(x.n, one), x]
+    rng = random.Random(11)
+    gens = pair.h_generators()
+    hs = [pair.identity()]
+    for _ in range(24):
+        h = pair.identity()
+        for _ in range(rng.randint(1, 6)):
+            h = pair.mul(h, rng.choice(gens))
+        hs.append(h)
+    seen = set()
+    for y in xs:
+        seen |= check_stab_report_against_oracle(pair, y, hs)
+    assert seen == {(k, v) for k in IDENTITIES for v in (True, False)}
