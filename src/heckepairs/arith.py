@@ -470,6 +470,21 @@ class ResidueRing:
         return seen
 
 
+def closure(start, images, bound: int | None = None) -> set | None:
+    """The points reached from start by repeatedly taking ``images`` (a
+    point -> an iterable of points), start included; None as soon as more
+    than ``bound`` points would be reached."""
+    seen, todo = {start}, [start]
+    for x in todo:
+        for y in images(x):
+            if y not in seen:
+                if bound is not None and len(seen) >= bound:
+                    return None
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
 def satisfies(residue, conditions) -> bool:
     """Whether a residue matrix (r0, r1, r2, r3) meets every linear
     congruence (n, c0, c1, c2, c3, e): c0 r0 + c1 r1 + c2 r2 + c3 r3 = e mod n."""

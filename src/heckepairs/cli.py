@@ -337,7 +337,7 @@ def cmd_dcoset(cfg: RunConfig, element_text: str) -> Report:
         dc = double_coset(x, cfg.coset_enum_max)
         l_inverse = l_of(pair.inv(x), cfg.coset_enum_max)
         report.add("dcoset", law, inputs, {
-            "left_reps": [str(y) for y in dc.left_reps],
+            "left_reps": list(dc.left_strs),
             "L": dc.degree,
             "L_inverse": l_inverse,
             "delta": rat_to_str(Fraction(dc.degree, l_inverse)),
@@ -391,10 +391,10 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
     seeds = []
     if seed_text:
         seeds = [parse_matrix(part) for part in seed_text.split(";") if part]
+    _require(pair.family == PLANAR, "tower stages are represented with planar "
+             f"lattices; family {pair.family!r} is not supported here")
     for q in seeds:
-        # other families are refused at stage 0, with exit 1
-        _require(pair.family != PLANAR or pair.in_q(q),
-                 f"seed {q} is not in Q for {pair!r}")
+        _require(pair.in_q(q), f"seed {q} is not in Q for {pair!r}")
     prefixes = [seeds[:i] for i in range(len(seeds) + 1)]
     if stages is not None:
         prefixes = prefixes[: stages + 1]

@@ -9,8 +9,14 @@ of each class in the R-orbit of MxH, and L(x) = [M : M meet qM] times the
 length of that orbit.  The orbit is walked on the keys of
 ``PairDescriptor.canon_class``, each left coset is put once in the
 canonical form of ``PairDescriptor.canon_coset``, and ``l_of`` counts
-without enumerating a left coset.  Coefficients are exact rationals
-throughout.
+without enumerating a left coset.
+
+Products use the structure constants of the algebra: HaH.HbH is the union
+of the H a b_j H over the left reps b_j of HbH, and (1_HaH * 1_HbH)(z)
+counts the left reps y_i of HaH with y_i^-1 z in HbH.  Each product is
+certified by the degree character, sum c(out) L(out) = L(a) L(b), and by
+a second evaluation of each output of degree > 1.  Coefficients are exact
+rationals throughout.
 """
 
 from __future__ import annotations
@@ -25,11 +31,15 @@ from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box
 
 @dataclass(frozen=True)
 class DoubleCoset:
-    """A double coset HxH: canonical representative, left-coset reps, key."""
+    """A double coset HxH: canonical rep, left-coset reps, their printed forms."""
 
     rep: GElem
     left_reps: tuple[GElem, ...]
-    key: str
+    left_strs: tuple[str, ...]
+
+    @property
+    def key(self) -> str:
+        return self.left_strs[0]
 
     @property
     def degree(self) -> int:
@@ -50,10 +60,11 @@ def _too_many(x: GElem, bound: int) -> EnumerationBound:
     )
 
 
-def _memo_lookup(x: GElem, bound: int) -> DoubleCoset | None:
+def _memo_lookup(x: GElem, bound: int,
+                 key: GElem | None = None) -> DoubleCoset | None:
     """The memo's double coset of x, if it holds one, checked against the
-    bound."""
-    dc = x.pair._dcosets.get(x.pair.canon_coset(x))
+    bound; ``key`` is canon_coset(x) when the caller already has it."""
+    dc = x.pair._dcosets.get(x.pair.canon_coset(x) if key is None else key)
     if dc is not None and dc.degree > bound:
         raise _too_many(x, bound)
     return dc
@@ -106,9 +117,9 @@ def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
         raise CertificateFailed(
             f"{len(cosets)} left cosets in H.{x}.H, not [M:M_q] = {a * d} "
             f"times the {len(orbit)} classes of the R-orbit")
-    reps = tuple(sorted(cosets, key=str))
-    rep = reps[0]
-    dc = DoubleCoset(rep, reps, str(rep))
+    # printed forms are unique, so the pairs sort by them alone
+    strs, reps = zip(*sorted(zip(map(str, cosets), cosets)))
+    dc = DoubleCoset(reps[0], reps, strs)
     memo = pair._dcosets
     if len(memo) > DEFAULT_COSET_BOUND:
         memo.clear()
@@ -173,12 +184,8 @@ class HeckeElement:
             raise DescriptorMismatch("mixing Hecke elements of different pairs")
         terms = dict(self.terms)
         for rep, c in other.terms.items():
-            new = terms.get(rep, Fraction(0)) + c
-            if new:
-                terms[rep] = new
-            else:
-                terms.pop(rep, None)
-        return HeckeElement(self.pair, terms)
+            terms[rep] = terms.get(rep, 0) + c
+        return HeckeElement(self.pair, {r: c for r, c in terms.items() if c})
 
     def scale(self, c) -> "HeckeElement":
         c = Fraction(c)
@@ -226,39 +233,49 @@ def parse_gelem_json(pair: PairDescriptor, data: dict) -> GElem:
 
 def convolve(f: HeckeElement, g: HeckeElement,
              bound: int = DEFAULT_COSET_BOUND) -> HeckeElement:
-    """Convolution product f*g.
+    """Convolution product f*g, by the structure constants of the algebra.
 
-    For support double cosets with left reps {y_i} and {b_j}, each product
-    y_i b_j lies in exactly one left coset, and f*g evaluated on a coset is
-    the weighted number of (i, j) pairs landing there.  The value must be
-    constant across the left cosets of each output double coset; that is
-    checked rather than assumed, and ``CertificateFailed`` is raised if not.
+    For support double cosets HaH and HbH with left reps {y_i} and {b_j},
+    L(b) products a b_j find the output double cosets, and L(a) products
+    y_i^-1 z give an output's value at its left coset z.  The degree L is a
+    character of the algebra: ``CertificateFailed`` is raised unless the
+    output values times their degrees sum to L(a) L(b), and each output of
+    degree > 1 takes the same value at a second left coset.
     """
     if f.pair != g.pair:
         raise DescriptorMismatch("mixing Hecke elements of different pairs")
     pair = f.pair
-    counts: dict[GElem, Fraction] = {}
-    for ra, ca in f.terms.items():
-        dca = double_coset(ra, bound)
-        for rb, cb in g.terms.items():
-            dcb = double_coset(rb, bound)
-            w = ca * cb
-            for yi in dca.left_reps:
-                for bj in dcb.left_reps:
-                    c = pair.canon_coset(pair.mul(yi, bj))
-                    counts[c] = counts.get(c, Fraction(0)) + w
-    groups: dict[GElem, tuple[DoubleCoset, list[Fraction]]] = {}
-    for coset, value in counts.items():
-        dc = double_coset(coset, bound)
-        groups.setdefault(dc.rep, (dc, []))[1].append(value)
+    canon, mul = pair.canon_coset, pair.mul
+    # the support is checked against the bound before any output is
+    support = [(double_coset(ra, bound), ca, double_coset(rb, bound), cb)
+               for ra, ca in f.terms.items() for rb, cb in g.terms.items()]
     terms: dict[GElem, Fraction] = {}
-    for rep, (dc, values) in groups.items():
-        if len(values) != dc.degree or len(set(values)) != 1:
+    for dca, ca, dcb, cb in support:
+        a = dca.rep
+        outputs: dict[GElem, DoubleCoset] = {}
+        for bj in dcb.left_reps:
+            c = canon(mul(a, bj))
+            dc = _memo_lookup(c, bound, c) or double_coset(c, bound)
+            outputs.setdefault(dc.rep, dc)
+        y_inv = [pair.inv(y) for y in dca.left_reps]
+        in_b = frozenset(dcb.left_reps)
+
+        def value(z: GElem) -> int:
+            return sum(canon(mul(yi, z)) in in_b for yi in y_inv)
+
+        total = 0
+        for rep, dc in outputs.items():
+            n = value(rep)
+            if dc.degree > 1 and value(dc.left_reps[1]) != n:
+                raise CertificateFailed(
+                    f"convolution value not constant on the double coset of {rep}")
+            total += n * dc.degree
+            terms[rep] = terms.get(rep, 0) + ca * cb * n
+        if total != dca.degree * dcb.degree:
             raise CertificateFailed(
-                f"convolution value not constant on the double coset of {rep}")
-        if values[0]:
-            terms[rep] = values[0]
-    return HeckeElement(pair, terms)
+                f"degree certificate of H.{a}.H * H.{dcb.rep}.H: values "
+                f"times degrees sum to {total}, not {dca.degree * dcb.degree}")
+    return HeckeElement(pair, {rep: c for rep, c in terms.items() if c})
 
 
 def involution(f: HeckeElement,
@@ -271,9 +288,5 @@ def involution(f: HeckeElement,
         dc = double_coset(rep, bound)
         dci = double_coset(pair.inv(rep), bound)
         weight = Fraction(dc.degree, dci.degree)  # delta(rep)
-        new = terms.get(dci.rep, Fraction(0)) + c * weight
-        if new:
-            terms[dci.rep] = new
-        else:
-            terms.pop(dci.rep, None)
-    return HeckeElement(pair, terms)
+        terms[dci.rep] = terms.get(dci.rep, 0) + c * weight
+    return HeckeElement(pair, {r: c for r, c in terms.items() if c})

@@ -30,6 +30,7 @@ from .arith import (
     Mat2,
     ResidueRing,
     check_discriminant,
+    closure,
     hnf_int,
     hnf_sum,
     in_z_inv_p,
@@ -582,19 +583,11 @@ def index_r_cap_conj(pair: PairDescriptor, q,
         raise NotInQ(f"{q} is not in Q")
     if pair.q_is_abelian:
         return 1
-    start = Lattice.from_basis(q)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for g in pair.r_generators:
-            img = transform_lattice((1, g), cur)
-            if img not in seen:
-                if len(seen) >= bound:
-                    raise EnumerationBound(f"orbit of {q} exceeded {bound}")
-                seen.add(img)
-                frontier.append(img)
-    return len(seen)
+    orbit = closure(Lattice.from_basis(q), lambda lat: (
+        transform_lattice((1, g), lat) for g in pair.r_generators), bound)
+    if orbit is None:
+        raise EnumerationBound(f"orbit of {q} exceeded {bound}")
+    return len(orbit)
 
 
 def _r_q_conditions(a: int, b: int, c: int, d: int) -> list:
@@ -651,16 +644,7 @@ def index_r_coset_stab(pair: PairDescriptor, n) -> int:
     v = (x0 * (s // s0) % s, x1 * (s // s1) % s)
     gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            w = ring.vec_apply(g, cur)
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return len(orbit)
+    return len(closure(v, lambda u: (ring.vec_apply(g, u) for g in gens)))
 
 
 # ---------------------------------------------------------------------------

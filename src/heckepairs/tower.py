@@ -21,6 +21,7 @@ from math import gcd, lcm
 from .arith import (
     Lattice,
     ResidueRing,
+    closure,
     lattice_index,
     lattice_intersect,
     lattice_sum,
@@ -148,20 +149,14 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
         start = (s, canon(*ints))
         if start in reps:
             continue
-        reps.add(start)
-        frontier = [start]
-        while frontier:
-            s, t = frontier.pop()
-            for g in pair.r_generators:
-                # g is unimodular, so s stays the least denominator
-                img = (s, canon(*mat_mul_int(g, t)))
-                if img not in reps:
-                    if len(reps) >= bound:
-                        raise EnumerationBound(
-                            f"coset family exceeded {bound} cosets"
-                        )
-                    reps.add(img)
-                    frontier.append(img)
+        # reps is a union of left R-orbits, which the new one does not meet;
+        # g is unimodular, so s stays the least denominator
+        orbit = closure(start, lambda st: (
+            (st[0], canon(*mat_mul_int(g, st[1]))) for g in pair.r_generators),
+            bound - len(reps))
+        if orbit is None:
+            raise EnumerationBound(f"coset family exceeded {bound} cosets")
+        reps |= orbit
     return CosetFamily(pair, tuple(sorted(reps)))
 
 
@@ -292,13 +287,12 @@ class TowerStage:
 
         ring = ResidueRing(self.level)
         self._ring = ring
-        core = sorted(r_core.elements)
         self.coset_key_of: dict = {}
-        for r in sorted(image):
+        for r in image:
             if r in self.coset_key_of:
                 continue
-            members = sorted(ring.mat_mul(r, s) for s in core)
-            key = members[0]
+            members = [ring.mat_mul(r, s) for s in r_core.elements]
+            key = min(members)
             for mr in members:
                 self.coset_key_of[mr] = key
         self._sorted_rkeys = tuple(sorted(set(self.coset_key_of.values())))
@@ -319,17 +313,9 @@ class TowerStage:
         return (v[0] - k * a, (v[1] - k * c) % d)
 
     def _enumerate_m_quotient(self):
-        seen = {(0, 0)}
-        frontier = [(0, 0)]
         steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        while frontier:
-            cur = frontier.pop()
-            for v in steps:
-                nxt = self._reduce((cur[0] + v[0], cur[1] + v[1]))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(seen))
+        return tuple(sorted(closure((0, 0), lambda m: (
+            self._reduce((m[0] + a, m[1] + b)) for a, b in steps))))
 
     # -- group structure ----------------------------------------------------
 

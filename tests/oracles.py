@@ -4,7 +4,9 @@ Everything here avoids the code paths under test beyond the group law and
 the coset key ``canon_coset``: points are enumerated from raw generators,
 left cosets by a search over the generators of H, finite matrix groups
 are built by exhaustive scans, and group indices are recovered by direct
-counting.
+counting.  ``all_pairs_convolve`` reads the double cosets of
+``double_coset`` but forms every product of their left representatives;
+``fixed_point_product`` uses none of the package beyond the R generators.
 """
 
 import functools
@@ -12,6 +14,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from heckepairs.arith import Lattice, Mat2
+from heckepairs.cosets import HeckeElement, double_coset
 
 
 def rectangular(x, y) -> Lattice:
@@ -223,6 +226,84 @@ def bfs_left_cosets(x, bound=100000):
                 seen.add(z)
                 frontier.append(z)
     return seen
+
+
+def all_pairs_convolve(f, g, bound=100000):
+    """Convolution product f*g over every product of left representatives.
+
+    For support double cosets with left reps {y_i} and {b_j}, each product
+    y_i b_j lies in exactly one left coset, and f*g on a coset is the
+    weighted number of (i, j) landing there.  The value must be constant on
+    the left cosets of each output double coset, which is asserted."""
+    pair = f.pair
+    counts = {}
+    for ra, ca in f.terms.items():
+        dca = double_coset(ra, bound)
+        for rb, cb in g.terms.items():
+            dcb = double_coset(rb, bound)
+            for yi in dca.left_reps:
+                for bj in dcb.left_reps:
+                    c = pair.canon_coset(pair.mul(yi, bj))
+                    counts[c] = counts.get(c, 0) + ca * cb
+    groups = {}
+    for coset, value in counts.items():
+        dc = double_coset(coset, bound)
+        groups.setdefault(dc.rep, (dc, []))[1].append(value)
+    terms = {}
+    for rep, (dc, values) in groups.items():
+        assert len(values) == dc.degree and len(set(values)) == 1, rep
+        if values[0]:
+            terms[rep] = values[0]
+    return HeckeElement(pair, terms)
+
+
+def r_orbit_mod(pair, v, D):
+    """The R-orbit of v in (Z/D)^2 = (1/D)Z^2 / Z^2, with R acting through
+    its integer generators: the matrices themselves in the planar families,
+    and (1, r; 0, 1) on heisenberg's Q/Z x Q/Z."""
+    if pair.family == "heisenberg":
+        gens = [(1, r, 0, 1) for r in pair.r_generators]
+    else:
+        gens = list(pair.r_generators)
+    seen, todo = {v}, [v]
+    while todo:
+        x, y = todo.pop()
+        for a, b, c, d in gens:
+            w = ((a * x + b * y) % D, (c * x + d * y) % D)
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def fixed_point_product(pair, f, g, D):
+    """The product of sum c [HnH] over the terms (n, c) of f and of g in the
+    fixed-point algebra C[N/M]^R, where [HnH] is the R-orbit sum of n + M.
+
+    Every n lies in (1/D)Z^2; the sums run in (Z/D)^2 with ``r_orbit_mod``.
+    Returns {min of the orbit: (coefficient, orbit length)} over the
+    orbits with a nonzero coefficient."""
+    def orbit_sum(terms):
+        out = {}
+        for n, coeff in terms:
+            start = tuple(int(Fraction(x) * D) % D for x in n)
+            for v in r_orbit_mod(pair, start, D):
+                out[v] = out.get(v, 0) + Fraction(coeff)
+        return out
+
+    prod = {}
+    for (x0, x1), cx in orbit_sum(f).items():
+        for (y0, y1), cy in orbit_sum(g).items():
+            w = ((x0 + y0) % D, (x1 + y1) % D)
+            prod[w] = prod.get(w, 0) + cx * cy
+    out = {}
+    for w, coeff in prod.items():
+        if w in out or not coeff:
+            continue
+        o = r_orbit_mod(pair, w, D)
+        assert all(prod.get(v, 0) == coeff for v in o), w
+        out[min(o)] = (coeff, len(o))
+    return out
 
 
 def slpm_elements_mod(s):

@@ -15,6 +15,8 @@ from heckepairs.cosets import double_coset
 from heckepairs.errors import CertificateFailed
 from heckepairs.grouppair import PairDescriptor
 
+from test_cosets import corrupt_evaluation
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -249,11 +251,11 @@ def test_hecke_mul_self(capsys, tmp_path):
 def test_hecke_mul_certificate_failure_is_a_fail_record(capsys, tmp_path,
                                                         monkeypatch):
     pair = PairDescriptor.planar_gl2(p=2)
-    x = pair.element((0, 0), Mat2.diag(2, 1))
-    y0 = double_coset(x).left_reps[0]
-    mul = pair.mul
-    # one wrong product breaks the constancy certificate of f*f
-    pair.mul = lambda a, b: pair.identity() if (a, b) == (y0, y0) else mul(a, b)
+    dc = double_coset(pair.element((0, 0), Mat2.diag(2, 1)))
+    # one wrong product y_i^-1 z, at the left coset z where the output
+    # H.diag(1,4).H of f*f is evaluated, breaks the spot check of f*f
+    z = double_coset(pair.element((0, 0), Mat2.diag(1, 4))).rep
+    corrupt_evaluation(pair, dc, dc, z)
     monkeypatch.setattr(cli, "load_pair", lambda path: (pair, "test pair"))
     f = {"terms": [{"rep": {"n": ["0", "0"], "q": [["2", "0"], ["0", "1"]]},
                     "coeff": "1"}]}
@@ -333,10 +335,17 @@ def test_tower_build_under_python_O_matches(capsys, tmp_path):
     ["pair", "verify"],
     ["gl2", "decompose", "--p", "2", "--matrix", "[[1,1/2],[0,1]]"],
     ["dcoset", "--element", "[[16,0],[0,1]]"],
-], ids=["pair-verify", "gl2-decompose", "dcoset"])
+    ["hecke", "mul", "--f", "{f}", "--g", "{f}"],
+], ids=["pair-verify", "gl2-decompose", "dcoset", "hecke-mul"])
 def test_certificates_under_python_O_match(capsys, tmp_path, argv):
-    # index, lattice, splitting and left-coset count certificates are
-    # explicit checks too
+    # index, lattice, splitting, left-coset count and convolution
+    # certificates are explicit checks too
+    f = {"terms": [
+        {"rep": {"n": ["0", "0"], "q": [["2", "0"], ["0", "1"]]}, "coeff": "3/2"},
+        {"rep": {"n": ["1/2", "0"], "q": [["1", "0"], ["0", "1"]]}, "coeff": "-2"}]}
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(f))
+    argv = [a.format(f=fp) for a in argv]
     assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
 
 
@@ -368,9 +377,11 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
 def test_tower_rejects_heisenberg_config(capsys, tmp_path):
     cfg = tmp_path / "heis.json"
     cfg.write_text(json.dumps({"family": "heisenberg"}))
-    code, _, err = run(capsys, "tower", "build", "--config", str(cfg),
-                       "--seed", "[[2,0],[0,1]]")
-    assert code == 1
+    for seed in (["--seed", "[[2,0],[0,1]]"], []):
+        code, out, err = run(capsys, "tower", "build", "--config", str(cfg), *seed)
+        # a pair outside the planar model is a configuration error
+        assert code == 2 and out == ""
+        assert "family 'heisenberg' is not supported" in err
 
 
 def test_gl2_decompose_examples(capsys):

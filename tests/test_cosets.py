@@ -388,27 +388,57 @@ def test_dcoset_inverse_side_bound_names_the_inverse(capsys):
 
 
 def test_convolve_canon_calls_bounded():
-    # T4 * T4 for T4 = 1 on H.diag(4,1).H canonicalizes 24 * 24 products; the
-    # memo keeps the product cosets from each re-running a BFS, which made
-    # over 1.5 million canon_coset calls
+    # T4 * T4 for T4 = 1 on H.diag(4,1).H: the 24 products diag(4,1).b_j find
+    # the outputs, and 24 products y_i^-1 z evaluate each one, twice when its
+    # degree is above 1; forming all 24 * 24 products y_i b_j would make
+    # about 1,600 canon_coset calls
     pair = PairDescriptor.planar_gl2(p=2)
     calls = count_canon_calls(pair)
     t4 = HeckeElement.char_fn(pair.element((0, 0), Mat2.diag(4, 1)))
     convolve(t4, t4)
-    assert len(calls) <= 10_000
+    assert len(calls) <= 800
+
+
+def corrupt_evaluation(pair, dca, dcb, z):
+    """Patch pair.mul so that one product y_i^-1 z that lies in HbH, for a
+    left rep y_i of HaH, lands in H instead: the value of 1_HaH * 1_HbH at
+    the left coset z drops by one, and no other value changes."""
+    in_b = set(dcb.left_reps)
+    yinv = next(w for w in map(pair.inv, dca.left_reps)
+                if pair.canon_coset(pair.mul(w, z)) in in_b)
+    mul = pair.mul
+    pair.mul = lambda a, b: pair.identity() if (a, b) == (yinv, z) else mul(a, b)
 
 
 def test_convolve_certificate_catches_a_wrong_product():
+    # T2 * T2 has an output H.diag(1,4).H of degree 24; one wrong product
+    # at the left coset where it is evaluated first breaks the spot check
+    # at its second left coset
     pair = PairDescriptor.planar_gl2(p=2)
     x = pair.element((0, 0), Mat2.diag(2, 1))
     f = HeckeElement.char_fn(x)
-    y0 = double_coset(x).left_reps[0]
-    mul = pair.mul
-    # send the single product y0 * y0 to H: every other left coset of its
-    # double coset keeps the right value, so f*f is no longer constant there
-    pair.mul = lambda a, b: pair.identity() if (a, b) == (y0, y0) else mul(a, b)
-    with pytest.raises(CertificateFailed):
+    dc = double_coset(x)
+    out = double_coset(pair.element((0, 0), Mat2.diag(1, 4)))
+    assert out.rep in convolve(f, f).terms and out.degree == 24
+    corrupt_evaluation(pair, dc, dc, out.rep)
+    with pytest.raises(CertificateFailed, match="not constant"):
         convolve(f, f)
+
+
+def test_convolve_degree_certificate_catches_a_wrong_product():
+    # T2 * T2^-1 has the output H of degree 1, which the spot check never
+    # sees a second time; a wrong product at H leaves only the degree
+    # certificate to catch it
+    pair = PairDescriptor.planar_gl2(p=2)
+    x = pair.element((0, 0), Mat2.diag(2, 1))
+    f = HeckeElement.char_fn(x)
+    g = HeckeElement.char_fn(pair.inv(x))
+    one = pair.identity()
+    assert convolve(f, g).terms[one] == 6
+    assert double_coset(one).degree == 1
+    corrupt_evaluation(pair, double_coset(x), double_coset(pair.inv(x)), one)
+    with pytest.raises(CertificateFailed, match="degree certificate"):
+        convolve(f, g)
 
 
 def test_hecke_element_json_round_trip(gl2):

@@ -7,6 +7,9 @@ The oracles recompute products, inverses and membership in H with plain
 lattice sums, meets, images, indices and membership from Fraction bases,
 so they share no code with the integer kernels under test.  The left
 cosets inside HxH are checked against a search over the generators of H.
+Convolution is checked against the product over all pairs of left
+representatives, and on the degree-0 elements [HnH] against orbit sums in
+the fixed-point algebra C[N/M]^R.
 """
 
 from fractions import Fraction as F
@@ -25,7 +28,13 @@ from heckepairs.arith import (  # noqa: E402
     lattice_sum,
     transform_lattice,
 )
-from heckepairs.cosets import double_coset, forget_double_cosets, l_of  # noqa: E402
+from heckepairs.cosets import (  # noqa: E402
+    HeckeElement,
+    convolve,
+    double_coset,
+    forget_double_cosets,
+    l_of,
+)
 from heckepairs.errors import EnumerationBound  # noqa: E402
 from heckepairs.grouppair import (  # noqa: E402
     PairDescriptor,
@@ -33,6 +42,7 @@ from heckepairs.grouppair import (  # noqa: E402
 )
 
 from oracles import (  # noqa: E402
+    all_pairs_convolve,
     bfs_left_cosets,
     fraction_contains,
     fraction_index,
@@ -41,7 +51,9 @@ from oracles import (  # noqa: E402
     fraction_sum,
     fraction_transform,
     fraction_triple,
+    fixed_point_product,
     hnf_columns,
+    r_orbit_mod,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -359,3 +371,78 @@ def test_stab_identities_take_both_values(name):
     for y in xs:
         seen |= check_stab_report_against_oracle(pair, y, hs)
     assert seen == {(k, v) for k in IDENTITIES for v in (True, False)}
+
+
+# ---------------------------------------------------------------------------
+# convolution
+
+nonzero = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+
+
+def draw_hecke_element(data, name, bound=200):
+    """A combination of one or two double cosets of degree <= bound, with
+    nonzero rational coefficients."""
+    out = HeckeElement(PAIRS[name], {})
+    for _ in range(data.draw(st.integers(1, 2))):
+        x = data.draw(SMALL_ELEMENTS[name])
+        try:
+            l_of(x, bound)
+        except EnumerationBound:
+            assume(False)
+        out = out + HeckeElement.char_fn(x, data.draw(nonzero))
+    return out
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_convolve_matches_all_pairs_oracle(name, data):
+    pair = PAIRS[name]
+    forget_double_cosets(pair)
+    f, g = draw_hecke_element(data, name), draw_hecke_element(data, name)
+    assert convolve(f, g) == all_pairs_convolve(f, g)
+    forget_double_cosets(pair)
+
+
+# denominators of the points n of N/M, kept small enough that the R-orbits
+# in (Z/D)^2 have at most about 200 points
+DENOMINATORS = {"gl2_z12": [1, 2, 4, 8, 16], "gl2_q": [1, 2, 3, 4, 6, 8, 9, 12],
+                "quad2": [1, 2, 3, 4, 6, 8, 12], "heis": [1, 2, 3, 4, 6, 12]}
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_convolve_degree_zero_matches_fixed_point_product(name, data):
+    pair = PAIRS[name]
+    one = F(0) if pair is HEIS else Mat2.identity()
+    den = data.draw(st.sampled_from(DENOMINATORS[name]))
+    points = st.tuples(st.integers(0, den - 1), st.integers(0, den - 1))
+
+    def draw_terms():
+        return [((F(a, den), F(b, den)), data.draw(nonzero))
+                for a, b in data.draw(st.lists(points, min_size=1, max_size=2))]
+
+    def element(terms):
+        out = HeckeElement(pair, {})
+        for n, c in terms:
+            out = out + HeckeElement.char_fn(pair.element(n, one), c)
+        return out
+
+    def orbit(n):
+        o = r_orbit_mod(pair, tuple(int(x * den) % den for x in n), den)
+        return min(o), len(o)
+
+    forget_double_cosets(pair)
+    ft, gt = draw_terms(), draw_terms()
+    for n, _ in ft + gt:  # L(n) is the length of the R-orbit of n + M
+        assert l_of(pair.element(n, one)) == orbit(n)[1]
+    got = {}
+    for rep, c in convolve(element(ft), element(gt)).terms.items():
+        assert rep.q == one  # the degree-0 elements form a subalgebra
+        assert all((x * den).denominator == 1 for x in rep.n)
+        key, length = orbit(rep.n)
+        assert double_coset(rep).degree == length
+        got[key] = (c, length)
+    assert got == fixed_point_product(pair, ft, gt, den)
+    forget_double_cosets(pair)
