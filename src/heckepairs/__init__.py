@@ -65,10 +65,8 @@ from .tower import (
     TowerStage,
     build_stage,
     core_lattice,
-    core_residue_subgroup,
     make_coset_family,
     make_envelope,
-    stage_level,
     verify_stage_invariants,
 )
 

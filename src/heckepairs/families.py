@@ -2,6 +2,9 @@
 triangular-times-unimodular splittings of GL2 elements, real quadratic unit
 groups modulo s, finite images of the integer unimodular group, and the
 rational Heisenberg orbit computations.
+
+Finite images of R = GL(2, Z) and Heisenberg orbits have closed-form
+sizes, checked against the enumeration bound before anything is listed.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from math import gcd
 from .arith import (
     Mat2,
     QuadInt,
-    ResidueRing,
     _xgcd,
     check_discriminant,
     in_z_inv_p,
     is_prime,
     pell_fundamental,
+    prime_factors,
     unit_sign,
     val_p,
 )
@@ -30,7 +33,7 @@ from .errors import (
     InsufficientData,
     SizeCap,
 )
-from .grouppair import _GL2_STANDARD_GENS, PairDescriptor
+from .grouppair import DEFAULT_COSET_BOUND, PairDescriptor, r_image_mod
 
 F = Fraction
 
@@ -122,7 +125,6 @@ def unit_image_gap(d: int, s: int) -> dict:
         "full_size": len(data.full_units),
         "proper": proper,
         "witness": witness,
-        "data": data,
     }
 
 
@@ -240,33 +242,31 @@ def split_global(g: Mat2) -> TriangularSplit:
 # finite images of the integer unimodular group
 
 
-def slpm_surjectivity(s: int, size_cap: int = 40) -> dict:
+def slpm_surjectivity(s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
     """Compare the closure of the standard unimodular generators mod s with
-    the exhaustive set of residue matrices of determinant +-1.
+    SL+-(2, Z/s), the residue matrices of determinant +-1.
 
-    The exhaustive side scans all s^4 matrices, so s is capped.
+    The target order is the closed form c s^3 prod_{p | s} (1 - p^-2): the
+    order of SL(2, Z/s), doubled by det -1 when s > 2 (c = 2, else c = 1).
+    The generators have det +-1, so the image lies in the target and equal
+    orders make the two equal, as SL(2, Z) -> SL(2, Z/s) is onto (Shimura
+    1971, Lemma 1.38).  The order is checked against ``bound`` before the
+    closure runs.
     """
     if s < 1:
         raise ValueError("modulus must be positive")
-    if s > size_cap:
-        raise SizeCap(f"s = {s} exceeds the exhaustive-scan cap {size_cap}")
-    ring = ResidueRing(s)
-    image = ring.close_under_mul([ring.reduce_mat(g) for g in _GL2_STANDARD_GENS])
-    if s == 1:
-        target = 1
-    else:
-        ok = {1 % s, (s - 1) % s}
-        target = sum(
-            1
-            for a in range(s) for b in range(s) for c in range(s) for d in range(s)
-            if (a * d - b * c) % s in ok
-        )
+    target = s ** 3 * (2 if s > 2 else 1)
+    for p in prime_factors(s):
+        target = target // (p * p) * (p * p - 1)
+    if target > bound:
+        raise SizeCap(f"|SL+-(2, Z/{s})| = {target} exceeds the bound {bound}")
+    image = r_image_mod(PairDescriptor.planar_gl2(), s)
     return {
         "modulus": s,
         "image_size": len(image),
         "target_size": target,
         "match": len(image) == target,
-        "contains_reflection": ring.reduce_mat((1, 0, 0, -1)) in image,
+        "contains_reflection": (1 % s, 0, 0, -1 % s) in image,
     }
 
 
@@ -331,7 +331,7 @@ def omega_membership(pt: HeisPoint) -> OmegaVerdict:
     unreachable (see OmegaVerdict.NO_IMPOSSIBLE).
     """
     levels = {p: (k, residue) for p, k, residue in pt.z_data}
-    for p in _denominator_primes(pt.u):
+    for p in prime_factors(pt.u.denominator):
         if p not in levels:
             raise InsufficientData(f"no residue data for the prime {p}")
         _, residue = levels[p]
@@ -340,18 +340,18 @@ def omega_membership(pt: HeisPoint) -> OmegaVerdict:
     return OmegaVerdict.YES
 
 
-def _denominator_primes(u: F) -> list[int]:
-    from .arith import prime_factors
-
-    return prime_factors(u.denominator)
-
-
-def heis_orbit(z: int, w: int, s: int) -> set:
+def heis_orbit(z: int, w: int, s: int, bound: int = DEFAULT_COSET_BOUND) -> set:
     """Orbit {(z, w + r z mod s) : r in Z/s} of a residue pair under the
-    integer translations; its size is s / gcd(z, s)."""
+    integer translations.  Its size is s / gcd(z, s), which is checked
+    against ``bound`` first; r then runs below the size only, as r z mod s
+    has that period."""
     if s < 1:
         raise ValueError("modulus must be positive")
-    orbit = {(z % s, (w + r * z) % s) for r in range(s)}
-    if len(orbit) != s // gcd(z % s, s):  # gcd(0, s) = s covers z = 0
+    size = s // gcd(z % s, s)  # gcd(0, s) = s covers z = 0
+    if size > bound:
+        raise SizeCap(f"orbit of ({z}, {w}) mod {s} has {size} points, "
+                      f"above the bound {bound}")
+    orbit = {(z % s, (w + r * z) % s) for r in range(size)}
+    if len(orbit) != size:
         raise CertificateFailed(f"orbit of ({z}, {w}) mod {s} has size {len(orbit)}")
     return orbit

@@ -40,7 +40,8 @@ from .errors import (
     NotComparable,
     SizeCap,
 )
-from .grouppair import PLANAR, PairDescriptor, ResidueSubgroup, r_image_mod
+from .grouppair import PLANAR, PairDescriptor, ResidueSubgroup, _box, _r_gens_mod, \
+    r_image_mod
 
 DEFAULT_FAMILY_BOUND = 10000
 DEFAULT_CONDUCTOR_CAP = 10 ** 6
@@ -191,7 +192,9 @@ def core_lattice(family: CosetFamily) -> Lattice:
 def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
     """Stage membership conditions, on integers.
 
-    Returns (level, conditions).  A residue r belongs to the stage core iff
+    Returns (level, conditions): the stage level is k times the lcm of the
+    rep determinants, so that every condition is well defined on residues
+    mod the level.  A residue r belongs to the stage core iff
     (t^-1 r t - 1)v is integral for every rep t and envelope generator v.
     With t primitive integral, D = det t, A = adj t (so t^-1 = A/D) and k
     the least integer making w = k.v integral, that vector is
@@ -222,14 +225,6 @@ def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
     return k * dets, list(conds)
 
 
-def stage_level(family: CosetFamily, envelope: EnvelopeLattice) -> int:
-    """Congruence level of the stage: the level forcing trivial action on
-    the envelope modulo M, times the lcm of the rep determinants (which
-    keeps every conjugated condition well defined on residue classes)."""
-    level, _ = _rel_conditions(family, envelope)
-    return level
-
-
 def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
                   conductor_cap: int):
     """(image of R mod the stage level, residue core inside it)."""
@@ -239,16 +234,6 @@ def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
     image = frozenset(r_image_mod(family.pair, level))
     members = frozenset(r for r in image if satisfies(r, conditions))
     return image, ResidueSubgroup(level, members)
-
-
-def core_residue_subgroup(
-    family: CosetFamily,
-    envelope: EnvelopeLattice,
-    conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
-) -> ResidueSubgroup:
-    """Residues of R (mod the stage level) whose conjugate
-    by every rep moves each envelope generator by a vector of M."""
-    return _residue_core(family, envelope, conductor_cap)[1]
 
 
 def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
@@ -264,8 +249,9 @@ def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
 class TowerStage:
     """Finite quotient stage (M / core) x| (R / residue core).
 
-    Elements are pairs (m, r) with m an integer vector reduced modulo the
-    core lattice and r the canonical member of a coset of the residue core.
+    Elements are pairs (m, r) with m the point in the box [0, a) x [0, d)
+    of a class modulo the core lattice (canonical form (a, c, d)) and r the
+    canonical member of a coset of the residue core.
     """
 
     def __init__(self, family: CosetFamily, envelope: EnvelopeLattice,
@@ -301,21 +287,12 @@ class TowerStage:
                 f"{len(self._sorted_rkeys)} residue cosets, expected {self.r_index}"
             )
 
-        self.m_elements = self._enumerate_m_quotient()
+        a, _, d = self._core
+        self.m_elements = tuple((i, j) for i in range(a) for j in range(d))
         if len(self.m_elements) != self.m_index:
             raise CertificateFailed(
                 f"{len(self.m_elements)} elements of M / core, expected {self.m_index}"
             )
-
-    def _reduce(self, v: tuple[int, int]) -> tuple[int, int]:
-        a, c, d = self._core
-        k = v[0] // a
-        return (v[0] - k * a, (v[1] - k * c) % d)
-
-    def _enumerate_m_quotient(self):
-        steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        return tuple(sorted(closure((0, 0), lambda m: (
-            self._reduce((m[0] + a, m[1] + b)) for a, b in steps))))
 
     # -- group structure ----------------------------------------------------
 
@@ -330,21 +307,19 @@ class TowerStage:
     def generators(self):
         """A generating set: the M basis vectors and the R generator cosets."""
         ident_r = self.coset_key_of[self._ring.identity_mat()]
-        out = [(self._reduce((1, 0)), ident_r), (self._reduce((0, 1)), ident_r)]
+        out = [(_box(1, 0, *self._core), ident_r), (_box(0, 1, *self._core), ident_r)]
         for g in self.pair.r_generators:
             out.append(((0, 0), self.coset_key_of[self._ring.reduce_mat(g)]))
         return out
 
     def act(self, rkey, mvec) -> tuple[int, int]:
-        return self._reduce(
-            (rkey[0] * mvec[0] + rkey[1] * mvec[1],
-             rkey[2] * mvec[0] + rkey[3] * mvec[1])
-        )
+        return _box(rkey[0] * mvec[0] + rkey[1] * mvec[1],
+                    rkey[2] * mvec[0] + rkey[3] * mvec[1], *self._core)
 
     def mul(self, x, y):
         (m1, r1), (m2, r2) = x, y
         am = self.act(r1, m2)
-        m = self._reduce((m1[0] + am[0], m1[1] + am[1]))
+        m = _box(m1[0] + am[0], m1[1] + am[1], *self._core)
         return (m, self.coset_key_of[self._ring.mat_mul(r1, r2)])
 
     def inv(self, x):
@@ -360,7 +335,7 @@ class TowerStage:
         # elements of H have the denominator 1
         n0, n1, *q = h.v
         s = self.level
-        return (self._reduce((n0, n1)), self.coset_key_of[tuple(x % s for x in q)])
+        return (_box(n0, n1, *self._core), self.coset_key_of[tuple(x % s for x in q)])
 
     def summary(self) -> dict:
         return {
@@ -404,7 +379,13 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
 
 
 class ConnectingMap:
-    """Reduction map between a finer and a coarser stage of the same pair."""
+    """Reduction map between a finer and a coarser stage of the same pair.
+
+    It sends (m, r) to (phi_m[m], phi_r[r]), two tables built once: phi_m
+    sends each box point of the fine M / core to its coarse box point, and
+    phi_r each fine residue coset key r to the coarse key of r mod the
+    coarse level.
+    """
 
     def __init__(self, fine: TowerStage, coarse: TowerStage):
         if fine.pair != coarse.pair:
@@ -415,18 +396,19 @@ class ConnectingMap:
             )
         if not coarse.m_core.contains_lattice(fine.m_core):
             raise NotComparable("fine core lattice is not inside the coarse one")
+        cl = coarse.level
         for r in fine.r_core.elements:
-            if tuple(x % coarse.level for x in r) not in coarse.r_core.elements:
+            if tuple(x % cl for x in r) not in coarse.r_core.elements:
                 raise NotComparable("fine residue core is not inside the coarse one")
         self.fine = fine
         self.coarse = coarse
+        self.phi_m = {m: _box(*m, *coarse._core) for m in fine.m_elements}
+        self.phi_r = {r: coarse.coset_key_of[tuple(x % cl for x in r)]
+                      for r in fine._sorted_rkeys}
 
     def apply(self, elem):
         m, rkey = elem
-        cl = self.coarse.level
-        cm = self.coarse._reduce(m)
-        cr = self.coarse.coset_key_of[tuple(x % cl for x in rkey)]
-        return (cm, cr)
+        return (self.phi_m[m], self.phi_r[rkey])
 
     def verify(self) -> dict:
         """Homomorphism certificate: phi(g x) = phi(g) phi(x) for every
@@ -443,12 +425,11 @@ class ConnectingMap:
         r-part of g x is the coset key of g_r r, so the r-parts are read
         from residue keys alone, once per distinct r-part g_r of the
         generators.  The image of phi is the product of the images of its
-        m and r maps.
+        m and r tables.
         """
         fine, coarse = self.fine, self.coarse
-        m0, r0 = fine.identity()
-        phi_m = {m: self.apply((m, r0))[0] for m in fine.m_elements}
-        phi_r = {r: self.apply((m0, r))[1] for r in fine._sorted_rkeys}
+        phi_m, phi_r = self.phi_m, self.phi_r
+        r0 = fine.identity()[1]
         pgs = {g: self.apply(g) for g in fine.generators()}
         hom_ok = all(
             phi_m[fine.mul(g, (m, r0))[0]] == coarse.mul(pg, (pm, phi_r[r0]))[0]
@@ -473,16 +454,14 @@ def triangle_commutes(fine: TowerStage, mid: TowerStage,
                       coarse: TowerStage) -> bool:
     """Whether reducing fine -> mid -> coarse equals reducing fine -> coarse.
 
-    Every connecting map sends (m, r) to (its map of m, its map of r), so
-    both composites split by factor too: comparing them at (m, 1) for every
-    m and at (0, r) for every residue coset r compares them everywhere.
+    Every connecting map is a pair of tables, one per factor, so the
+    composite is compared with the direct map table by table.
     """
     via = ConnectingMap(fine, mid)
     down = ConnectingMap(mid, coarse)
     direct = ConnectingMap(fine, coarse)
-    m0, r0 = fine.identity()
-    axes = [(m, r0) for m in fine.m_elements] + [(m0, r) for r in fine._sorted_rkeys]
-    return all(down.apply(via.apply(x)) == direct.apply(x) for x in axes)
+    return ({m: down.phi_m[v] for m, v in via.phi_m.items()} == direct.phi_m
+            and {r: down.phi_r[v] for r, v in via.phi_r.items()} == direct.phi_r)
 
 
 def verify_stage_invariants(stage: TowerStage) -> dict:
@@ -493,10 +472,9 @@ def verify_stage_invariants(stage: TowerStage) -> dict:
     core element moves every M generator by a core-lattice vector.
     """
     pair = stage.pair
-    ring = ResidueRing(stage.level)
-    gen_residues = [ring.reduce_mat(g) for g in pair.r_generators]
     results = {
-        "r_core_normal_in_r": stage.r_core.is_normal_under(gen_residues),
+        "r_core_normal_in_r": stage.r_core.is_normal_under(
+            _r_gens_mod(pair, stage.level)),
         "m_core_r_stable": all(
             transform_lattice((1, g), stage.m_core) == stage.m_core
             for g in pair.r_generators

@@ -23,6 +23,7 @@ from heckepairs.families import (
     fundamental_unit,
     heis_conj_meet_index,
     heis_orbit,
+    quad_unit_data,
     slpm_surjectivity,
     split_global,
     split_padic,
@@ -165,8 +166,9 @@ def test_criterion_5_worked_example_values():
         pass
     gap = unit_image_gap(2, 17)
     ok = ok and gap["proper"] is True
-    ok = ok and (4, 0) in gap["data"].full_units
-    ok = ok and (4, 0) not in gap["data"].unit_image
+    data = quad_unit_data(2, 17)
+    ok = ok and (4, 0) in data.full_units
+    ok = ok and (4, 0) not in data.unit_image
     # the witness from the text: +-(1+sqrt2)^n never hits 4 mod 17
     r0 = fundamental_unit(2)
     for n in range(gap["unit_order"]):

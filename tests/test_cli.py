@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckepairs import cli, tower
+from heckepairs import cli, families, tower
 from heckepairs.arith import Mat2
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
@@ -113,6 +113,75 @@ def test_pair_verify_report_bytes_pinned(capsys, tmp_path, monkeypatch, name, se
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PAIR_VERIFY_DIGESTS[name, seed]
+
+
+# sha256 of the stdout of each command, run from the directory holding
+# gl2_p3.json; the capped chain exits 3 on its order-49,152 stage
+TOWER_SLPM_DIGESTS = {
+    ("tower", "build", "--seed", "[[2,0],[0,1]];[[1,0],[0,2]]"):
+        (0, "62233067d6ba047218d4ef832e17a931999f1bd6895735b68951bff0349c544b"),
+    ("tower", "build", "--seed", "[[2,0],[0,1]];[[4,0],[0,1]]",
+     "--stage-order-max", "49151"):
+        (3, "2c9e2a8a0b323f9e2c962442607608a3f4f8176a9d1c7d9f48cca554daf1c6ad"),
+    ("tower", "build", "--config", "gl2_p3.json",
+     "--seed", "[[3,0],[0,1]];[[1,0],[0,3]]"):
+        (0, "c202d90d44137afbc3ff13ba71de5a5dbb07c7b9e4d79bbc99e30ef533a8ed1f"),
+    ("gl2", "slpm", "--mod", "1"):
+        (0, "9f884d7235676ecdbbbee09808da30cedc0faa5669402ab0d85b251e7509381c"),
+    ("gl2", "slpm", "--mod", "2"):
+        (0, "686ee039d37595fefb9177310d55eb033e47a61721eef850a2f5574db9dee17c"),
+    ("gl2", "slpm", "--mod", "12"):
+        (0, "df0c77626c06475d3f4675b957d0c1f9d115a4475c99c3d9b7ac23144dd9a5a6"),
+    ("gl2", "slpm", "--mod", "16"):
+        (0, "365557679a48e78d610e6f9c5dcbd19b40fb7c141e485aefab2d71b9b6dbe263"),
+    ("gl2", "slpm", "--mod", "40"):
+        (0, "d6be898b132e47269f76a237485528f84eebfbf63553e5ef9f4c946ca403a262"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOWER_SLPM_DIGESTS),
+                         ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+def test_tower_and_slpm_report_bytes_pinned(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gl2_p3.json").write_text(json.dumps(PAIR_CONFIGS["gl2_p3"]))
+    code, out, _ = run(capsys, *argv)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == TOWER_SLPM_DIGESTS[argv]
+
+
+def test_slpm_above_the_bound_exits_3_without_closing(capsys, monkeypatch):
+    # |SL+-(2, Z/41)| = 137,760 exceeds the default bound of 100,000
+    def boom(*args):
+        raise AssertionError("r_image_mod called")
+
+    monkeypatch.setattr(families, "r_image_mod", boom)
+    code, out, _ = run(capsys, "gl2", "slpm", "--mod", "41")
+    assert code == 3
+    (rec,) = [json.loads(line) for line in out.splitlines()[1:-2]]
+    assert rec["verdict"] == "inconclusive" and "137760" in rec["outputs"]["error"]
+    code, _, _ = run(capsys, "gl2", "slpm", "--mod", "12", "--bound-cosets", "2303")
+    assert code == 3
+
+
+def test_slpm_above_40_within_the_bound_passes(capsys):
+    code, out, _ = run(capsys, "gl2", "slpm", "--mod", "42")
+    assert code == 0
+    outputs = json.loads(out.splitlines()[1])["outputs"]
+    assert outputs["image_size"] == outputs["target_size"] == 96768
+
+
+def test_heis_orbit_above_the_bound_exits_3(capsys):
+    code, out, _ = run(capsys, "heis", "orbit", "--mod", "1000000", "--z", "3",
+                       "--w", "1")
+    assert code == 3
+    (rec,) = [json.loads(line) for line in out.splitlines()[1:-2]]
+    assert rec["verdict"] == "inconclusive"
+    # z = 500000 has an orbit of two points at the same modulus
+    code, out, _ = run(capsys, "heis", "orbit", "--mod", "1000000",
+                       "--z", "500000", "--w", "1")
+    assert code == 0
+    assert json.loads(out.splitlines()[1])["outputs"]["orbit"] == [
+        [500000, 1], [500000, 500001]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -336,7 +405,8 @@ def test_tower_build_under_python_O_matches(capsys, tmp_path):
     ["gl2", "decompose", "--p", "2", "--matrix", "[[1,1/2],[0,1]]"],
     ["dcoset", "--element", "[[16,0],[0,1]]"],
     ["hecke", "mul", "--f", "{f}", "--g", "{f}"],
-], ids=["pair-verify", "gl2-decompose", "dcoset", "hecke-mul"])
+    ["gl2", "slpm", "--mod", "12"],
+], ids=["pair-verify", "gl2-decompose", "dcoset", "hecke-mul", "gl2-slpm"])
 def test_certificates_under_python_O_match(capsys, tmp_path, argv):
     # index, lattice, splitting, left-coset count and convolution
     # certificates are explicit checks too

@@ -24,10 +24,8 @@ from heckepairs.tower import (
     _rel_conditions,
     build_stage,
     core_lattice,
-    core_residue_subgroup,
     make_coset_family,
     make_envelope,
-    stage_level,
     triangle_commutes,
     verify_stage_invariants,
 )
@@ -132,7 +130,7 @@ def test_core_lattice_monotone(pair):
 
 def test_core_residue_trivial_envelope(pair):
     fam = make_coset_family(pair, [])
-    sub = core_residue_subgroup(fam, EnvelopeLattice(pair.m_lattice))
+    sub = build_stage(fam, EnvelopeLattice(pair.m_lattice)).r_core
     assert sub.level == 1 and len(sub.elements) == 1  # everything mod 1
 
 
@@ -140,14 +138,14 @@ def test_core_residue_level2(pair):
     fam = make_coset_family(pair, [])
     env = EnvelopeLattice(scaled(Lattice.standard(), F(1, 2)))
     env.validate(fam)
-    sub = core_residue_subgroup(fam, env)
+    sub = build_stage(fam, env).r_core
     assert sub.level == 2
     assert sub.elements == frozenset([(1, 0, 0, 1)])  # exactly r = 1 mod 2
 
 
 def test_stage_level_diag2(pair):
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
-    assert stage_level(fam, make_envelope(fam)) == 4
+    assert build_stage(fam, make_envelope(fam)).level == 4
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +269,23 @@ def test_triangle_commutes(stage0, stage1, stage2):
     f20 = ConnectingMap(stage2, stage0)
     for x in stage2.elements():
         assert f10.apply(f21.apply(x)) == f20.apply(x)
+
+
+def test_triangle_commutes_reads_tables_only(stage0, stage1, stage2,
+                                             monkeypatch):
+    calls = 0
+    apply = ConnectingMap.apply
+
+    def counted(self, elem):
+        nonlocal calls
+        calls += 1
+        return apply(self, elem)
+
+    monkeypatch.setattr(ConnectingMap, "apply", counted)
+    assert triangle_commutes(stage2, stage1, stage0) is True
+    assert calls == 0
+    assert ConnectingMap(stage2, stage0).apply(stage2.identity()) == \
+        stage0.identity() and calls == 1
 
 
 def test_composite_equals_direct_on_flag_tower(pair):
@@ -450,7 +465,7 @@ def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
 def test_stage_rejects_corrupted_image(pair):
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
     env = make_envelope(fam)
-    r_core = core_residue_subgroup(fam, env)
+    r_core = build_stage(fam, env).r_core
     image = frozenset(r_image_mod(pair, r_core.level))
     assert len(image) == 96 and len(r_core.elements) == 2
     dropped = min(image - r_core.elements)
@@ -465,7 +480,7 @@ def test_integer_inputs_are_checked(pair):
     # M = Z^2 has certified that the core's denominator is 1
     fam = make_coset_family(pair, [])
     env = make_envelope(fam)
-    r_core = core_residue_subgroup(fam, env)
+    r_core = build_stage(fam, env).r_core
     image = frozenset(r_image_mod(pair, r_core.level))
     with pytest.raises(NotSublattice):
         TowerStage(fam, env, scaled(Lattice.standard(), F(1, 2)), r_core, image)
