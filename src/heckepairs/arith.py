@@ -469,6 +469,49 @@ class ResidueRing:
             frontier = new
         return seen
 
+    def chain(self, gens, bound: int | None = None):
+        """(order, member) of the group G that invertible residue matrices
+        generate, by a stabilizer chain on (Z/s)^2 (Sims): the orbit of e1
+        with a transversal u[x] (held as its second column and 1/det), and
+        the stabilizer of e1, whose members (1, b; 0, d) are keyed by (b, d),
+        re-closed at each new Schreier generator u[gx]^-1 g u[x] (Schreier's
+        lemma).  |G| = |orbit| |stabilizer|; m is in G when u[m e1]^-1 m is
+        in the stabilizer.  SizeCap when either passes ``bound`` points."""
+        s = self.modulus
+        one = 1 % s
+        steps = [(*g, _xgcd(self.mat_det(g), s)[1]) for g in gens]
+        u, todo = {(one, 0): (0, one, one)}, [(one, 0)]
+        stab, stab_gens = {(0, one)}, []
+
+        def sift(x, w0, w1):  # the second column of u[x]^-1 (x | w)
+            c0, c1, dinv = u[x]
+            return dinv * (c1 * w0 - c0 * w1) % s, dinv * (x[0] * w1 - x[1] * w0) % s
+
+        for x in todo:
+            c0, c1, dinv = u[x]
+            for g0, g1, g2, g3, ginv in steps:
+                y = ((g0 * x[0] + g1 * x[1]) % s, (g2 * x[0] + g3 * x[1]) % s)
+                w0, w1 = (g0 * c0 + g1 * c1) % s, (g2 * c0 + g3 * c1) % s
+                if y not in u:  # a tree edge: u[y] = g u[x]
+                    if bound is not None and len(u) >= bound:
+                        raise SizeCap(f"orbit of e1 mod {s} exceeded {bound} points")
+                    u[y] = (w0, w1, ginv * dinv % s)
+                    todo.append(y)
+                    continue
+                h = sift(y, w0, w1)
+                if h not in stab:
+                    stab_gens.append(h)
+                    stab = closure((0, one), lambda k: (
+                        ((b + k[0] * d) % s, k[1] * d % s) for b, d in stab_gens), bound)
+                    if stab is None:
+                        raise SizeCap(f"stabilizer of e1 mod {s} exceeded {bound} points")
+
+        def member(m) -> bool:
+            x = (m[0] % s, m[2] % s)
+            return x in u and sift(x, m[1], m[3]) in stab
+
+        return len(u) * len(stab), member
+
 
 def closure(start, images, bound: int | None = None) -> set | None:
     """The points reached from start by repeatedly taking ``images`` (a

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``pair verify``, ``dcoset``, ``hecke mul``, ``tower build``,
-``gl2 decompose``, ``quad units``, ``heis orbit``.  Every command emits a
-deterministic JSON-lines report (one record per check, sorted) plus a short
-human summary on stdout.  Exit codes: 0 all checks pass, 1 any check fails,
-2 usage or configuration error, 3 no failures but at least one check was
-inconclusive.
+``gl2 decompose``, ``gl2 slpm``, ``quad units``, ``heis orbit``.  Every
+command emits a deterministic JSON-lines report (one record per check,
+sorted) plus a short human summary on stdout.  Exit codes: 0 all checks
+pass, 1 any check fails, 2 usage or configuration error, 3 no failures but
+at least one check was inconclusive.
 """
 
 from __future__ import annotations
@@ -299,18 +299,15 @@ def cmd_pair_verify(cfg: RunConfig) -> Report:
                                  conductor_cap=cfg.conductor_max)
     report.extend_from("hecke", hecke)
 
-    prev = None
-    stage_outputs = []
-    for stage in stages:
-        prev = reduced_stage_report(pair, stage, prev=prev)
-        stage_outputs.append({k: str(v) for k, v in prev.items()})
-    report.add(
-        "reduced.tower",
-        "conjugate cores shrink strictly along nested stages",
-        {"stages": len(stages)},
-        {"stages": stage_outputs},
-        "pass" if prev["verdict"] == "certified" else "inconclusive",
-    )
+    law = "conjugate cores shrink strictly along nested stages"
+    inputs = {"stages": len(stages)}
+    with _verdict_on_error(report, "reduced.tower", law, inputs):
+        prev, stage_outputs = None, []
+        for stage in stages:
+            prev = reduced_stage_report(pair, stage, prev=prev, bound=cfg.coset_enum_max)
+            stage_outputs.append({k: str(v) for k, v in prev.items()})
+        report.add("reduced.tower", law, inputs, {"stages": stage_outputs},
+                   "pass" if prev["verdict"] == "certified" else "inconclusive")
 
     x_samples = []
     for q in qs[:2]:
@@ -418,8 +415,8 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
             {**st.summary(), "invariant_checks": inv},
             "pass" if inv["verdict"] == "pass" else "fail",
         )
-    for i in range(1, len(built)):
-        cm = ConnectingMap(built[i], built[i - 1])
+    maps = [ConnectingMap(built[i], built[i - 1]) for i in range(1, len(built))]
+    for i, cm in enumerate(maps, 1):
         cert = cm.verify()
         report.add(
             f"tower.connect_{i}_{i - 1}",
@@ -431,7 +428,7 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
         )
     for k in range(2, len(built)):
         fine, coarse = built[k], built[k - 2]
-        commutes = triangle_commutes(fine, built[k - 1], coarse)
+        commutes = triangle_commutes(maps[k - 1], maps[k - 2])
         report.add(
             f"tower.triangle_{k}_{k - 2}",
             "composite of stage reductions equals the direct reduction",

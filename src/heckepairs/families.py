@@ -4,7 +4,7 @@ groups modulo s, finite images of the integer unimodular group, and the
 rational Heisenberg orbit computations.
 
 Finite images of R = GL(2, Z) and Heisenberg orbits have closed-form
-sizes, checked against the enumeration bound before anything is listed.
+sizes, checked against the enumeration bound before anything is walked.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     InsufficientData,
     SizeCap,
 )
-from .grouppair import DEFAULT_COSET_BOUND, PairDescriptor, r_image_mod
+from .grouppair import DEFAULT_COSET_BOUND, PairDescriptor, r_image_chain, slpm_order
 
 F = Fraction
 
@@ -243,30 +243,22 @@ def split_global(g: Mat2) -> TriangularSplit:
 
 
 def slpm_surjectivity(s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
-    """Compare the closure of the standard unimodular generators mod s with
-    SL+-(2, Z/s), the residue matrices of determinant +-1.
-
-    The target order is the closed form c s^3 prod_{p | s} (1 - p^-2): the
-    order of SL(2, Z/s), doubled by det -1 when s > 2 (c = 2, else c = 1).
-    The generators have det +-1, so the image lies in the target and equal
-    orders make the two equal, as SL(2, Z) -> SL(2, Z/s) is onto (Shimura
-    1971, Lemma 1.38).  The order is checked against ``bound`` before the
-    closure runs.
-    """
+    """Compare the order of the group the standard unimodular generators
+    generate mod s, from its stabilizer chain, with |SL+-(2, Z/s)|, checked
+    against ``bound`` first.  The generators have det +-1, so the image lies
+    in SL+-(2, Z/s), and equal orders make the two equal."""
     if s < 1:
         raise ValueError("modulus must be positive")
-    target = s ** 3 * (2 if s > 2 else 1)
-    for p in prime_factors(s):
-        target = target // (p * p) * (p * p - 1)
+    target = slpm_order(s)
     if target > bound:
         raise SizeCap(f"|SL+-(2, Z/{s})| = {target} exceeds the bound {bound}")
-    image = r_image_mod(PairDescriptor.planar_gl2(), s)
+    order, member = r_image_chain(PairDescriptor.planar_gl2(), s, bound)
     return {
         "modulus": s,
-        "image_size": len(image),
+        "image_size": order,
         "target_size": target,
-        "match": len(image) == target,
-        "contains_reflection": (1 % s, 0, 0, -1 % s) in image,
+        "match": order == target,
+        "contains_reflection": member((1, 0, 0, -1)),
     }
 
 

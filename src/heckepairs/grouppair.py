@@ -29,6 +29,7 @@ from .arith import (
     Lattice,
     Mat2,
     ResidueRing,
+    _xgcd,
     check_discriminant,
     closure,
     hnf_int,
@@ -39,6 +40,7 @@ from .arith import (
     mat_mul_int,
     mat_str,
     pell_fundamental,
+    prime_factors,
     rat_from_str,
     rat_to_str,
     ratio_to_str,
@@ -55,6 +57,7 @@ from .errors import (
     EnumerationBound,
     NotInQ,
     SingularBasis,
+    SizeCap,
 )
 
 PLANAR = "planar"
@@ -538,9 +541,26 @@ def _r_gens_mod(pair: PairDescriptor, s: int):
 
 
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
-    """Image of R in GL(2, Z/s), by closure."""
+    """Image of R in GL(2, Z/s), listed element by element by closure.  Its
+    one caller is ``tower._residue_core``, which filters the list."""
     ring = ResidueRing(s)
     return ring.close_under_mul(_r_gens_mod(pair, s), bound)
+
+
+def r_image_chain(pair: PairDescriptor, s: int, bound: int | None):
+    """(order, member) of the image of R in GL(2, Z/s), from its
+    stabilizer chain (``ResidueRing.chain``)."""
+    return ResidueRing(s).chain(_r_gens_mod(pair, s), bound)
+
+
+def slpm_order(s: int) -> int:
+    """|SL+-(2, Z/s)| = c s^3 prod_{p | s} (1 - p^-2), c = 2 when s > 2 (det
+    -1 doubles SL(2, Z/s)), else 1.  It is the order of the image of R =
+    GL(2, Z), as SL(2, Z) -> SL(2, Z/s) is onto (Shimura 1971, Lemma 1.38)."""
+    order = s ** 3 * (2 if s > 2 else 1)
+    for p in prime_factors(s):
+        order = order // (p * p) * (p * p - 1)
+    return order
 
 
 def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
@@ -609,12 +629,17 @@ def _r_q_conditions(a: int, b: int, c: int, d: int) -> list:
     return conditions
 
 
-def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000) -> int:
+def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
+                             bound: int = DEFAULT_COSET_BOUND) -> int:
     """[R : R_q] recovered at congruence level s = |det| of the integralized q.
 
-    Independent of the orbit method: counts |image of R mod s| divided by the
-    number of residues r in R_q, which ``_r_q_conditions`` cuts out.
-    """
+    Independent of the orbit method.  Once the stabilizer chain certifies
+    that R maps onto SL+-(2, Z/s), R_q mod s (``_r_q_conditions``) is
+    counted by first columns: for a primitive (a, c) and e = +-1 the second
+    columns of det e are (b0, d0) + t (a, c), t mod s, on which each
+    condition reads alpha + beta t = 0 mod s; solved in turn (CRT), they
+    leave one class mod some m | s: s / m residues.  The |SL+-(2, Z/s)| / s
+    pairs ((a, c), e) are compared with ``bound`` first (SizeCap)."""
     if pair.q_is_abelian:
         return 1
     _, (a, b, c, d) = q.integralize()
@@ -623,16 +648,37 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000)
         return 1
     if s > conductor_cap:
         raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
+    order = slpm_order(s)
+    if order // s > bound:
+        raise SizeCap(f"{order // s} first columns mod {s} exceed the bound {bound}")
+    if r_image_chain(pair, s, bound)[0] != order:
+        raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
     conditions = _r_q_conditions(a, b, c, d)
-    image = r_image_mod(pair, s)
-    member = sum(1 for r in image if satisfies(r, conditions))
-    if not member or len(image) % member:
+    member = 0
+    for x0 in range(s):
+        for x1 in range(s):
+            g, y0, y1 = _xgcd(x0, x1)
+            unit, g_inv, _ = _xgcd(g, s)
+            for e in {1, s - 1} if unit == 1 else ():  # (x0, x1) primitive mod s
+                b0, d0 = -y1 * e * g_inv, y0 * e * g_inv  # x0 d0 - b0 x1 = e
+                t0, m = 0, 1  # the t met so far: t0 mod m
+                for _, c0, c1, c2, c3, _ in conditions:
+                    # at t = t0 + m k the condition reads beta m k = -alpha mod s
+                    beta = c1 * x0 + c3 * x1
+                    alpha = c0 * x0 + c1 * b0 + c2 * x1 + c3 * d0 + beta * t0
+                    h, z, _ = _xgcd(beta * m, s)
+                    if alpha % h:
+                        break
+                    t0, m = (t0 - m * z * (alpha // h)) % (m * s // h), m * s // h
+                else:
+                    member += s // m
+    if not member or order % member:
         raise CertificateFailed(
-            f"{member} of {len(image)} residues mod {s} lie in R_q: not a subgroup")
-    return len(image) // member
+            f"{member} of {order} residues mod {s} lie in R_q: not a subgroup")
+    return order // member
 
 
-def index_r_coset_stab(pair: PairDescriptor, n) -> int:
+def index_r_coset_stab(pair: PairDescriptor, n, bound: int = DEFAULT_COSET_BOUND) -> int:
     """[R : stabilizer of n + M], the size of the R-orbit of n + M in N/M,
     for n a pair of rationals (ints or Fractions)."""
     (x0, s0), (x1, s1) = ((x.numerator, x.denominator) for x in n)
@@ -644,7 +690,10 @@ def index_r_coset_stab(pair: PairDescriptor, n) -> int:
     v = (x0 * (s // s0) % s, x1 * (s // s1) % s)
     gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)
-    return len(closure(v, lambda u: (ring.vec_apply(g, u) for g in gens)))
+    orbit = closure(v, lambda u: (ring.vec_apply(g, u) for g in gens), bound)
+    if orbit is None:
+        raise EnumerationBound(f"orbit of n + M mod {s} exceeded {bound}")
+    return len(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +743,11 @@ def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
             if pair.family == PLANAR and pair.q_kind == FULL_GL2:
                 try:
                     out["index_r_residue"] = index_r_cap_conj_residue(
-                        pair, q, conductor_cap
+                        pair, q, conductor_cap, coset_bound
                     )
                     if out["index_r_residue"] != ir:
                         verdict = "fail"
-                except ConductorOverflow:
+                except (ConductorOverflow, SizeCap):
                     pass
             checks.append(
                 check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
@@ -712,23 +761,25 @@ def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
     for n in n_samples:
         nv = (Fraction(n[0]), Fraction(n[1]))
         ns = f"({rat_to_str(nv[0])},{rat_to_str(nv[1])})"
-        idx = index_r_coset_stab(pair, nv)
-        checks.append(
-            check_record("hecke_index_n", "[R:R_(n,M)] finite",
-                         {"n": ns}, {"index": idx}, "pass")
-        )
+        try:
+            out, verdict = {"index": index_r_coset_stab(pair, nv, coset_bound)}, "pass"
+        except EnumerationBound as exc:
+            out, verdict = {"error": str(exc)}, "inconclusive"
+        checks.append(check_record("hecke_index_n", "[R:R_(n,M)] finite",
+                                   {"n": ns}, out, verdict))
     return {"checks": checks, "verdict": worst_verdict(checks)}
 
 
 def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
-                         prev: dict | None = None) -> dict:
+                         prev: dict | None = None,
+                         bound: int = DEFAULT_COSET_BOUND) -> dict:
     """Finite-stage evidence for reducedness.
 
     Computes the intersection of M meet qMq^-1 over the stage and the image
-    of R at a congruence level, whose residues other than the identity act
-    nontrivially on (1/s)M / M.  The verdict is only "certified" when both
-    indices are at least 2 and strictly grow relative to the previous
-    (coarser) stage report.
+    of R at a congruence level (its order by the stabilizer chain, bounded
+    by ``bound``), whose residues other than the identity act nontrivially
+    on (1/s)M / M.  The verdict is only "certified" when both indices are at
+    least 2 and strictly grow relative to the previous (coarser) stage report.
     """
     if pair.family == HEISENBERG:
         m_index = 1
@@ -753,7 +804,7 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         ident = ring.identity_mat()
         trivial = [mat_str(g) for g in pair.r_generators
                    if ring.reduce_mat(g) == ident and g != (1, 0, 0, 1)]
-        r_index = 1 if s == 1 else len(r_image_mod(pair, s))
+        r_index = r_image_chain(pair, s, bound)[0]
         m_shape = str(lat)
 
     growing = prev is None or (

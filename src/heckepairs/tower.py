@@ -450,16 +450,13 @@ class ConnectingMap:
         }
 
 
-def triangle_commutes(fine: TowerStage, mid: TowerStage,
-                      coarse: TowerStage) -> bool:
-    """Whether reducing fine -> mid -> coarse equals reducing fine -> coarse.
-
-    Every connecting map is a pair of tables, one per factor, so the
-    composite is compared with the direct map table by table.
-    """
-    via = ConnectingMap(fine, mid)
-    down = ConnectingMap(mid, coarse)
-    direct = ConnectingMap(fine, coarse)
+def triangle_commutes(via: ConnectingMap, down: ConnectingMap) -> bool:
+    """Whether reducing fine -> mid -> coarse along ``via`` and ``down``
+    equals the direct reduction, the one map built here; every connecting
+    map is a pair of tables, one per factor, compared table by table."""
+    if via.coarse is not down.fine:
+        raise NotComparable("the two maps do not compose")
+    direct = ConnectingMap(via.fine, down.coarse)
     return ({m: down.phi_m[v] for m, v in via.phi_m.items()} == direct.phi_m
             and {r: down.phi_r[v] for r, v in via.phi_r.items()} == direct.phi_r)
 

@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-from heckepairs.arith import Lattice, Mat2
+from heckepairs.arith import Lattice, Mat2, ResidueRing, mat_mul_int
 from heckepairs.cosets import HeckeElement, double_coset
 
 
@@ -518,3 +518,18 @@ def fraction_stab_identity(pair, x, h):
         rhs_xq = in_m_cap and _in_r(pair, conj) and _in_r_coset_stab(pair, n, conj)
     return {"h_in_H_n": [lhs_n, rhs_n], "h_in_H_q": [lhs_q, rhs_q],
             "h_in_H_x_and_H_q": [lhs_xq, rhs_xq]}
+
+
+def r_q_count_by_filter(pair, q):
+    """[R : R_q] by listing: the image of R mod the level s = |det Q| of the
+    integralized q = Q/t, listed by ``close_under_mul``, over the residues r
+    in it with Q^-1 r Q integral, i.e. adj(Q) r Q = 0 mod s.  Shares no code
+    with the stabilizer chain or the column count."""
+    _, (a, b, c, d) = q.integralize()
+    s = abs(a * d - b * c)
+    ring = ResidueRing(s)
+    image = ring.close_under_mul([ring.reduce_mat(g) for g in pair.r_generators])
+    member = sum(1 for r in image if not any(
+        z % s for z in mat_mul_int(mat_mul_int((d, -b, -c, a), r), (a, b, c, d))))
+    assert member and len(image) % member == 0
+    return len(image) // member

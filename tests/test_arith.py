@@ -22,7 +22,8 @@ from heckepairs.arith import (
     transform_lattice,
     val_p,
 )
-from heckepairs.errors import BadDiscriminant, NotPrime, NotSublattice, SingularBasis
+from heckepairs.errors import BadDiscriminant, NotPrime, NotSublattice, SingularBasis, SizeCap
+from heckepairs.grouppair import PairDescriptor
 
 from oracles import (
     lattice_box_points,
@@ -351,6 +352,69 @@ def test_residue_ring_closure():
     gens = [ring.reduce_mat((1, 1, 0, 1)), ring.reduce_mat((1, 0, 1, 1))]
     group = ring.close_under_mul(gens)
     assert len(group) == 24  # SL(2, Z/3)
+
+
+@pytest.mark.parametrize("pair", [
+    PairDescriptor.planar_gl2(), PairDescriptor.quad_torus(2),
+    PairDescriptor.quad_torus(3), PairDescriptor.quad_torus(7),
+], ids=["gl2", "quad-d2", "quad-d3", "quad-d7"])
+def test_chain_matches_closure(pair):
+    # the chain's order is the size of the listed group, and its sifting
+    # test agrees with set membership on members and on random matrices
+    for s in range(1, 31):
+        ring = ResidueRing(s)
+        gens = [ring.reduce_mat(g) for g in pair.r_generators]
+        group = ring.close_under_mul(gens)
+        order, member = ring.chain(gens)
+        assert order == len(group), s
+        rng = random.Random(s)
+        probes = [tuple(rng.randrange(s) for _ in range(4)) for _ in range(200)]
+        probes += rng.sample(sorted(group), min(200, len(group)))
+        assert all(member(m) == (m in group) for m in probes), s
+
+
+def test_chain_matches_closure_on_other_groups():
+    # subgroups fixing e1 or its line, whose stabilizers need the Schreier
+    # generators of every generator, and random unit-determinant generators
+    rng = random.Random(0)
+    for s in range(2, 17):
+        ring = ResidueRing(s)
+        gen_sets = [[(1, 0, 0, -1)], [(1, 1, 0, 1), (1, 0, 0, -1)],
+                    [(1, 0, 0, -1), (1, 2, 0, 1)], [(-1, 0, 0, 1), (1, 0, 1, 1)]]
+        while len(gen_sets) < 10:
+            m = tuple(rng.randrange(s) for _ in range(4))
+            if math.gcd(ring.mat_det(m), s) == 1:
+                gen_sets.append([m] + gen_sets[-1][:rng.randrange(2)])
+        for gens in gen_sets:
+            gens = [ring.reduce_mat(g) for g in gens]
+            group = ring.close_under_mul(gens)
+            order, member = ring.chain(gens)
+            assert order == len(group), (s, gens)
+            probes = [tuple(rng.randrange(s) for _ in range(4)) for _ in range(100)]
+            assert all(member(m) == (m in group) for m in probes), (s, gens)
+
+
+@pytest.mark.parametrize("s", [6, 8, 9, 12, 16, 25])
+def test_chain_order_against_sympy(s):
+    # a second oracle: Schreier-Sims on the permutations of (Z/s)^2 that
+    # the R generators induce (only the identity fixes e1 and e2)
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    ring = ResidueRing(s)
+    gens = [ring.reduce_mat(g) for g in PairDescriptor.planar_gl2().r_generators]
+    points = [(x, y) for x in range(s) for y in range(s)]
+    index = {v: i for i, v in enumerate(points)}
+    perms = [combinatorics.Permutation([index[ring.vec_apply(g, v)] for v in points])
+             for g in gens]
+    assert ring.chain(gens)[0] == combinatorics.PermutationGroup(perms).order()
+
+
+def test_chain_stops_at_the_bound():
+    # the orbit of e1 mod 7 has J_2(7) = 48 points
+    ring = ResidueRing(7)
+    gens = [ring.reduce_mat(g) for g in PairDescriptor.planar_gl2().r_generators]
+    assert ring.chain(gens, 48)[0] == 672
+    with pytest.raises(SizeCap, match="exceeded 47"):
+        ring.chain(gens, 47)
 
 
 def test_rat_round_trip():

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from heckepairs import cli, families, tower
-from heckepairs.arith import Mat2
+from heckepairs import cli, tower
+from heckepairs.arith import Mat2, ResidueRing
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
 from heckepairs.errors import CertificateFailed
@@ -87,6 +87,8 @@ PAIR_VERIFY_DIGESTS = {
     ("gl2_p2", 1): "8e11ba64515661450e51377a0b44e23914e3d5bd92b5ce4f30dafbce3f7fe0f5",
     ("gl2_p3", 0): "e54f79f7faf1ad4ef07bbd3effda8674a82c4162a6217fb6d15b2ac28d5ee7fb",
     ("gl2_p3", 1): "e9f62a2e4d6d222fa588025008136d1eedbbcd2843c24912251c455dd1bd73fb",
+    # recorded when this run listed SL+-(2, Z/125), 3,750,000 elements
+    ("gl2_p5", 0): "a3e24d261a96c6063615fbaf9b5bcc214eff272e0347d4aa98073daca88ccf9f",
     ("gl2_Q", 0): "6b00c5d056aa6deb800f01cb7af8cff4b3c613dedd407468d289528b611ff91b",
     ("gl2_Q", 1): "b97ea7062d1cf4d39b4e96747e27c7357a3439a1c036b6a5fed9af6e4d315d74",
     ("quad_d2", 0): "b3778e1bf03e77a248dc9122bf052ab3b485e26daf9706092fe70bf6f7e18efd",
@@ -97,6 +99,7 @@ PAIR_VERIFY_DIGESTS = {
 PAIR_CONFIGS = {
     "gl2_p2": {"family": "planar", "base_ring": "Z[1/p]", "p": 2, "Q_kind": "full_gl2"},
     "gl2_p3": {"family": "planar", "base_ring": "Z[1/p]", "p": 3, "Q_kind": "full_gl2"},
+    "gl2_p5": {"family": "planar", "base_ring": "Z[1/p]", "p": 5, "Q_kind": "full_gl2"},
     "gl2_Q": {"family": "planar", "base_ring": "Q", "Q_kind": "full_gl2"},
     "quad_d2": {"family": "planar", "Q_kind": "quad_torus", "d": 2},
     "heis": {"family": "heisenberg"},
@@ -150,17 +153,35 @@ def test_tower_and_slpm_report_bytes_pinned(capsys, tmp_path, monkeypatch, argv)
 
 
 def test_slpm_above_the_bound_exits_3_without_closing(capsys, monkeypatch):
-    # |SL+-(2, Z/41)| = 137,760 exceeds the default bound of 100,000
+    # |SL+-(2, Z/41)| = 137,760 exceeds the default bound of 100,000; the
+    # stabilizer chain is the one way slpm reaches the image of R
     def boom(*args):
-        raise AssertionError("r_image_mod called")
+        raise AssertionError("ResidueRing.chain called")
 
-    monkeypatch.setattr(families, "r_image_mod", boom)
+    monkeypatch.setattr(ResidueRing, "chain", boom)
     code, out, _ = run(capsys, "gl2", "slpm", "--mod", "41")
     assert code == 3
     (rec,) = [json.loads(line) for line in out.splitlines()[1:-2]]
     assert rec["verdict"] == "inconclusive" and "137760" in rec["outputs"]["error"]
     code, _, _ = run(capsys, "gl2", "slpm", "--mod", "12", "--bound-cosets", "2303")
     assert code == 3
+
+
+@pytest.mark.parametrize("p", [5, 7, 97])
+def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch, p):
+    # the levels reach 125, 343 and 912,673, whose images of R the closure
+    # would list; the chain and the column count list none, and an orbit
+    # past the bound is an inconclusive record
+    def boom(*args):
+        raise AssertionError("close_under_mul called")
+
+    monkeypatch.setattr(ResidueRing, "close_under_mul", boom)
+    cfg = tmp_path / "gl2.json"
+    cfg.write_text(json.dumps({"family": "planar", "base_ring": "Z[1/p]", "p": p,
+                               "Q_kind": "full_gl2"}))
+    code, out, err = run(capsys, "pair", "verify", "--config", str(cfg))
+    assert code in (0, 3) and err == ""
+    assert "0 fail" in out
 
 
 def test_slpm_above_40_within_the_bound_passes(capsys):
@@ -359,6 +380,21 @@ def test_tower_two_stages(capsys):
             assert o["order"] == o["m_index"] * o["r_index"]
     assert by_name["tower.connect_2_1"]["outputs"]["surjective"] is True
     assert by_name["tower.triangle_2_0"]["outputs"]["commutes"] is True
+
+
+def test_tower_builds_each_connecting_map_once(capsys, monkeypatch):
+    # three stages: connect_1_0 and connect_2_1, reused by the triangle,
+    # which builds only the direct map 2 -> 0
+    built = []
+    init = tower.ConnectingMap.__init__
+
+    def counted(self, fine, coarse):
+        built.append((fine.order, coarse.order))
+        init(self, fine, coarse)
+
+    monkeypatch.setattr(tower.ConnectingMap, "__init__", counted)
+    code, _, _ = run(capsys, "tower", "build", "--seed", "[[2,0],[0,1]];[[4,0],[0,1]]")
+    assert code == 0 and len(built) == len(set(built)) == 3
 
 
 def test_tower_residue_core_certificate_failure_is_a_fail_record(capsys,

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from heckepairs.arith import Lattice, Mat2, ResidueRing, unit_sign
-from heckepairs.errors import ConfigInvalid, DescriptorMismatch, NotInQ
+from heckepairs.errors import (
+    CertificateFailed,
+    ConfigInvalid,
+    DescriptorMismatch,
+    EnumerationBound,
+    NotInQ,
+    SizeCap,
+)
 from heckepairs.grouppair import (
     PairDescriptor,
     ResidueSubgroup,
@@ -25,6 +32,7 @@ from heckepairs.grouppair import (
 from oracles import (
     close_with_inverses,
     fraction_r_q_index,
+    r_q_count_by_filter,
     rectangular,
     slpm_elements_mod,
     vector_orbit,
@@ -220,6 +228,64 @@ def test_index_r_cap_conj_residue_matches_fraction_oracle(p, q):
     assert index == index_r_cap_conj(pair, q)
 
 
+_A, _B, _LOWER = Mat2.of(2, 1, 1, 1), Mat2.of(3, 1, 1, 1), Mat2.of(1, 0, 1, 1)
+
+# (p, q) with levels from 2 to 40, none of them diagonal and many with
+# first columns that meet a congruence no line can solve
+_COLUMN_CASES = [
+    (2, Mat2.diag(2, 1)), (2, _SHEAR * Mat2.diag(8, 1)),
+    (2, _A * Mat2.diag(4, F(1, 2))), (2, _B * Mat2.diag(16, 1)),
+    (2, Mat2.diag(F(1, 2), 4) * _LOWER), (2, _LOWER * Mat2.scalar(2) * _SHEAR * Mat2.diag(1, 2)),
+    (3, Mat2.diag(3, 1)), (3, _LOWER * Mat2.diag(9, 1)),
+    (3, _A * Mat2.diag(F(1, 3), 3) * _SHEAR), (3, Mat2.of(5, 2, 2, 1) * Mat2.diag(27, 1)),
+    (3, Mat2.of(2, 1, 1, 2) * Mat2.diag(1, 3)),
+    (None, Mat2.of(2, 1, 1, 3)), (None, Mat2.diag(5, 7) * _SHEAR),
+    (None, _A * Mat2.diag(F(3, 2), 4)), (None, Mat2.of(4, 5, 1, 3) * Mat2.diag(2, 1)),
+    (None, Mat2.of(8, 3, 0, 5)), (None, Mat2.of(4, 2, 2, 6)),
+    (None, Mat2.scalar(F(2, 3)) * Mat2.of(3, 1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("p, q", _COLUMN_CASES,
+                         ids=[f"{p}-{q}" for p, q in _COLUMN_CASES])
+def test_column_count_matches_filter(p, q):
+    pair = PairDescriptor.planar_gl2(p)
+    s, (a, b, c, d) = q.integralize()
+    assert pair.in_q(q) and 2 <= abs(a * d - b * c) <= 40
+    assert index_r_cap_conj_residue(pair, q) == r_q_count_by_filter(pair, q)
+
+
+def test_residue_index_checks_its_bounds_first(monkeypatch):
+    # diag(49, 7) has level 343: 2 J_2(343) = 230,496 (first column, det)
+    # pairs; the chain is not run above the bound
+    pair, q = PairDescriptor.planar_gl2(7), Mat2.diag(49, 7)
+    monkeypatch.setattr(ResidueRing, "chain", None)
+    with pytest.raises(SizeCap, match="230496 first columns"):
+        index_r_cap_conj_residue(pair, q, 1000)
+    rep = hecke_indices_report(pair, [q], [])
+    assert rep["verdict"] == "pass"
+    assert rep["checks"][0]["outputs"] == {"index_m": 343, "index_r": 8}
+
+
+def test_residue_index_needs_the_whole_image(monkeypatch, gl2_q):
+    # the column count holds only for the image SL+-(2, Z/s)
+    chain = ResidueRing.chain
+    monkeypatch.setattr(ResidueRing, "chain",
+                        lambda ring, gens, bound: (chain(ring, gens[:2], bound)[0], None))
+    with pytest.raises(CertificateFailed, match="not SL"):
+        index_r_cap_conj_residue(gl2_q, Mat2.diag(3, 1))
+
+
+def test_orbits_of_n_stop_at_the_bound(gl2_q):
+    # (1/7, 0) + M has an orbit of J_2(7) = 48 points
+    assert index_r_coset_stab(gl2_q, (F(1, 7), F(0)), 48) == 48
+    with pytest.raises(EnumerationBound):
+        index_r_coset_stab(gl2_q, (F(1, 7), F(0)), 47)
+    rep = hecke_indices_report(gl2_q, [], [(F(1, 7), F(0))], coset_bound=47)
+    assert rep["verdict"] == "inconclusive"
+    assert "exceeded 47" in rep["checks"][0]["outputs"]["error"]
+
+
 @pytest.mark.parametrize("pair", [
     PairDescriptor.planar_gl2(p=2),
     PairDescriptor.quad_torus(2),
@@ -335,6 +401,14 @@ def test_reduced_stage_nested_certifies(gl2_z12):
         prev=first,
     )
     assert second["verdict"] == "certified"
+
+
+def test_reduced_stage_order_stops_at_the_bound(gl2_q):
+    # level 7: the orbit of e1 has J_2(7) = 48 points, |SL+-(2, Z/7)| = 672
+    stage = [Mat2.diag(7, 1), Mat2.diag(1, 7)]
+    assert reduced_stage_report(gl2_q, stage, bound=48)["r_index"] == 672
+    with pytest.raises(SizeCap):
+        reduced_stage_report(gl2_q, stage, bound=47)
 
 
 def test_reduced_quad_unit_acts_nontrivially(quad2):

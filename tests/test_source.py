@@ -33,3 +33,22 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unbounded_closures(source: str) -> list[int]:
+    """Lines of the ``closure(...)`` calls that pass no bound, neither as
+    the third positional argument nor as ``bound=``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "closure" and len(node.args) < 3
+            and not any(k.arg == "bound" for k in node.keywords)]
+
+
+def test_unbounded_closures_are_found():
+    assert unbounded_closures("closure(a, f)\nclosure(a, f, 3)\n"
+                              "closure(a, f, bound=n)\n") == [1]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_closure_has_a_bound(path):
+    assert unbounded_closures(path.read_text()) == []

@@ -282,10 +282,16 @@ def test_triangle_commutes_reads_tables_only(stage0, stage1, stage2,
         return apply(self, elem)
 
     monkeypatch.setattr(ConnectingMap, "apply", counted)
-    assert triangle_commutes(stage2, stage1, stage0) is True
+    assert triangle_commutes(ConnectingMap(stage2, stage1),
+                             ConnectingMap(stage1, stage0)) is True
     assert calls == 0
     assert ConnectingMap(stage2, stage0).apply(stage2.identity()) == \
         stage0.identity() and calls == 1
+
+
+def test_triangle_needs_maps_that_compose(stage0, stage1, stage2):
+    with pytest.raises(NotComparable):
+        triangle_commutes(ConnectingMap(stage2, stage1), ConnectingMap(stage2, stage0))
 
 
 def test_composite_equals_direct_on_flag_tower(pair):
@@ -406,7 +412,7 @@ def test_triangle_matches_elementwise_oracle(stage0, stage1, stage2):
                               (stage1, stage1, stage0)):
         via, down = ConnectingMap(fine, mid), ConnectingMap(mid, coarse)
         direct = ConnectingMap(fine, coarse)
-        assert triangle_commutes(fine, mid, coarse) is True
+        assert triangle_commutes(via, down) is True
         assert elementwise_triangle(via, down, direct) is True
 
 
@@ -428,7 +434,8 @@ def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
     assert all_pairs_verify(cm)["homomorphism"] is False
     assert cm.verify()["homomorphism"] is False
     # reducing through the intact stage1 misses the corrupted entry
-    assert triangle_commutes(stage2, stage1, bad) is False
+    assert triangle_commutes(ConnectingMap(stage2, stage1),
+                             ConnectingMap(stage1, bad)) is False
     assert elementwise_triangle(ConnectingMap(stage2, stage1),
                                 ConnectingMap(stage1, bad), cm) is False
     # the R-axis reads the fine stage's residue keys directly: corrupt one it
