@@ -15,7 +15,6 @@ from .arith import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
-    quad_pow_mod,
     smith_invariants,
     transform_lattice,
     val_p,
@@ -30,14 +29,10 @@ from .cosets import (
     l_of,
 )
 from .families import (
-    HeisPoint,
-    OmegaVerdict,
     QuadUnitData,
     TriangularSplit,
     fundamental_unit,
-    heis_conj_meet_index,
     heis_orbit,
-    omega_membership,
     quad_unit_data,
     slpm_surjectivity,
     split_global,

@@ -447,36 +447,16 @@ class ResidueRing:
         s = self.modulus
         return ((m[0] * v[0] + m[1] * v[1]) % s, (m[2] * v[0] + m[3] * v[1]) % s)
 
-    def close_under_mul(self, gens, bound: int | None = None) -> set:
-        """Multiplicative closure of 2x2 residue matrices (BFS); for invertible
-        gens, the group they generate, as g^-1 is a power of g mod s."""
-        s = self.modulus
-        gens = [tuple(g) for g in gens]
-        seen = set(gens)
-        seen.add(self.identity_mat())
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for g0, g1, g2, g3 in gens:
-                for x0, x1, x2, x3 in frontier:
-                    y = ((g0 * x0 + g1 * x2) % s, (g0 * x1 + g1 * x3) % s,
-                         (g2 * x0 + g3 * x2) % s, (g2 * x1 + g3 * x3) % s)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-                        if bound is not None and len(seen) > bound:
-                            raise SizeCap(f"closure exceeded {bound} elements")
-            frontier = new
-        return seen
-
-    def chain(self, gens, bound: int | None = None):
-        """(order, member) of the group G that invertible residue matrices
-        generate, by a stabilizer chain on (Z/s)^2 (Sims): the orbit of e1
-        with a transversal u[x] (held as its second column and 1/det), and
-        the stabilizer of e1, whose members (1, b; 0, d) are keyed by (b, d),
-        re-closed at each new Schreier generator u[gx]^-1 g u[x] (Schreier's
-        lemma).  |G| = |orbit| |stabilizer|; m is in G when u[m e1]^-1 m is
-        in the stabilizer.  SizeCap when either passes ``bound`` points."""
+    def chain(self, gens, bound: int | None):
+        """(order, member, elements) of the group G that invertible residue
+        matrices generate, by a stabilizer chain on (Z/s)^2 (Sims): the orbit
+        of e1 with a transversal u[x] (held as its second column and 1/det),
+        and the stabilizer of e1, whose members (1, b; 0, d) are keyed by
+        (b, d), re-closed at each new Schreier generator u[gx]^-1 g u[x]
+        (Schreier's lemma).  |G| = |orbit| |stabilizer|; m is in G when
+        u[m e1]^-1 m is in the stabilizer; ``elements`` lazily lists G as the
+        products u[x] (1, b; 0, d).  SizeCap when either passes ``bound``
+        points."""
         s = self.modulus
         one = 1 % s
         steps = [(*g, _xgcd(self.mat_det(g), s)[1]) for g in gens]
@@ -510,7 +490,20 @@ class ResidueRing:
             x = (m[0] % s, m[2] % s)
             return x in u and sift(x, m[1], m[3]) in stab
 
-        return len(u) * len(stab), member
+        elements = ((x0, (x0 * b + c0 * d) % s, x1, (x1 * b + c1 * d) % s)
+                    for (x0, x1), (c0, c1, _) in u.items() for b, d in stab)
+        return len(u) * len(stab), member, elements
+
+    def close_under_mul(self, gens, bound: int | None) -> frozenset:
+        """The group that invertible residue matrices generate (their closure
+        under multiplication), listed from its stabilizer chain (``chain``),
+        whose order certifies the listing."""
+        order, _, elements = self.chain(gens, bound)
+        group = frozenset(elements)
+        if len(group) != order:
+            raise CertificateFailed(f"{len(group)} residues listed mod {self.modulus}, "
+                                    f"the chain order is {order}")
+        return group
 
 
 def closure(start, images, bound: int | None = None) -> set | None:
@@ -599,24 +592,6 @@ class QuadInt:
 
     def __str__(self) -> str:
         return f"{self.m}+{self.n}*sqrt({self.d})"
-
-
-def quad_one(d: int) -> QuadInt:
-    return QuadInt(1, 0, d)
-
-
-def quad_pow_mod(r: QuadInt, k: int, s: int) -> QuadInt:
-    """r**k with both coordinates reduced to [0, s), by repeated squaring."""
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    result = quad_one(r.d).reduce_mod(s)
-    base = r.reduce_mod(s)
-    while k:
-        if k & 1:
-            result = (result * base).reduce_mod(s)
-        base = (base * base).reduce_mod(s)
-        k >>= 1
-    return result
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:

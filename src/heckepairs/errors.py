@@ -64,9 +64,5 @@ class SizeCap(HeckePairsError):
     """A requested exhaustive computation exceeds its size cap."""
 
 
-class InsufficientData(HeckePairsError):
-    """Finite residue data does not cover a prime needed for the decision."""
-
-
 class ConfigInvalid(HeckePairsError):
     """A run configuration or pair configuration file is malformed."""

@@ -10,7 +10,6 @@ sizes, checked against the enumeration bound before anything is walked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +21,6 @@ from .arith import (
     in_z_inv_p,
     is_prime,
     pell_fundamental,
-    prime_factors,
     unit_sign,
     val_p,
 )
@@ -30,7 +28,6 @@ from .errors import (
     BadDiscriminant,
     CertificateFailed,
     DetNotAllowed,
-    InsufficientData,
     SizeCap,
 )
 from .grouppair import DEFAULT_COSET_BOUND, PairDescriptor, r_image_chain, slpm_order
@@ -252,7 +249,7 @@ def slpm_surjectivity(s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
     target = slpm_order(s)
     if target > bound:
         raise SizeCap(f"|SL+-(2, Z/{s})| = {target} exceeds the bound {bound}")
-    order, member = r_image_chain(PairDescriptor.planar_gl2(), s, bound)
+    order, member, _ = r_image_chain(PairDescriptor.planar_gl2(), s, bound)
     return {
         "modulus": s,
         "image_size": order,
@@ -264,72 +261,6 @@ def slpm_surjectivity(s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
 
 # ---------------------------------------------------------------------------
 # Heisenberg computations
-
-
-def heis_conj_meet_index(n_param: int, scan_margin: int = 6) -> int:
-    """Index of M meet xMx^-1 in M for the Heisenberg x with parameter 1/n.
-
-    Computed directly from the group law: (0, b) survives conjugation by x
-    exactly when b is a multiple of n; a membership scan certifies this on
-    a window before the index is returned.
-    """
-    if n_param < 1:
-        raise ValueError("parameter must be a positive integer")
-    pair = PairDescriptor.heisenberg()
-    x = pair.element((0, 0), F(1, n_param))
-    xi = pair.inv(x)
-    window = range(-scan_margin * n_param, scan_margin * n_param + 1)
-    members = [b for b in window
-               if pair.in_h(pair.mul(pair.mul(xi, pair.element((0, b), 0)), x))]
-    if members != [b for b in window if b % n_param == 0]:
-        raise CertificateFailed(f"conjugation by {x} does not keep exactly {n_param}Z")
-    return n_param
-
-
-class OmegaVerdict(Enum):
-    """Answers for membership of a finitely-described point in the open
-    orbit union.  NO_IMPOSSIBLE documents that finite residue data can
-    never certify a negative answer; it is never returned."""
-
-    YES = "yes"
-    UNKNOWN = "unknown"
-    NO_IMPOSSIBLE = "no-at-this-level-impossible"
-
-
-@dataclass(frozen=True)
-class HeisPoint:
-    """Point (z, u) with z known only through residues z mod p^K, plus the
-    fiber coordinate w (carried for orbit computations)."""
-
-    z_data: tuple
-    u: F
-    w: F
-
-    def __post_init__(self):
-        for p, k, residue in self.z_data:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if k < 1 or not (0 <= residue < p ** k):
-                raise ValueError(f"residue data ({p},{k},{residue}) is not reduced")
-
-
-def omega_membership(pt: HeisPoint) -> OmegaVerdict:
-    """Decide membership in the orbit union {(z, u) : z_p = 0 => u_p integral}
-    from finite residue data.
-
-    YES needs, at every prime where u is non-integral, a nonzero residue of
-    z.  A residue of zero leaves z_p = 0 undecidable, hence UNKNOWN; a
-    negative certificate would need infinitely many residues, so NO is
-    unreachable (see OmegaVerdict.NO_IMPOSSIBLE).
-    """
-    levels = {p: (k, residue) for p, k, residue in pt.z_data}
-    for p in prime_factors(pt.u.denominator):
-        if p not in levels:
-            raise InsufficientData(f"no residue data for the prime {p}")
-        _, residue = levels[p]
-        if residue == 0:
-            return OmegaVerdict.UNKNOWN
-    return OmegaVerdict.YES
 
 
 def heis_orbit(z: int, w: int, s: int, bound: int = DEFAULT_COSET_BOUND) -> set:

@@ -540,27 +540,35 @@ def _r_gens_mod(pair: PairDescriptor, s: int):
     return [ring.reduce_mat(g) for g in pair.r_generators]
 
 
-def r_image_mod(pair: PairDescriptor, s: int, bound: int | None = None) -> set:
-    """Image of R in GL(2, Z/s), listed element by element by closure.  Its
-    one caller is ``tower._residue_core``, which filters the list."""
-    ring = ResidueRing(s)
-    return ring.close_under_mul(_r_gens_mod(pair, s), bound)
-
-
 def r_image_chain(pair: PairDescriptor, s: int, bound: int | None):
-    """(order, member) of the image of R in GL(2, Z/s), from its
+    """(order, member, elements) of the image of R in GL(2, Z/s), from its
     stabilizer chain (``ResidueRing.chain``)."""
     return ResidueRing(s).chain(_r_gens_mod(pair, s), bound)
 
 
-def slpm_order(s: int) -> int:
-    """|SL+-(2, Z/s)| = c s^3 prod_{p | s} (1 - p^-2), c = 2 when s > 2 (det
-    -1 doubles SL(2, Z/s)), else 1.  It is the order of the image of R =
-    GL(2, Z), as SL(2, Z) -> SL(2, Z/s) is onto (Shimura 1971, Lemma 1.38)."""
-    order = s ** 3 * (2 if s > 2 else 1)
+def r_image_mod(pair: PairDescriptor, s: int, bound: int | None) -> frozenset:
+    """Image of R in GL(2, Z/s), listed from its stabilizer chain
+    (``ResidueRing.close_under_mul``).  Its one caller is
+    ``tower._residue_core``, which filters the list."""
+    return ResidueRing(s).close_under_mul(_r_gens_mod(pair, s), bound)
+
+
+def jordan2(s: int) -> int:
+    """J_2(s) = s^2 prod_{p | s} (1 - p^-2), the number of vectors of order s
+    in (Z/s)^2."""
+    count = s * s
     for p in prime_factors(s):
-        order = order // (p * p) * (p * p - 1)
-    return order
+        count = count // (p * p) * (p * p - 1)
+    return count
+
+
+def slpm_order(s: int) -> int:
+    """|SL+-(2, Z/s)| = c s J_2(s), c = 2 when s > 2 (det -1 doubles
+    SL(2, Z/s)), else 1: a first column of SL(2, Z/s) is any vector of order
+    s, and its second columns are a line of s points.  It is the order of
+    the image of R = GL(2, Z), as SL(2, Z) -> SL(2, Z/s) is onto (Shimura
+    1971, Lemma 1.38)."""
+    return (2 if s > 2 else 1) * s * jordan2(s)
 
 
 def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
@@ -680,13 +688,17 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
 
 def index_r_coset_stab(pair: PairDescriptor, n, bound: int = DEFAULT_COSET_BOUND) -> int:
     """[R : stabilizer of n + M], the size of the R-orbit of n + M in N/M,
-    for n a pair of rationals (ints or Fractions)."""
+    for n a pair of rationals (ints or Fractions).  For gl2, whose image
+    SL+-(2, Z/s) is transitive on the vectors of order s, the orbit has
+    J_2(s) points, which is compared with ``bound`` before the walk."""
     (x0, s0), (x1, s1) = ((x.numerator, x.denominator) for x in n)
     if pair.family == HEISENBERG:
         return s1
     s = lcm(s0, s1)
     if s == 1:
         return 1
+    if pair.q_kind == FULL_GL2 and jordan2(s) > bound:
+        raise EnumerationBound(f"orbit of n + M mod {s} exceeded {bound}")
     v = (x0 * (s // s0) % s, x1 * (s // s1) % s)
     gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)

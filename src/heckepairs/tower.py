@@ -231,7 +231,7 @@ def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
     level, conditions = _rel_conditions(family, envelope)
     if level > conductor_cap:
         raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
-    image = frozenset(r_image_mod(family.pair, level))
+    image = r_image_mod(family.pair, level, None)  # unbounded: ROADMAP 1(d)
     members = frozenset(r for r in image if satisfies(r, conditions))
     return image, ResidueSubgroup(level, members)
 

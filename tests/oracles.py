@@ -3,8 +3,8 @@
 Everything here avoids the code paths under test beyond the group law and
 the coset key ``canon_coset``: points are enumerated from raw generators,
 left cosets by a search over the generators of H, finite matrix groups
-are built by exhaustive scans, and group indices are recovered by direct
-counting.  ``all_pairs_convolve`` reads the double cosets of
+are built by exhaustive scans or BFS closures, and group indices are
+recovered by direct counting.  ``all_pairs_convolve`` reads the double cosets of
 ``double_coset`` but forms every product of their left representatives;
 ``fixed_point_product`` uses none of the package beyond the R generators.
 """
@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-from heckepairs.arith import Lattice, Mat2, ResidueRing, mat_mul_int
+from heckepairs.arith import Lattice, Mat2, QuadInt, ResidueRing, mat_mul_int
 from heckepairs.cosets import HeckeElement, double_coset
 
 
@@ -338,6 +338,33 @@ def close_with_inverses(ring, gens):
     return seen
 
 
+def bfs_closure(ring, gens):
+    """Multiplicative closure of 2x2 residue matrices (BFS); for invertible
+    gens, the group they generate, as g^-1 is a power of g mod s."""
+    s = ring.modulus
+    gens = [tuple(g) for g in gens]
+    seen = set(gens)
+    seen.add(ring.identity_mat())
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g0, g1, g2, g3 in gens:
+            for x0, x1, x2, x3 in frontier:
+                y = ((g0 * x0 + g1 * x2) % s, (g0 * x1 + g1 * x3) % s,
+                     (g2 * x0 + g3 * x2) % s, (g2 * x1 + g3 * x3) % s)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def r_image_by_closure(pair, s):
+    """The image of R in GL(2, Z/s), listed by ``bfs_closure``."""
+    ring = ResidueRing(s)
+    return bfs_closure(ring, [ring.reduce_mat(g) for g in pair.r_generators])
+
+
 def vector_orbit(mats, start, s):
     """Orbit of a vector in (Z/s)^2 under an explicit set of matrices."""
     orbit = set()
@@ -522,14 +549,31 @@ def fraction_stab_identity(pair, x, h):
 
 def r_q_count_by_filter(pair, q):
     """[R : R_q] by listing: the image of R mod the level s = |det Q| of the
-    integralized q = Q/t, listed by ``close_under_mul``, over the residues r
+    integralized q = Q/t, listed by ``r_image_by_closure``, over the residues r
     in it with Q^-1 r Q integral, i.e. adj(Q) r Q = 0 mod s.  Shares no code
     with the stabilizer chain or the column count."""
     _, (a, b, c, d) = q.integralize()
     s = abs(a * d - b * c)
-    ring = ResidueRing(s)
-    image = ring.close_under_mul([ring.reduce_mat(g) for g in pair.r_generators])
+    image = r_image_by_closure(pair, s)
     member = sum(1 for r in image if not any(
         z % s for z in mat_mul_int(mat_mul_int((d, -b, -c, a), r), (a, b, c, d))))
     assert member and len(image) % member == 0
     return len(image) // member
+
+
+def quad_one(d: int) -> QuadInt:
+    return QuadInt(1, 0, d)
+
+
+def quad_pow_mod(r: QuadInt, k: int, s: int) -> QuadInt:
+    """r**k with both coordinates reduced to [0, s), by repeated squaring."""
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    result = quad_one(r.d).reduce_mod(s)
+    base = r.reduce_mod(s)
+    while k:
+        if k & 1:
+            result = (result * base).reduce_mod(s)
+        base = (base * base).reduce_mod(s)
+        k >>= 1
+    return result

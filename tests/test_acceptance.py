@@ -15,13 +15,11 @@ from heckepairs.arith import (
     QuadInt,
     lattice_intersect,
     lattice_sum,
-    quad_pow_mod,
 )
 from heckepairs.cosets import HeckeElement, convolve, delta, involution, l_of
 from heckepairs.errors import BadDiscriminant
 from heckepairs.families import (
     fundamental_unit,
-    heis_conj_meet_index,
     heis_orbit,
     quad_unit_data,
     slpm_surjectivity,
@@ -38,7 +36,7 @@ from heckepairs.grouppair import (
 from heckepairs.tower import ConnectingMap, build_stage, make_coset_family, \
     make_envelope, verify_stage_invariants
 
-from oracles import slpm_elements_mod
+from oracles import quad_pow_mod, slpm_elements_mod
 
 F = Fraction
 
@@ -175,8 +173,15 @@ def test_criterion_5_worked_example_values():
         power = quad_pow_mod(r0, n, 17)
         ok = ok and (power.m, power.n) != (4, 0)
         ok = ok and ((-power.m) % 17, (-power.n) % 17) != (4, 0)
+    # M meet xMx^-1 = nZ for the Heisenberg x with parameter 1/n: (0, b)
+    # survives conjugation by x exactly when n | b
+    heis = PairDescriptor.heisenberg()
     for n in range(1, 51):
-        ok = ok and heis_conj_meet_index(n) == n
+        x = heis.element((0, 0), F(1, n))
+        xi = heis.inv(x)
+        ok = ok and all(
+            heis.in_h(heis.mul(heis.mul(xi, heis.element((0, b), 0)), x)) == (b % n == 0)
+            for b in range(-6 * n, 6 * n + 1))
     _report(5, "worked example values reproduced exactly", ok,
             time.monotonic() - start, 60.0)
 

@@ -15,7 +15,6 @@ from heckepairs.arith import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
-    quad_pow_mod,
     rat_from_str,
     rat_to_str,
     smith_invariants,
@@ -26,7 +25,9 @@ from heckepairs.errors import BadDiscriminant, NotPrime, NotSublattice, Singular
 from heckepairs.grouppair import PairDescriptor
 
 from oracles import (
+    bfs_closure,
     lattice_box_points,
+    quad_pow_mod,
     quotient_exponent,
     quotient_order,
     rectangular,
@@ -350,8 +351,9 @@ def test_residue_ring_matrix_ops():
 def test_residue_ring_closure():
     ring = ResidueRing(3)
     gens = [ring.reduce_mat((1, 1, 0, 1)), ring.reduce_mat((1, 0, 1, 1))]
-    group = ring.close_under_mul(gens)
+    group = bfs_closure(ring, gens)
     assert len(group) == 24  # SL(2, Z/3)
+    assert ring.close_under_mul(gens, None) == group
 
 
 @pytest.mark.parametrize("pair", [
@@ -359,14 +361,17 @@ def test_residue_ring_closure():
     PairDescriptor.quad_torus(3), PairDescriptor.quad_torus(7),
 ], ids=["gl2", "quad-d2", "quad-d3", "quad-d7"])
 def test_chain_matches_closure(pair):
-    # the chain's order is the size of the listed group, and its sifting
-    # test agrees with set membership on members and on random matrices
+    # the chain's order is the size of the listed group, its listing is
+    # that group with each member once, and its sifting test agrees with set
+    # membership on members and on random matrices
     for s in range(1, 31):
         ring = ResidueRing(s)
         gens = [ring.reduce_mat(g) for g in pair.r_generators]
-        group = ring.close_under_mul(gens)
-        order, member = ring.chain(gens)
-        assert order == len(group), s
+        group = bfs_closure(ring, gens)
+        order, member, elements = ring.chain(gens, None)
+        listed = list(elements)
+        assert order == len(group) == len(listed), s
+        assert set(listed) == group, s
         rng = random.Random(s)
         probes = [tuple(rng.randrange(s) for _ in range(4)) for _ in range(200)]
         probes += rng.sample(sorted(group), min(200, len(group)))
@@ -387,9 +392,11 @@ def test_chain_matches_closure_on_other_groups():
                 gen_sets.append([m] + gen_sets[-1][:rng.randrange(2)])
         for gens in gen_sets:
             gens = [ring.reduce_mat(g) for g in gens]
-            group = ring.close_under_mul(gens)
-            order, member = ring.chain(gens)
-            assert order == len(group), (s, gens)
+            group = bfs_closure(ring, gens)
+            order, member, elements = ring.chain(gens, None)
+            listed = list(elements)
+            assert order == len(group) == len(listed), (s, gens)
+            assert set(listed) == group, (s, gens)
             probes = [tuple(rng.randrange(s) for _ in range(4)) for _ in range(100)]
             assert all(member(m) == (m in group) for m in probes), (s, gens)
 
@@ -405,7 +412,7 @@ def test_chain_order_against_sympy(s):
     index = {v: i for i, v in enumerate(points)}
     perms = [combinatorics.Permutation([index[ring.vec_apply(g, v)] for v in points])
              for g in gens]
-    assert ring.chain(gens)[0] == combinatorics.PermutationGroup(perms).order()
+    assert ring.chain(gens, None)[0] == combinatorics.PermutationGroup(perms).order()
 
 
 def test_chain_stops_at_the_bound():

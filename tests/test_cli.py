@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckepairs import cli, tower
+from heckepairs import cli, grouppair, tower
 from heckepairs.arith import Mat2, ResidueRing
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
@@ -167,21 +167,49 @@ def test_slpm_above_the_bound_exits_3_without_closing(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("p", [5, 7, 97])
-def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch, p):
-    # the levels reach 125, 343 and 912,673, whose images of R the closure
-    # would list; the chain and the column count list none, and an orbit
-    # past the bound is an inconclusive record
-    def boom(*args):
-        raise AssertionError("close_under_mul called")
+# sha256 and exit code of `pair verify --config gl2.json` with default flags,
+# for gl2 over Z[1/p], recorded when the image of R was still listed by
+# closure and the Z[1/97] orbit of (1/9409, 1/97) + M was walked to the bound
+LARGE_PRIME_DIGESTS = {
+    5: (0, "a89b44f361749026c0536e4512b15f29982f37114ff51cf8027db061ce18a1a4"),
+    7: (0, "7041750b82997948e9b25cbb3d770611e27e67d0c244ed0cf70ac0415d479ba8"),
+    97: (3, "24e6c076fd75896a7893512bbbde6655326d6d27ad5bc7e88347c37246eba0d0"),
+}
 
-    monkeypatch.setattr(ResidueRing, "close_under_mul", boom)
-    cfg = tmp_path / "gl2.json"
-    cfg.write_text(json.dumps({"family": "planar", "base_ring": "Z[1/p]", "p": p,
-                               "Q_kind": "full_gl2"}))
-    code, out, err = run(capsys, "pair", "verify", "--config", str(cfg))
-    assert code in (0, 3) and err == ""
-    assert "0 fail" in out
+
+@pytest.mark.parametrize("p", sorted(LARGE_PRIME_DIGESTS))
+def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch, p):
+    # the levels reach 125, 343 and 912,673: no chain lists its image of R,
+    # and no orbit of n + M or of qR is walked up to the bound of 100,000
+    # points (for gl2 the orbit of n + M has J_2(s) points, compared first)
+    listed, walked = 0, []
+    chain, closure = ResidueRing.chain, grouppair.closure
+
+    def counting_chain(ring, gens, bound):
+        order, member, elements = chain(ring, gens, bound)
+
+        def counted():
+            nonlocal listed
+            for m in elements:
+                listed += 1
+                yield m
+
+        return order, member, counted()
+
+    def counting_closure(start, images, bound=None):
+        points = closure(start, images, bound)
+        walked.append(bound if points is None else len(points))
+        return points
+
+    monkeypatch.setattr(ResidueRing, "chain", counting_chain)
+    monkeypatch.setattr(grouppair, "closure", counting_closure)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gl2.json").write_text(json.dumps(
+        {"family": "planar", "base_ring": "Z[1/p]", "p": p, "Q_kind": "full_gl2"}))
+    code, out, err = run(capsys, "pair", "verify", "--config", "gl2.json")
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE_PRIME_DIGESTS[p]
+    assert listed == 0 and walked and max(walked) < 100000
 
 
 def test_slpm_above_40_within_the_bound_passes(capsys):

@@ -3,23 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from heckepairs.arith import Mat2, QuadInt, quad_pow_mod, val_p
+from heckepairs.arith import Mat2, QuadInt, val_p
 from heckepairs.errors import (
     BadDiscriminant,
     CertificateFailed,
     DetNotAllowed,
-    InsufficientData,
     SizeCap,
 )
 from heckepairs.families import (
-    HeisPoint,
-    OmegaVerdict,
     TriangularSplit,
     _certify_padic,
     fundamental_unit,
-    heis_conj_meet_index,
     heis_orbit,
-    omega_membership,
     quad_unit_data,
     slpm_surjectivity,
     split_global,
@@ -27,8 +22,9 @@ from heckepairs.families import (
     unit_image_gap,
     unit_order_mod,
 )
+from heckepairs.grouppair import PairDescriptor
 
-from oracles import slpm_elements_mod
+from oracles import quad_pow_mod, slpm_elements_mod
 
 F = Fraction
 
@@ -239,52 +235,15 @@ def test_slpm_size_cap():
 
 
 def test_heis_conj_meet_index():
-    assert heis_conj_meet_index(1) == 1
-    assert heis_conj_meet_index(6) == 6
-    for p in (2, 3, 5, 7):
-        assert heis_conj_meet_index(p) == p
-
-
-def test_omega_membership_examples():
-    # integral u: nothing to check
-    pt = HeisPoint((), F(5), F(0))
-    assert omega_membership(pt) is OmegaVerdict.YES
-    pt = HeisPoint(((3, 2, 2),), F(1, 3), F(0))
-    assert omega_membership(pt) is OmegaVerdict.YES
-    pt = HeisPoint(((3, 2, 0),), F(1, 3), F(0))
-    assert omega_membership(pt) is OmegaVerdict.UNKNOWN
-
-
-def test_omega_membership_missing_prime():
-    with pytest.raises(InsufficientData):
-        omega_membership(HeisPoint(((2, 1, 1),), F(1, 3), F(0)))
-
-
-def test_omega_membership_monotone_in_level():
-    # raising the precision K never turns YES into UNKNOWN
-    rng = random.Random(9)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5])
-        k = rng.randint(1, 3)
-        z = rng.randrange(p ** k)
-        pt = HeisPoint(((p, k, z),), F(1, p), F(0))
-        verdict = omega_membership(pt)
-        for bump in (1, 2):
-            lift = z + rng.randrange(p ** bump) * p ** k
-            finer = HeisPoint(((p, k + bump, lift % p ** (k + bump)),),
-                              F(1, p), F(0))
-            if verdict is OmegaVerdict.YES:
-                assert omega_membership(finer) is OmegaVerdict.YES
-
-
-def test_omega_never_returns_no():
-    rng = random.Random(10)
-    for _ in range(300):
-        p = rng.choice([2, 3])
-        k = rng.randint(1, 3)
-        pt = HeisPoint(((p, k, rng.randrange(p ** k)),),
-                       F(rng.randint(1, 5), p), F(0))
-        assert omega_membership(pt) is not OmegaVerdict.NO_IMPOSSIBLE
+    # M meet xMx^-1 = nZ for the Heisenberg x with parameter 1/n: by the
+    # group law, (0, b) survives conjugation by x exactly when n | b
+    pair = PairDescriptor.heisenberg()
+    for n in (1, 6, 2, 3, 5, 7):
+        x = pair.element((0, 0), F(1, n))
+        xi = pair.inv(x)
+        for b in range(-6 * n, 6 * n + 1):
+            conj = pair.mul(pair.mul(xi, pair.element((0, b), 0)), x)
+            assert pair.in_h(conj) == (b % n == 0), (n, b)
 
 
 def test_heis_orbit_examples():

@@ -23,6 +23,7 @@ from heckepairs.grouppair import (
     index_r_cap_conj_residue,
     index_r_coset_stab,
     m_cap_conj,
+    r_image_chain,
     r_image_mod,
     reduced_stage_report,
     stabilizer_identities_report,
@@ -32,6 +33,7 @@ from heckepairs.grouppair import (
 from oracles import (
     close_with_inverses,
     fraction_r_q_index,
+    r_image_by_closure,
     r_q_count_by_filter,
     rectangular,
     slpm_elements_mod,
@@ -224,7 +226,7 @@ def test_index_r_cap_conj_residue_matches_fraction_oracle(p, q):
     level = abs(a * d - b * c)
     assert level <= 27 and Mat2.of(a, b, c, d) == Mat2.scalar(s) * q
     index = index_r_cap_conj_residue(pair, q)
-    assert index == fraction_r_q_index(r_image_mod(pair, level), q)
+    assert index == fraction_r_q_index(r_image_by_closure(pair, level), q)
     assert index == index_r_cap_conj(pair, q)
 
 
@@ -292,12 +294,15 @@ def test_orbits_of_n_stop_at_the_bound(gl2_q):
     PairDescriptor.quad_torus(3),
 ], ids=["gl2-z12", "quad-d2", "quad-d3"])
 def test_r_image_mod_matches_closure_with_inverses(pair):
-    # the closure steps with the R generators alone, which suffices in a
-    # finite group; the oracle also steps with their inverses
+    # the image of R mod s, listed from its stabilizer chain, which steps
+    # with the R generators alone (enough in a finite group); the oracle
+    # also steps with their inverses
     for s in range(1, 17):
         ring = ResidueRing(s)
         gens = [ring.reduce_mat(g) for g in pair.r_generators]
-        assert r_image_mod(pair, s) == close_with_inverses(ring, gens)
+        image = r_image_mod(pair, s, None)
+        assert image == close_with_inverses(ring, gens), s
+        assert len(image) == r_image_chain(pair, s, None)[0], s
 
 
 def test_r_image_mod_order_closed_form(gl2_z12):
@@ -312,7 +317,8 @@ def test_r_image_mod_order_closed_form(gl2_z12):
                     rest //= p
             p += 1
         order *= 2 if s > 2 else 1
-        assert len(r_image_mod(gl2_z12, s)) == order, s
+        assert len(r_image_mod(gl2_z12, s, None)) == order, s
+        assert r_image_chain(gl2_z12, s, None)[0] == order, s
 
 
 def test_index_r_cap_conj_abelian(quad2, heis):

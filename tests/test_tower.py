@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckepairs.arith import Lattice, Mat2, satisfies
+from heckepairs.arith import Lattice, Mat2, ResidueRing, satisfies
 from heckepairs.errors import (
     CertificateFailed,
     ConductorOverflow,
@@ -13,7 +13,7 @@ from heckepairs.errors import (
     NotSublattice,
     SizeCap,
 )
-from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, r_image_mod
+from heckepairs.grouppair import PairDescriptor, index_r_cap_conj
 from heckepairs.tower import (
     ConnectingMap,
     CosetFamily,
@@ -35,6 +35,7 @@ from oracles import (
     elementwise_triangle,
     fraction_core_conditions,
     fraction_satisfies,
+    r_image_by_closure,
     rectangular,
     scaled,
 )
@@ -384,7 +385,7 @@ def test_satisfies_matches_fraction_oracle(request, name, seed):
     assert level == stage.level
     oracle = fraction_core_conditions(stage.family, stage.envelope)
     residues = _random_residues(random.Random(seed), level, 500)
-    residues += sorted(r_image_mod(stage.pair, level))[:500]
+    residues += sorted(r_image_by_closure(stage.pair, level))[:500]
     residues += sorted(stage.r_core.elements)
     members = 0
     for r in residues:
@@ -473,11 +474,26 @@ def test_stage_rejects_corrupted_image(pair):
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
     env = make_envelope(fam)
     r_core = build_stage(fam, env).r_core
-    image = frozenset(r_image_mod(pair, r_core.level))
+    image = frozenset(r_image_by_closure(pair, r_core.level))
     assert len(image) == 96 and len(r_core.elements) == 2
     dropped = min(image - r_core.elements)
     with pytest.raises(CertificateFailed):
         TowerStage(fam, env, core_lattice(fam), r_core, image - {dropped})
+
+
+def test_stage_rejects_a_short_listing(pair, monkeypatch):
+    # a listing that drops one stabilizer member, (1, 1; 0, 1) mod 4, falls
+    # short of the chain order
+    chain = ResidueRing.chain
+
+    def dropping(ring, gens, bound):
+        order, member, elements = chain(ring, gens, bound)
+        return order, member, (m for m in elements if m != (1, 1, 0, 1))
+
+    monkeypatch.setattr(ResidueRing, "chain", dropping)
+    fam = make_coset_family(pair, [Mat2.diag(2, 1)])
+    with pytest.raises(CertificateFailed, match="95 residues listed mod 4"):
+        build_stage(fam, make_envelope(fam))
 
 
 def test_integer_inputs_are_checked(pair):
@@ -488,7 +504,7 @@ def test_integer_inputs_are_checked(pair):
     fam = make_coset_family(pair, [])
     env = make_envelope(fam)
     r_core = build_stage(fam, env).r_core
-    image = frozenset(r_image_mod(pair, r_core.level))
+    image = frozenset(r_image_by_closure(pair, r_core.level))
     with pytest.raises(NotSublattice):
         TowerStage(fam, env, scaled(Lattice.standard(), F(1, 2)), r_core, image)
 
