@@ -402,7 +402,8 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
                                {"seeds": [str(q) for q in prefix]}):
             fam = make_coset_family(pair, prefix)
             env = make_envelope(fam)
-            st = build_stage(fam, env, cfg.conductor_max, cfg.stage_order_max)
+            st = build_stage(fam, env, cfg.conductor_max, cfg.stage_order_max,
+                             cfg.coset_enum_max)
         if st is None:
             break
         built.append(st)

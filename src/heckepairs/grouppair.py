@@ -549,7 +549,8 @@ def r_image_chain(pair: PairDescriptor, s: int, bound: int | None):
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None) -> frozenset:
     """Image of R in GL(2, Z/s), listed from its stabilizer chain
     (``ResidueRing.close_under_mul``).  Its one caller is
-    ``tower._residue_core``, which filters the list."""
+    ``tower.build_stage``, which lists the image of a stage only once its
+    order is within the cap."""
     return ResidueRing(s).close_under_mul(_r_gens_mod(pair, s), bound)
 
 
@@ -569,6 +570,39 @@ def slpm_order(s: int) -> int:
     the image of R = GL(2, Z), as SL(2, Z) -> SL(2, Z/s) is onto (Shimura
     1971, Lemma 1.38)."""
     return (2 if s > 2 else 1) * s * jordan2(s)
+
+
+def column_solutions(pair: PairDescriptor, s: int, conditions, bound: int):
+    """The residues of the gl2 image SL+-(2, Z/s) of R that meet linear
+    congruences (n, c0, c1, c2, c3, e), n | s, by first columns: for a
+    primitive (x0, x1) and e = +-1 the second columns of det e are
+    (b0, d0) + t (x0, x1), on which the conditions are solved in turn (CRT)
+    to t = t0 mod some m | s.  Yields (x0, x1, b, d, m) for the solutions
+    (x0, b + j x0; x1, d + j x1), j = 0, m, 2m, ... < s.  The |SL+-(2, Z/s)|
+    / s pairs ((x0, x1), e) are first compared with ``bound`` (SizeCap),
+    then the stabilizer chain must certify the image (CertificateFailed)."""
+    order = slpm_order(s)
+    if order // s > bound:
+        raise SizeCap(f"{order // s} first columns mod {s} exceed the bound {bound}")
+    if r_image_chain(pair, s, bound)[0] != order:
+        raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
+    for x0 in range(s):
+        for x1 in range(s):
+            g, y0, y1 = _xgcd(x0, x1)
+            unit, g_inv, _ = _xgcd(g, s)
+            for e in {1 % s, -1 % s} if unit == 1 else ():  # (x0, x1) primitive mod s
+                b0, d0 = -y1 * e * g_inv, y0 * e * g_inv  # x0 d0 - b0 x1 = e
+                t0, m = 0, 1  # the t met so far: t0 mod m
+                for n, c0, c1, c2, c3, rhs in conditions:
+                    # at t = t0 + m k the condition reads beta m k = -alpha mod n
+                    beta = c1 * x0 + c3 * x1
+                    alpha = c0 * x0 + c1 * b0 + c2 * x1 + c3 * d0 + beta * t0 - rhs
+                    h, z, _ = _xgcd(beta * m, n)
+                    if alpha % h:
+                        break
+                    t0, m = (t0 - m * z * (alpha // h)) % (m * n // h), m * n // h
+                else:
+                    yield x0, x1, (b0 + t0 * x0) % s, (d0 + t0 * x1) % s, m
 
 
 def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
@@ -641,13 +675,8 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
                              bound: int = DEFAULT_COSET_BOUND) -> int:
     """[R : R_q] recovered at congruence level s = |det| of the integralized q.
 
-    Independent of the orbit method.  Once the stabilizer chain certifies
-    that R maps onto SL+-(2, Z/s), R_q mod s (``_r_q_conditions``) is
-    counted by first columns: for a primitive (a, c) and e = +-1 the second
-    columns of det e are (b0, d0) + t (a, c), t mod s, on which each
-    condition reads alpha + beta t = 0 mod s; solved in turn (CRT), they
-    leave one class mod some m | s: s / m residues.  The |SL+-(2, Z/s)| / s
-    pairs ((a, c), e) are compared with ``bound`` first (SizeCap)."""
+    Independent of the orbit method: R_q mod s (``_r_q_conditions``) is
+    counted by first columns (``column_solutions``), s / m per class."""
     if pair.q_is_abelian:
         return 1
     _, (a, b, c, d) = q.integralize()
@@ -656,30 +685,9 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
         return 1
     if s > conductor_cap:
         raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
+    member = sum(s // m for *_, m in column_solutions(
+        pair, s, _r_q_conditions(a, b, c, d), bound))
     order = slpm_order(s)
-    if order // s > bound:
-        raise SizeCap(f"{order // s} first columns mod {s} exceed the bound {bound}")
-    if r_image_chain(pair, s, bound)[0] != order:
-        raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
-    conditions = _r_q_conditions(a, b, c, d)
-    member = 0
-    for x0 in range(s):
-        for x1 in range(s):
-            g, y0, y1 = _xgcd(x0, x1)
-            unit, g_inv, _ = _xgcd(g, s)
-            for e in {1, s - 1} if unit == 1 else ():  # (x0, x1) primitive mod s
-                b0, d0 = -y1 * e * g_inv, y0 * e * g_inv  # x0 d0 - b0 x1 = e
-                t0, m = 0, 1  # the t met so far: t0 mod m
-                for _, c0, c1, c2, c3, _ in conditions:
-                    # at t = t0 + m k the condition reads beta m k = -alpha mod s
-                    beta = c1 * x0 + c3 * x1
-                    alpha = c0 * x0 + c1 * b0 + c2 * x1 + c3 * d0 + beta * t0
-                    h, z, _ = _xgcd(beta * m, s)
-                    if alpha % h:
-                        break
-                    t0, m = (t0 - m * z * (alpha // h)) % (m * s // h), m * s // h
-                else:
-                    member += s // m
     if not member or order % member:
         raise CertificateFailed(
             f"{member} of {order} residues mod {s} lie in R_q: not a subgroup")
@@ -816,6 +824,10 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         ident = ring.identity_mat()
         trivial = [mat_str(g) for g in pair.r_generators
                    if ring.reduce_mat(g) == ident and g != (1, 0, 0, 1)]
+        # the gl2 chain's orbit of e1 has J_2(s) points and its stabilizer at
+        # most 2s: when 2s fits, the walk would stop at the bound like this
+        if pair.q_kind == FULL_GL2 and 2 * s <= bound < jordan2(s):
+            raise SizeCap(f"orbit of e1 mod {s} exceeded {bound} points")
         r_index = r_image_chain(pair, s, bound)[0]
         m_shape = str(lat)
 

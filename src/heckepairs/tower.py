@@ -40,8 +40,8 @@ from .errors import (
     NotComparable,
     SizeCap,
 )
-from .grouppair import PLANAR, PairDescriptor, ResidueSubgroup, _box, _r_gens_mod, \
-    r_image_mod
+from .grouppair import DEFAULT_COSET_BOUND, PLANAR, QUAD_TORUS, PairDescriptor, \
+    ResidueSubgroup, _box, _r_gens_mod, column_solutions, r_image_mod, slpm_order
 
 DEFAULT_FAMILY_BOUND = 10000
 DEFAULT_CONDUCTOR_CAP = 10 ** 6
@@ -225,15 +225,11 @@ def _rel_conditions(family: CosetFamily, envelope: EnvelopeLattice):
     return k * dets, list(conds)
 
 
-def _residue_core(family: CosetFamily, envelope: EnvelopeLattice,
-                  conductor_cap: int):
-    """(image of R mod the stage level, residue core inside it)."""
-    level, conditions = _rel_conditions(family, envelope)
-    if level > conductor_cap:
-        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
-    image = r_image_mod(family.pair, level, None)  # unbounded: ROADMAP 1(d)
-    members = frozenset(r for r in image if satisfies(r, conditions))
-    return image, ResidueSubgroup(level, members)
+def _residue_core(pair: PairDescriptor, level: int, conditions, bound: int) -> frozenset:
+    """The residue core of a gl2 stage, listed by first columns."""
+    return frozenset((x0, (b + j * x0) % level, x1, (d + j * x1) % level)
+                     for x0, x1, b, d, m in column_solutions(pair, level, conditions, bound)
+                     for j in range(0, level, m))
 
 
 def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
@@ -350,31 +346,51 @@ class TowerStage:
 
 def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
                 conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
-                order_cap: int = DEFAULT_ORDER_CAP) -> TowerStage:
-    """Validate (family, envelope), then assemble and verify its finite stage."""
+                order_cap: int = DEFAULT_ORDER_CAP,
+                bound: int = DEFAULT_COSET_BOUND) -> TowerStage:
+    """Validate (family, envelope), then size, assemble and verify its
+    finite stage: only a stage within ``order_cap`` lists its image of R.
+    The gl2 image is SL+-(2, Z/level), with its core solved by first
+    columns; the quad torus image <-1, eps> is small, listed and filtered."""
     pair = family.pair
     _require_planar(pair)
     family.validate()
     envelope.validate(family)
     m_core = core_lattice(family)
-    image, r_core = _residue_core(family, envelope, conductor_cap)
     # the index certifies m_core inside M = Z^2, i.e. its denominator is 1
     m_index = lattice_index(pair.m_lattice, m_core)
+    level, conditions = _rel_conditions(family, envelope)
+    if level > conductor_cap:
+        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
+    image = None
+    if pair.q_kind == QUAD_TORUS:
+        image = r_image_mod(pair, level, bound)
+        members = frozenset(r for r in image if satisfies(r, conditions))
+        image_order = len(image)
+    else:
+        # an envelope (1/k)Z^2 puts the core in the kernel of reduction mod
+        # k: a lower bound for the order when the columns are too many
+        env, image_order = envelope.lattice, slpm_order(level)
+        lower = m_index * slpm_order(env.s if (env.a, env.c, env.d) == (1, 0, 1) else 1)
+        if lower > order_cap and image_order // level > bound:
+            raise SizeCap(f"stage too large: order at least {lower} exceeds cap {order_cap}")
+        members = _residue_core(pair, level, conditions, bound)
+    r_core = ResidueSubgroup(level, members)
 
     # the residue core must act trivially on M / core, else the semidirect
     # quotient would be ill-defined (a construction bug, not a user error)
     core = (m_core.a, m_core.c, m_core.d)
-    for residue in r_core.elements:
+    for residue in members:
         if not _fixes_quotient(core, residue):
             raise ActionNotWellDefined(
                 f"residue {residue} moves a unit vector outside the core lattice"
             )
 
-    r_index = len(image) // len(r_core.elements)
-    if m_index * r_index > order_cap:
-        raise SizeCap(
-            f"stage too large: order {m_index * r_index} exceeds cap {order_cap}"
-        )
+    order = m_index * (image_order // len(members))
+    if order > order_cap:
+        raise SizeCap(f"stage too large: order {order} exceeds cap {order_cap}")
+    if image is None:
+        image = r_image_mod(pair, level, bound)
     return TowerStage(family, envelope, m_core, r_core, image)
 
 
@@ -403,7 +419,7 @@ class ConnectingMap:
         self.fine = fine
         self.coarse = coarse
         self.phi_m = {m: _box(*m, *coarse._core) for m in fine.m_elements}
-        self.phi_r = {r: coarse.coset_key_of[tuple(x % cl for x in r)]
+        self.phi_r = {r: coarse.coset_key_of[r[0] % cl, r[1] % cl, r[2] % cl, r[3] % cl]
                       for r in fine._sorted_rkeys}
 
     def apply(self, elem):
@@ -424,24 +440,27 @@ class ConnectingMap:
         every m, the r-parts at x = (0, r) for every residue coset r.  The
         r-part of g x is the coset key of g_r r, so the r-parts are read
         from residue keys alone, once per distinct r-part g_r of the
-        generators.  The image of phi is the product of the images of its
-        m and r tables.
+        generators; the right side phi(g_r) phi(r) depends on r only through
+        its coarse key, so it is read once per coarse key.  The image of phi
+        is the product of the images of its m and r tables.
         """
         fine, coarse = self.fine, self.coarse
         phi_m, phi_r = self.phi_m, self.phi_r
-        r0 = fine.identity()[1]
+        ident = fine.identity()[1]
         pgs = {g: self.apply(g) for g in fine.generators()}
+        key, s, coarse_keys = fine.coset_key_of, fine.level, set(phi_r.values())
+        rhs = {g_r: {pr: coarse.coset_key_of[coarse._ring.mat_mul(phi_r[g_r], pr)]
+                     for pr in coarse_keys} for g_r in {g_r for _, g_r in pgs}}
         hom_ok = all(
-            phi_m[fine.mul(g, (m, r0))[0]] == coarse.mul(pg, (pm, phi_r[r0]))[0]
+            phi_m[fine.mul(g, (m, ident))[0]] == coarse.mul(pg, (pm, phi_r[ident]))[0]
             for g, pg in pgs.items() for m, pm in phi_m.items()
         ) and all(
-            phi_r[fine.coset_key_of[fine._ring.mat_mul(g_r, r)]]
-            == coarse.coset_key_of[coarse._ring.mat_mul(pg_r, pr)]
-            for g_r, pg_r in {g_r: phi_r[g_r] for _, g_r in pgs}.items()
-            for r, pr in phi_r.items()
+            phi_r[key[(g0 * r0 + g1 * r2) % s, (g0 * r1 + g1 * r3) % s,
+                      (g2 * r0 + g3 * r2) % s, (g2 * r1 + g3 * r3) % s]] == table[pr]
+            for (g0, g1, g2, g3), table in rhs.items()
+            for (r0, r1, r2, r3), pr in phi_r.items()
         )
-        surjective = (len(set(phi_m.values())) * len(set(phi_r.values()))
-                      == coarse.order)
+        surjective = len(set(phi_m.values())) * len(coarse_keys) == coarse.order
         return {
             "homomorphism": hom_ok,
             "surjective": surjective,

@@ -7,14 +7,18 @@ are built by exhaustive scans or BFS closures, and group indices are
 recovered by direct counting.  ``all_pairs_convolve`` reads the double cosets of
 ``double_coset`` but forms every product of their left representatives;
 ``fixed_point_product`` uses none of the package beyond the R generators.
+``residue_core_by_filter`` filters the stabilizer chain's listing of the
+image of R, the residue core that ``tower`` used before it solved the core
+by first columns.
 """
 
 import functools
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-from heckepairs.arith import Lattice, Mat2, QuadInt, ResidueRing, mat_mul_int
+from heckepairs.arith import Lattice, Mat2, QuadInt, ResidueRing, mat_mul_int, satisfies
 from heckepairs.cosets import HeckeElement, double_coset
+from heckepairs.grouppair import r_image_chain
 
 
 def rectangular(x, y) -> Lattice:
@@ -432,6 +436,15 @@ def fraction_satisfies(residue, conditions):
     return True
 
 
+def residue_core_by_filter(pair, level, conditions):
+    """The residue core of a stage as ``tower`` listed it before it solved
+    the core by first columns: every residue of the image of R mod the stage
+    level, listed (lazily) from the stabilizer chain, filtered by the
+    stage's congruences (from ``tower._rel_conditions``)."""
+    return frozenset(r for r in r_image_chain(pair, level, None)[2]
+                     if satisfies(r, conditions))
+
+
 def all_pairs_verify(cm):
     """Connecting-map certificate over every (generator, element) pair:
     phi(g x) = phi(g) phi(x), and surjectivity by counting the image."""
@@ -553,12 +566,19 @@ def r_q_count_by_filter(pair, q):
     in it with Q^-1 r Q integral, i.e. adj(Q) r Q = 0 mod s.  Shares no code
     with the stabilizer chain or the column count."""
     _, (a, b, c, d) = q.integralize()
-    s = abs(a * d - b * c)
-    image = r_image_by_closure(pair, s)
-    member = sum(1 for r in image if not any(
-        z % s for z in mat_mul_int(mat_mul_int((d, -b, -c, a), r), (a, b, c, d))))
+    image = r_image_by_closure(pair, abs(a * d - b * c))
+    member = r_q_member_count(image, (a, b, c, d))
     assert member and len(image) % member == 0
     return len(image) // member
+
+
+def r_q_member_count(image, integral_q):
+    """The number of residues r of ``image`` (mod s = |det Q|) in R_q for
+    q = Q/t with Q = ``integral_q``: adj(Q) r Q = 0 mod s."""
+    a, b, c, d = integral_q
+    s = abs(a * d - b * c)
+    return sum(1 for r in image if not any(
+        z % s for z in mat_mul_int(mat_mul_int((d, -b, -c, a), r), (a, b, c, d))))
 
 
 def quad_one(d: int) -> QuadInt:

@@ -180,12 +180,17 @@ LARGE_PRIME_DIGESTS = {
 @pytest.mark.parametrize("p", sorted(LARGE_PRIME_DIGESTS))
 def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch, p):
     # the levels reach 125, 343 and 912,673: no chain lists its image of R,
-    # and no orbit of n + M or of qR is walked up to the bound of 100,000
-    # points (for gl2 the orbit of n + M has J_2(s) points, compared first)
+    # and no orbit of n + M, of qR or of e1 (a chain's orbit) is walked up to
+    # the bound of 100,000 points (for gl2 the orbits of n + M and e1 have
+    # J_2(s) points, compared first)
     listed, walked = 0, []
     chain, closure = ResidueRing.chain, grouppair.closure
 
     def counting_chain(ring, gens, bound):
+        # the chain's orbit walk visits the orbit of e1 up to the bound
+        s = ring.modulus
+        orbit = closure((1 % s, 0), lambda x: (ring.vec_apply(g, x) for g in gens), bound)
+        walked.append(bound if orbit is None else len(orbit))
         order, member, elements = chain(ring, gens, bound)
 
         def counted():
@@ -210,6 +215,48 @@ def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch,
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE_PRIME_DIGESTS[p]
     assert listed == 0 and walked and max(walked) < 100000
+
+
+@pytest.mark.parametrize("p, seeds, level, error", [
+    (7, "[[49,0],[0,1]]", 2401,
+     "stage too large: order at least 553420896 exceeds cap 200000"),
+    (2, "[[2,0],[0,1]];[[4,0],[0,1]];[[8,0],[0,1]]", 64,
+     "stage too large: order 12582912 exceeds cap 200000"),
+    (3, "[[3,0],[0,1]];[[9,0],[0,1]]", 81,
+     "stage too large: order 76527504 exceeds cap 200000"),
+], ids=["p7-level2401", "p2-level64", "p3-level81"])
+def test_tower_rejects_large_stages_without_listing(capsys, tmp_path, monkeypatch,
+                                                    p, seeds, level, error):
+    # the last stage is sized before its image of R mod the level is
+    # listed: its order is rejected with no residue listed at that level
+    listed = {}
+    chain = ResidueRing.chain
+
+    def counting_chain(ring, gens, bound):
+        order, member, elements = chain(ring, gens, bound)
+
+        def counted():
+            for m in elements:
+                listed[ring.modulus] = listed.get(ring.modulus, 0) + 1
+                yield m
+
+        return order, member, counted()
+
+    monkeypatch.setattr(ResidueRing, "chain", counting_chain)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gl2.json").write_text(json.dumps(
+        {"family": "planar", "base_ring": "Z[1/p]", "p": p, "Q_kind": "full_gl2"}))
+    code, out, err = run(capsys, "tower", "build", "--config", "gl2.json", "--seed", seeds)
+    assert (code, err) == (3, "")
+    records = [json.loads(line) for line in out.splitlines()[1:-2]]
+    stages = [r for r in records if r["name"].startswith("tower.stage_")]
+    assert [r["verdict"] for r in stages] == ["pass"] * (len(stages) - 1) + ["inconclusive"]
+    assert stages[-1]["name"] == f"tower.stage_{seeds.count(';') + 1}"
+    assert stages[-1]["outputs"] == {"error": error}
+    # the stages built before it list their whole image, and only those
+    built = [r["outputs"]["level"] for r in stages[:-1]]
+    assert level not in listed and sorted(listed) == sorted(built)
+    assert all(listed[s] == grouppair.slpm_order(s) for s in built)
 
 
 def test_slpm_above_40_within_the_bound_passes(capsys):
@@ -427,10 +474,16 @@ def test_tower_builds_each_connecting_map_once(capsys, monkeypatch):
 
 def test_tower_residue_core_certificate_failure_is_a_fail_record(capsys,
                                                                 monkeypatch):
-    satisfies = tower.satisfies
+    solve = tower.column_solutions
+
+    def without_identity(pair, s, conditions, bound):
+        # the solver's class of first column (1, 0) whose first solution is
+        # the identity is dropped (at level 4 it holds the identity alone)
+        return (sol for sol in solve(pair, s, conditions, bound)
+                if sol[:4] != (1, 0, 0, 1))
+
     # a residue core without the identity is not a subgroup
-    monkeypatch.setattr(tower, "satisfies",
-                        lambda r, conds: r != (1, 0, 0, 1) and satisfies(r, conds))
+    monkeypatch.setattr(tower, "column_solutions", without_identity)
     code, out, _ = run(capsys, "tower", "build", "--seed", "[[2,0],[0,1]]")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()[1:-2]]

@@ -38,6 +38,8 @@ from heckepairs.cosets import (  # noqa: E402
 from heckepairs.errors import EnumerationBound  # noqa: E402
 from heckepairs.grouppair import (  # noqa: E402
     PairDescriptor,
+    _r_q_conditions,
+    column_solutions,
     stabilizer_identities_report,
 )
 
@@ -53,7 +55,9 @@ from oracles import (  # noqa: E402
     fraction_triple,
     fixed_point_product,
     hnf_columns,
+    r_image_by_closure,
     r_orbit_mod,
+    r_q_member_count,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -371,6 +375,27 @@ def test_stab_identities_take_both_values(name):
     for y in xs:
         seen |= check_stab_report_against_oracle(pair, y, hs)
     assert seen == {(k, v) for k in IDENTITIES for v in (True, False)}
+
+
+# ---------------------------------------------------------------------------
+# R_q by first columns
+
+# the image of R mod s, listed once per s by ``r_image_by_closure``
+_R_IMAGES = {}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(q=st.tuples(*[st.integers(-12, 12)] * 4))
+def test_column_count_matches_filter_count(q):
+    # the first-column count of R_q mod s = |det Q| <= 30 against a count
+    # over the whole image listed by a BFS closure
+    a, b, c, d = q
+    s = abs(a * d - b * c)
+    assume(1 <= s <= 30)
+    if s not in _R_IMAGES:
+        _R_IMAGES[s] = r_image_by_closure(GL2_Q, s)
+    got = sum(s // m for *_, m in column_solutions(GL2_Q, s, _r_q_conditions(*q), 10 ** 5))
+    assert got == r_q_member_count(_R_IMAGES[s], q)
 
 
 # ---------------------------------------------------------------------------

@@ -38,19 +38,16 @@ def test_no_unused_imports(path):
 # the position of the bound among the positional arguments of each call
 # that walks a finite set: ``closure(start, images, bound)``,
 # ``ring.chain(gens, bound)``, ``ring.close_under_mul(gens, bound)``,
-# ``r_image_chain(pair, s, bound)`` and ``r_image_mod(pair, s, bound)``
+# ``r_image_chain(pair, s, bound)``, ``r_image_mod(pair, s, bound)`` and
+# ``column_solutions(pair, s, conditions, bound)``
 BOUND_POSITIONS = {"closure": 3, "chain": 2, "close_under_mul": 2,
-                   "r_image_chain": 3, "r_image_mod": 3}
-# a literal None bound is accepted only on a line that carries this mark,
-# which names the ROADMAP item that will size such a walk before it starts
-UNBOUNDED_MARK = "# unbounded: ROADMAP 1(d)"
+                   "r_image_chain": 3, "r_image_mod": 3, "column_solutions": 4}
 
 
 def unbounded_closures(source: str) -> list[int]:
     """Lines of the calls in ``BOUND_POSITIONS``, by name or by attribute,
-    that pass no bound (neither positionally nor as ``bound=``), or a
-    literal None on a line without ``UNBOUNDED_MARK``."""
-    lines = source.splitlines()
+    that pass no bound (neither positionally nor as ``bound=``) or a
+    literal None."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -62,10 +59,7 @@ def unbounded_closures(source: str) -> list[int]:
         pos = BOUND_POSITIONS[name]
         bound = node.args[pos - 1] if len(node.args) >= pos else next(
             (k.value for k in node.keywords if k.arg == "bound"), None)
-        marked = any(UNBOUNDED_MARK in line
-                     for line in lines[node.lineno - 1:node.end_lineno])
-        if bound is None or (isinstance(bound, ast.Constant) and bound.value is None
-                             and not marked):
+        if bound is None or (isinstance(bound, ast.Constant) and bound.value is None):
             found.append(node.lineno)
     return sorted(found)
 
@@ -77,8 +71,9 @@ def test_unbounded_closures_are_found():
         "ring.chain(g)\nResidueRing(s).chain(g, None)\n"
         "r_image_chain(p, s)\nr_image_chain(p, s, bound=n)\n"
         "ring.chain(g, bound=n)\nring.close_under_mul(g, bound=None)\n"
-        f"r_image_mod(p, s, None)  {UNBOUNDED_MARK}\nr_image_mod(p, s, None)\n"
-        "r_image_mod(p, s)  # unbounded: ROADMAP 1(d)\n") == [1, 2, 3, 6, 8, 9]
+        "r_image_mod(p, s, None)\nr_image_mod(p, s, n)\n"
+        "column_solutions(p, s, c)\ncolumn_solutions(p, s, c, None)\n"
+        "column_solutions(p, s, c, bound=n)\n") == [1, 2, 3, 6, 7, 9, 10]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckepairs.arith import Lattice, Mat2, ResidueRing, satisfies
+from heckepairs.arith import Lattice, Mat2, ResidueRing, lattice_index, satisfies
 from heckepairs.errors import (
     CertificateFailed,
     ConductorOverflow,
@@ -13,7 +13,7 @@ from heckepairs.errors import (
     NotSublattice,
     SizeCap,
 )
-from heckepairs.grouppair import PairDescriptor, index_r_cap_conj
+from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, slpm_order
 from heckepairs.tower import (
     ConnectingMap,
     CosetFamily,
@@ -22,6 +22,7 @@ from heckepairs.tower import (
     _fixes_quotient,
     _primitive_int,
     _rel_conditions,
+    _residue_core,
     build_stage,
     core_lattice,
     make_coset_family,
@@ -37,6 +38,7 @@ from oracles import (
     fraction_satisfies,
     r_image_by_closure,
     rectangular,
+    residue_core_by_filter,
     scaled,
 )
 
@@ -216,8 +218,59 @@ def test_stage_caps(pair):
     env = make_envelope(fam)
     with pytest.raises(ConductorOverflow):
         build_stage(fam, env, conductor_cap=2)
-    with pytest.raises(SizeCap):
+    # the lower bound 4 |SL+-(2, Z/2)| = 24 passes the cap, but the columns
+    # fit the bound, so the exact order is named
+    with pytest.raises(SizeCap, match="^stage too large: order 192 exceeds cap 10$"):
         build_stage(fam, env, order_cap=10)
+
+
+_D = Mat2.diag
+# (p, seeds): gl2 over Q, Z[1/2], Z[1/3] and Z[1/5], stage levels 4 to 81
+_CORE_STAGES = [
+    (None, [_D(2, 1)]), (None, [_D(2, 1), _D(3, 1)]), (None, [_D(6, 1)]),
+    (2, [_D(2, 1)]), (2, [Mat2.of(2, 1, 0, 1)]), (2, [_D(2, 1), _D(1, 2)]),
+    (2, [_D(2, 1), _D(4, 1)]), (2, [Mat2.of(2, 1, 0, 1), Mat2.of(4, 1, 0, 1)]),
+    (2, [_D(2, 1), _D(4, 1), _D(8, 1)]), (3, [_D(3, 1)]), (3, [_D(3, 1), _D(1, 3)]),
+    (3, [_D(3, 1), _D(9, 1)]), (5, [_D(5, 1)]),
+]
+
+
+def _family_envelope(p, seeds):
+    fam = make_coset_family(PairDescriptor.planar_gl2(p), seeds)
+    return fam, make_envelope(fam)
+
+
+@pytest.mark.parametrize("p, seeds", _CORE_STAGES,
+                         ids=[f"{p}-{';'.join(map(str, s))}" for p, s in _CORE_STAGES])
+def test_column_core_matches_filter_oracle(p, seeds):
+    fam, env = _family_envelope(p, seeds)
+    pair = fam.pair
+    level, conds = _rel_conditions(fam, env)
+    core = _residue_core(pair, level, conds, 100000)
+    assert core == residue_core_by_filter(pair, level, conds)
+    # the closed-form lower bound of the order, from the envelope (1/k)Z^2,
+    # lies below the order that the core gives
+    lat = env.lattice
+    assert (lat.a, lat.c, lat.d) == (1, 0, 1) and level % lat.s == 0
+    m_index = lattice_index(pair.m_lattice, core_lattice(fam))
+    assert m_index * slpm_order(lat.s) <= m_index * (slpm_order(level) // len(core))
+
+
+@pytest.mark.parametrize("p, seeds", [(2, [_D(2, 1)]), (2, [_D(2, 1), _D(4, 1)]),
+                                      (3, [_D(3, 1), _D(9, 1)]), (7, [_D(49, 1)])])
+def test_stage_order_lower_bound_before_any_walk(p, seeds, monkeypatch):
+    # with a bound of 1 no first column may be solved: the stage is sized
+    # by m_index |SL+-(2, Z/k)|, k the envelope's least denominator, alone,
+    # and neither the chain nor the column loop runs
+    fam, env = _family_envelope(p, seeds)
+    lower = (lattice_index(fam.pair.m_lattice, core_lattice(fam))
+             * slpm_order(env.lattice.s))
+    monkeypatch.setattr(ResidueRing, "chain", None)
+    with pytest.raises(SizeCap, match=f"^stage too large: order at least {lower} "
+                                      f"exceeds cap {lower - 1}$"):
+        build_stage(fam, env, order_cap=lower - 1, bound=1)
+    with pytest.raises(SizeCap, match=" first columns mod .* exceed the bound 1$"):
+        build_stage(fam, env, order_cap=lower, bound=1)
 
 
 def test_stage_rejects_heisenberg():
@@ -305,8 +358,6 @@ def test_composite_equals_direct_on_flag_tower(pair):
 
 
 def test_m_index_strictly_increases_along_power_seeds(pair):
-    from heckepairs.arith import lattice_index
-
     indices = []
     seeds = []
     for k in (1, 2, 3):
@@ -468,6 +519,29 @@ def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
     # only the M-axis multiplies, once on each side; the R-axis reads residue
     # keys (491,520 calls when every element meets every generator)
     assert calls <= 2 * len(stage2.generators()) * len(stage2.m_elements) == 160
+
+
+def test_connecting_verify_reads_each_coarse_key_once(stage1, stage2, monkeypatch):
+    # the R-axis right side phi(g_r) phi(r) depends on r only through its
+    # coarse key: one coarse product per distinct r-part g_r and coarse key
+    # (4 x 48), against 4 x 3,072 if it were formed per fine key; the M-axis
+    # multiplies once on each side (160)
+    cm = ConnectingMap(stage2, stage1)
+    calls = 0
+    mat_mul = ResidueRing.mat_mul
+
+    def counted(ring, x, y):
+        nonlocal calls
+        calls += 1
+        return mat_mul(ring, x, y)
+
+    monkeypatch.setattr(ResidueRing, "mat_mul", counted)
+    rep = cm.verify()
+    assert rep["homomorphism"] and rep["surjective"]
+    gens = stage2.generators()
+    g_rs = {g_r for _, g_r in gens}
+    assert (len(g_rs), len(stage1._sorted_rkeys), len(stage2._sorted_rkeys)) == (4, 48, 3072)
+    assert calls <= 2 * len(gens) * len(stage2.m_elements) + len(g_rs) * 48 == 352
 
 
 def test_stage_rejects_corrupted_image(pair):
