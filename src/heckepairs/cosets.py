@@ -3,12 +3,12 @@
 
 Enumeration follows the semidirect-product factorization of H = M x| R.
 For x = (n, q), M moves xH within the class MxH, which holds the
-[M : M meet qM] left cosets m.xH, and R permutes these classes.  So the
-left cosets inside HxH are the M-translates r.m.xH over one element r.x
-of each class in the R-orbit of MxH, and L(x) = [M : M meet qM] times the
-length of that orbit.  The orbit is walked on the keys of
-``PairDescriptor.canon_class``, each left coset is put once in the
-canonical form of ``PairDescriptor.canon_coset``, and ``l_of`` counts
+[M : M meet qM] left cosets m.xH, and R permutes these classes, so L(x)
+is [M : M meet qM] times the length of the R-orbit of MxH.  The orbit is
+walked on the canonical elements k = (n_k, q_k) of its classes
+(``PairDescriptor.class_mul``).  The left cosets of the class of k are
+the m.kH = (m + n_k, q_k)H over the box of M / (M meet q_k M), each put
+once in canonical form (``PairDescriptor.canon_coset``); ``l_of`` counts
 without enumerating a left coset.
 
 Products use the structure constants of the algebra: HaH.HbH is the union
@@ -47,9 +47,9 @@ class DoubleCoset:
         return len(self.left_reps)
 
 
-# Each pair keeps one memo, ``pair._dcosets``: canonical left coset -> the
-# DoubleCoset holding it, every double coset stored under all of its left
-# cosets.  Only this module reads or writes it.  It is purely an
+# Each pair keeps one memo, ``pair._dcosets``: canonical left coset key ->
+# the DoubleCoset holding it, every double coset stored under all of its
+# left cosets.  Only this module reads or writes it.  It is purely an
 # optimization: results are the same whether it is warm or cold.
 
 
@@ -60,18 +60,16 @@ def _too_many(x: GElem, bound: int) -> EnumerationBound:
     )
 
 
-def _memo_lookup(x: GElem, bound: int,
-                 key: GElem | None = None) -> DoubleCoset | None:
-    """The memo's double coset of x, if it holds one, checked against the
-    bound; ``key`` is canon_coset(x) when the caller already has it."""
-    dc = x.pair._dcosets.get(x.pair.canon_coset(x) if key is None else key)
+def _memo_lookup(x: GElem, bound: int) -> DoubleCoset | None:
+    """The memo's double coset of x, if any, checked against the bound."""
+    dc = x.pair._dcosets.get(x.pair._canon(x.s, x.v))
     if dc is not None and dc.degree > bound:
         raise _too_many(x, bound)
     return dc
 
 
 def _r_orbit(x: GElem, m_index: int, bound: int) -> list[GElem]:
-    """Elements r.x with r in R, one in each class of the R-orbit of MxH.
+    """The canonical elements of the classes in the R-orbit of MxH.
 
     The orbit is closed under the generators of R alone: it is finite, so
     each generator permutes it.  Raises once the orbit holds more than
@@ -80,17 +78,17 @@ def _r_orbit(x: GElem, m_index: int, bound: int) -> list[GElem]:
     if m_index > bound:
         raise _too_many(x, bound)
     pair = x.pair
-    gens = pair.r_elements()
-    seen = {pair.canon_class(x)}
-    orbit = [x]
+    gens, class_mul = pair.r_elements(), pair.class_mul
+    orbit = [pair.canon_class(x)]
+    seen = {(orbit[0].s, orbit[0].v)}
     for y in orbit:
         for g in gens:
-            z = pair.mul(g, y)
-            key = pair.canon_class(z)
-            if key not in seen:
+            # g.y lies in g.MyH = M.gy.H, as g normalizes M
+            z = class_mul(g, y)
+            if (z.s, z.v) not in seen:
                 if m_index * (len(seen) + 1) > bound:
                     raise _too_many(x, bound)
-                seen.add(key)
+                seen.add((z.s, z.v))
                 orbit.append(z)
     return orbit
 
@@ -99,32 +97,30 @@ def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
     dc = _memo_lookup(x, bound)
     if dc is not None:
         return dc
-    pair = x.pair
+    pair, canon = x.pair, x.pair._canon
     a, d = m_cap_box(x)
     orbit = _r_orbit(x, a * d, bound)
-    one = pair.identity().v[2:]
-    translates = [pair.mul(GElem(1, (i, j) + one, pair), x)
-                  for i in range(a) for j in range(d)]
-    # y = r.x with r in R, so r = y.x^-1, and the r.m.x over the M-translates
-    # m.x of xH are the M-translates of yH
-    xinv = pair.inv(x)
     cosets = set()
-    for y in orbit:
-        r = pair.mul(y, xinv)
-        for mx in translates:
-            cosets.add(pair.canon_coset(pair.mul(r, mx)))
+    for k in orbit:
+        # m.k for m = (i, j) in M adds m to the n of k; M meet q_k.M is
+        # r.(M meet qM) for q_k in r.q.R, so each key has its own box
+        s, (n0, n1, *q) = k.s, k.v
+        ka, kd = m_cap_box(k)
+        cosets.update(canon(s, (n0 + i * s, n1 + j * s, *q))
+                      for i in range(ka) for j in range(kd))
     if len(cosets) != a * d * len(orbit):
         raise CertificateFailed(
             f"{len(cosets)} left cosets in H.{x}.H, not [M:M_q] = {a * d} "
             f"times the {len(orbit)} classes of the R-orbit")
     # printed forms are unique, so the pairs sort by them alone
-    strs, reps = zip(*sorted(zip(map(str, cosets), cosets)))
+    elems = [GElem(s, v, pair) for s, v in cosets]
+    strs, reps = zip(*sorted(zip(map(str, elems), elems)))
     dc = DoubleCoset(reps[0], reps, strs)
     memo = pair._dcosets
     if len(memo) > DEFAULT_COSET_BOUND:
         memo.clear()
-    for y in reps:
-        memo[y] = dc
+    for key in cosets:
+        memo[key] = dc
     return dc
 
 
@@ -245,7 +241,7 @@ def convolve(f: HeckeElement, g: HeckeElement,
     if f.pair != g.pair:
         raise DescriptorMismatch("mixing Hecke elements of different pairs")
     pair = f.pair
-    canon, mul = pair.canon_coset, pair.mul
+    canon_mul, memo = pair.canon_mul, pair._dcosets
     # the support is checked against the bound before any output is
     support = [(double_coset(ra, bound), ca, double_coset(rb, bound), cb)
                for ra, ca in f.terms.items() for rb, cb in g.terms.items()]
@@ -254,14 +250,17 @@ def convolve(f: HeckeElement, g: HeckeElement,
         a = dca.rep
         outputs: dict[GElem, DoubleCoset] = {}
         for bj in dcb.left_reps:
-            c = canon(mul(a, bj))
-            dc = _memo_lookup(c, bound, c) or double_coset(c, bound)
+            # double_coset enumerates a miss and names a hit over the bound
+            key = canon_mul(a, bj)
+            dc = memo.get(key)
+            if dc is None or dc.degree > bound:
+                dc = double_coset(GElem(*key, pair), bound)
             outputs.setdefault(dc.rep, dc)
         y_inv = [pair.inv(y) for y in dca.left_reps]
-        in_b = frozenset(dcb.left_reps)
+        in_b = frozenset((y.s, y.v) for y in dcb.left_reps)
 
         def value(z: GElem) -> int:
-            return sum(canon(mul(yi, z)) in in_b for yi in y_inv)
+            return sum(canon_mul(yi, z) in in_b for yi in y_inv)
 
         total = 0
         for rep, dc in outputs.items():

@@ -339,7 +339,8 @@ class PairDescriptor:
             return GElem(1, (0, 0, 0), self)
         return GElem(1, (0, 0, 1, 0, 0, 1), self)
 
-    def mul(self, x: GElem, y: GElem) -> GElem:
+    def _product(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
+        """The numerators v of xy over s t, not reduced, as (s t, v)."""
         if x.pair is not y.pair and x.pair != y.pair:
             raise DescriptorMismatch("elements belong to different descriptors")
         s, t = x.s, y.s
@@ -347,15 +348,18 @@ class PairDescriptor:
             a0, u0, p0 = x.v
             a1, u1, p1 = y.v
             st = s * t
-            return self._reduced(st, ((a0 * t + a1 * s + p0 * u1) % st,
-                                      u0 * t + u1 * s, p0 * t + p1 * s))
+            return st, ((a0 * t + a1 * s + p0 * u1) % st,
+                        u0 * t + u1 * s, p0 * t + p1 * s)
         # (n/s + (q/s)(m/t), (q/s)(r/t)) over the denominator s*t
         n0, n1, a, b, c, d = x.v
         m0, m1, e, f, g, h = y.v
-        return self._reduced(s * t, (
+        return s * t, (
             n0 * t + a * m0 + b * m1, n1 * t + c * m0 + d * m1,
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
-        ))
+        )
+
+    def mul(self, x: GElem, y: GElem) -> GElem:
+        return self._reduced(*self._product(x, y))
 
     def inv(self, x: GElem) -> GElem:
         s = x.s
@@ -407,80 +411,86 @@ class PairDescriptor:
         return a, self.d * c, c, a
 
     def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
-        """Normalize a + b*sqrt(d) by the unit group {+-u^k}.
-
-        The representative is the one with positive real embedding whose
-        square lies in [|norm|, |norm| * u^2); comparisons are exact sign
-        computations in the quadratic field.  A common denominator of a and
-        b scales every compared quantity by the same positive square, so
-        the numerators alone decide.
-        """
+        """Normalize a + b*sqrt(d) by the unit group {+-u^k}: the
+        representative with positive real embedding whose square lies in
+        [|norm|, |norm| * u^2).  A common denominator of a and b scales
+        every compared quantity by the same positive square, so the
+        numerators alone decide."""
         d = self.d
-        m0, n0 = self.quad_unit
+        m0, n0 = unit = self.quad_unit
 
         def qmul(x, y):
             return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
-        def sign_real(x):
-            a, b = x
-            if a == 0 and b == 0:
-                return 0
-            if a >= 0 and b >= 0:
-                return 1
-            if a <= 0 and b <= 0:
-                return -1
-            t = a * a - d * b * b
-            s = 1 if t > 0 else -1
-            return s if a > 0 else -s
+        def sign(x, y=(0, 0)):
+            # of x - y = a + b*sqrt(d), which has the sign of its term of
+            # larger absolute value, as d is not a square
+            a, b = x[0] - y[0], x[1] - y[1]
+            return (a > 0) - (a < 0) if a * a > d * b * b else (b > 0) - (b < 0)
 
-        alpha = (a, b)
-        if sign_real(alpha) < 0:
-            alpha = (-a, -b)
-        norm = abs(alpha[0] * alpha[0] - d * alpha[1] * alpha[1])
-        unit = (m0, n0)
+        beta = (a, b) if sign((a, b)) > 0 else (-a, -b)
+        norm = (abs(a * a - d * b * b), 0)
+        upper = qmul(norm, qmul(unit, unit))
         unit_inv = (m0, -n0) if m0 * m0 - d * n0 * n0 == 1 else (-m0, n0)
-        upper = qmul((norm, 0), qmul(unit, unit))
-
-        beta = alpha
-        sq = qmul(beta, beta)
-        while sign_real((sq[0] - norm, sq[1])) < 0:
+        while sign(qmul(beta, beta), norm) < 0:
             beta = qmul(beta, unit)
-            sq = qmul(beta, beta)
-        while sign_real((sq[0] - upper[0], sq[1] - upper[1])) >= 0:
+        while sign(qmul(beta, beta), upper) >= 0:
             beta = qmul(beta, unit_inv)
-            sq = qmul(beta, beta)
         return beta
 
-    def canon_coset(self, x: GElem) -> GElem:
-        """Canonical element of the left coset xH; equal cosets map to equal
-        results, so this doubles as the hashable coset key."""
-        s = x.s
+    def _canon(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The key (s, v), s least, of the canonical element of xH for x =
+        v/s; a common factor of s and v gives the same key."""
         if self.family == HEISENBERG:
             # right multiplication by (0, b; 0) with b = -floor(n1) moves n1
             # into [0, 1), then the integer q-translation reduces q mod 1
-            a, u, p = x.v
-            b = -(u // s)
-            return self._reduced(s, ((a + p * b) % s, u % s, p % s))
-        n0, n1, a, b, c, d = x.v
-        q = self._canon_q_ints(a, b, c, d)
+            a, u, p = v
+            return _least(s, ((a - p * (u // s)) % s, u % s, p % s))
+        n0, n1, a, b, c, d = v
+        if self.q_kind == FULL_GL2:
+            # the canonical q = (ha, 0; hc, hd) is its own column form
+            ha, hc, hd = span = hnf_int(a, b, c, d)
+            q = (ha, 0, hc, hd)
+        else:
+            q = self._canon_q_ints(a, b, c, d)
+            span = hnf_int(*q)
         # reduce n into the box of the lattice q*.M = q*.Z^2
-        return self._reduced(s, _box(n0, n1, *hnf_int(*q)) + q)
+        return _least(s, _box(n0, n1, *span) + q)
 
-    def canon_class(self, x: GElem) -> GElem:
-        """Canonical element of MxH, the union of the left cosets m.xH over
-        m in M: the q-part is canonical for qR as in ``canon_coset``, and n
-        is reduced modulo M + qM instead of qM.  Equal classes map to equal
-        results."""
-        s = x.s
+    def _class(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The key of the canonical element of MxH, the union of the m.xH
+        over m in M: q as in ``_canon``, n reduced mod M + qM, not qM."""
         if self.family == HEISENBERG:
             # M + qM = (qZ + Z)/Z x Z, and qZ + Z = (gcd(p, s)/s)Z for q = p/s
-            a, u, p = x.v
-            return self._reduced(s, (a % gcd(p, s), u % s, p % s))
-        n0, n1, a, b, c, d = x.v
+            a, u, p = v
+            return _least(s, (a % gcd(p, s), u % s, p % s))
+        n0, n1, a, b, c, d = v
         q = self._canon_q_ints(a, b, c, d)
         # over the denominator s, M = Z^2 has the canonical form (s, 0, s)
         box = hnf_sum(*hnf_int(*q), s, 0, s)
-        return self._reduced(s, _box(n0, n1, *box) + q)
+        return _least(s, _box(n0, n1, *box) + q)
+
+    def canon_coset(self, x: GElem) -> GElem:
+        """Canonical element of the left coset xH, a hashable coset key."""
+        return GElem(*self._canon(x.s, x.v), self)
+
+    def canon_class(self, x: GElem) -> GElem:
+        """Canonical element of MxH (``_class``)."""
+        return GElem(*self._class(x.s, x.v), self)
+
+    def canon_mul(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
+        """The key of canon_coset(xy), without forming xy."""
+        return self._canon(*self._product(x, y))
+
+    def class_mul(self, x: GElem, y: GElem) -> GElem:
+        """canon_class(xy), without forming xy."""
+        return GElem(*self._class(*self._product(x, y)), self)
+
+
+def _least(s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(s, v) over the least denominator."""
+    g = gcd(s, *v)
+    return (s, v) if g == 1 else (s // g, tuple([x // g for x in v]))
 
 
 def _box(n0: int, n1: int, a: int, c: int, d: int) -> tuple[int, int]:

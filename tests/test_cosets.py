@@ -8,6 +8,7 @@ from heckepairs.arith import Mat2
 from heckepairs.cli import main
 from heckepairs.cosets import (
     HeckeElement,
+    _r_orbit,
     convolve,
     delta,
     double_coset,
@@ -132,6 +133,18 @@ def test_delta_constant_on_left_reps(gl2):
     d = delta(x)
     for rep in double_coset(x).left_reps:
         assert delta(rep) == d
+
+
+def test_r_orbit_is_walked_on_small_class_keys(gl2):
+    # x = (n, q) = ((1/8, 3/16), diag(64, 1)): the R-orbit of MxH has 3,072
+    # classes and L(x) = 64 * 3,072.  The orbit holds each class's
+    # canonical element, whose n is reduced mod M + qM, so no entry passes
+    # 1,024; the elements r.x over the same walk reach 160,768
+    x = gl2.element((F(1, 8), F(3, 16)), Mat2.diag(64, 1))
+    orbit = _r_orbit(x, 64, 200000)
+    assert len(orbit) == 3072
+    assert max(abs(e) for k in orbit for e in (k.s, *k.v)) <= 1024
+    assert l_of(x, bound=200000) == 196608
 
 
 def test_enumeration_bound(gl2):
@@ -341,14 +354,15 @@ def test_enumeration_bound_on_warm_memo():
 
 
 def count_canon_calls(pair):
-    """Replace pair.canon_coset by a counting wrapper; returns the call list."""
-    canon, calls = pair.canon_coset, []
+    """Replace pair._canon, the one funnel of canon_coset, canon_mul and the
+    memo keys, by a counting wrapper; returns the call list."""
+    canon, calls = pair._canon, []
 
-    def counting(x):
+    def counting(s, v):
         calls.append(1)
-        return canon(x)
+        return canon(s, v)
 
-    pair.canon_coset = counting
+    pair._canon = counting
     return calls
 
 
@@ -400,14 +414,16 @@ def test_convolve_canon_calls_bounded():
 
 
 def corrupt_evaluation(pair, dca, dcb, z):
-    """Patch pair.mul so that one product y_i^-1 z that lies in HbH, for a
-    left rep y_i of HaH, lands in H instead: the value of 1_HaH * 1_HbH at
-    the left coset z drops by one, and no other value changes."""
-    in_b = set(dcb.left_reps)
+    """Patch pair.canon_mul so that one product y_i^-1 z that lies in HbH,
+    for a left rep y_i of HaH, lands in H instead: the value of
+    1_HaH * 1_HbH at the left coset z drops by one, and no other value
+    changes."""
+    in_b = {(y.s, y.v) for y in dcb.left_reps}
     yinv = next(w for w in map(pair.inv, dca.left_reps)
-                if pair.canon_coset(pair.mul(w, z)) in in_b)
-    mul = pair.mul
-    pair.mul = lambda a, b: pair.identity() if (a, b) == (yinv, z) else mul(a, b)
+                if pair.canon_mul(w, z) in in_b)
+    canon_mul, one = pair.canon_mul, pair.identity()
+    pair.canon_mul = lambda a, b: ((one.s, one.v) if (a, b) == (yinv, z)
+                                   else canon_mul(a, b))
 
 
 def test_convolve_certificate_catches_a_wrong_product():

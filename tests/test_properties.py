@@ -31,12 +31,14 @@ from heckepairs.arith import (  # noqa: E402
 from heckepairs.cosets import (  # noqa: E402
     HeckeElement,
     convolve,
+    delta,
     double_coset,
     forget_double_cosets,
     l_of,
 )
 from heckepairs.errors import EnumerationBound  # noqa: E402
 from heckepairs.grouppair import (  # noqa: E402
+    GElem,
     PairDescriptor,
     _r_q_conditions,
     column_solutions,
@@ -199,6 +201,30 @@ def test_canon_coset_is_a_coset_key(name, data):
     assert pair.in_h(y)
 
 
+def unreduced(x, k):
+    """x with its numerators and denominator times k: the same element, not
+    over its least denominator."""
+    return GElem(x.s * k, tuple(c * k for c in x.v), x.pair)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_fused_products_match_canon_of_mul(name, data):
+    # canon_mul and class_mul canonicalize the unreduced product; the keys
+    # are homogeneous, so any common factor gives the same result
+    pair = PAIRS[name]
+    x, y = (data.draw(st.one_of(ELEMENTS[name], st.just(MIXED[name])))
+            for _ in range(2))
+    xy = pair.mul(x, y)
+    c = pair.canon_coset(xy)
+    for k, l in ((1, 1), (data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6)))):
+        xk, yl = unreduced(x, k), unreduced(y, l)
+        assert pair.canon_mul(xk, yl) == (c.s, c.v)
+        assert pair.class_mul(xk, yl) == pair.canon_class(xy)
+        assert pair.canon_coset(xk) == pair.canon_coset(x)
+
+
 def test_h_generators_lie_in_h():
     for pair in PAIRS.values():
         for h in pair.h_generators():
@@ -265,6 +291,46 @@ def test_left_cosets_match_bfs_oracle_mixed(name):
     assert not pair.in_h(pair.element(x.n, one))  # n outside M
     assert not pair.in_h(pair.element((0, 0), x.q))  # q outside R
     assert check_left_cosets_against_bfs(x)
+
+
+# the modular function on the four pairs, from the orbit counts of l_of
+# alone; products and inverses keep L within this bound or are skipped
+DELTA_BOUND = 5000
+
+
+def delta_or_skip(x):
+    try:
+        return delta(x, DELTA_BOUND)
+    except EnumerationBound:
+        assume(False)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_delta_is_a_character(name, data):
+    # Delta(x) = L(x)/L(x^-1) is a homomorphism G -> Q_>0 (Tzanev, J.
+    # Operator Theory 50, 2003; Kaliszewski-Landstad-Quigg, Proc. Edinb.
+    # Math. Soc. 51, 2008)
+    pair = PAIRS[name]
+    x, y = data.draw(SMALL_ELEMENTS[name]), data.draw(SMALL_ELEMENTS[name])
+    dx, dy = delta_or_skip(x), delta_or_skip(y)
+    assert delta_or_skip(pair.mul(x, y)) == dx * dy
+    assert delta_or_skip(pair.inv(x)) * dx == 1
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_delta_closed_form(name, data):
+    # Delta(n, q) = |det q| on the planar pairs, the norm of alpha on the
+    # torus; on heisenberg Delta = 1, as G is generated by the divisible
+    # groups N and Q, and Q_>0, free abelian, has no divisible subgroup
+    # but 1.  The reciprocal 1/Delta is a character too, so only this
+    # test tells the two apart.
+    pair = PAIRS[name]
+    x = data.draw(st.one_of(SMALL_ELEMENTS[name], st.just(MIXED[name])))
+    assert delta_or_skip(x) == (1 if pair is HEIS else abs(x.q.det()))
 
 
 @st.composite

@@ -44,6 +44,12 @@ BOUND_POSITIONS = {"closure": 3, "chain": 2, "close_under_mul": 2,
                    "r_image_chain": 3, "r_image_mod": 3, "column_solutions": 4}
 
 
+def called_name(call: ast.Call) -> str | None:
+    """The name a call is made by, bare or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def unbounded_closures(source: str) -> list[int]:
     """Lines of the calls in ``BOUND_POSITIONS``, by name or by attribute,
     that pass no bound (neither positionally nor as ``bound=``) or a
@@ -52,8 +58,7 @@ def unbounded_closures(source: str) -> list[int]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = called_name(node)
         if name not in BOUND_POSITIONS:
             continue
         pos = BOUND_POSITIONS[name]
@@ -79,3 +84,29 @@ def test_unbounded_closures_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_closure_has_a_bound(path):
     assert unbounded_closures(path.read_text()) == []
+
+
+def canon_of_mul_calls(source: str) -> list[int]:
+    """Lines of the calls canon_coset(mul(...)) and canon_class(mul(...)),
+    by name or by attribute.  A product is canonicalized by ``canon_mul``
+    or ``class_mul``, which reduce it once, without a ``GElem`` between."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and called_name(node) in ("canon_coset", "canon_class")
+                and any(isinstance(a, ast.Call) and called_name(a) == "mul"
+                        for a in node.args)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_canon_of_mul_is_found():
+    assert canon_of_mul_calls(
+        "pair.canon_coset(pair.mul(x, y))\ncanon_class(mul(g, y))\n"
+        "pair.canon_mul(x, y)\ncanon_coset(x)\nmul(canon_coset(x), y)\n"
+        "pair.canon_class(pair.class_mul(g, y))\n") == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_products_are_canonicalized_fused(path):
+    assert canon_of_mul_calls(path.read_text()) == []
