@@ -17,11 +17,11 @@ from math import gcd, inf, lcm
 
 from .errors import (
     BadDiscriminant,
+    BoundReached,
     CertificateFailed,
     NotPrime,
     NotSublattice,
     SingularBasis,
-    SizeCap,
 )
 
 Rat = Fraction
@@ -455,8 +455,8 @@ class ResidueRing:
         (b, d), re-closed at each new Schreier generator u[gx]^-1 g u[x]
         (Schreier's lemma).  |G| = |orbit| |stabilizer|; m is in G when
         u[m e1]^-1 m is in the stabilizer; ``elements`` lazily lists G as the
-        products u[x] (1, b; 0, d).  SizeCap when either passes ``bound``
-        points."""
+        products u[x] (1, b; 0, d).  BoundReached when either passes
+        ``bound`` points."""
         s = self.modulus
         one = 1 % s
         steps = [(*g, _xgcd(self.mat_det(g), s)[1]) for g in gens]
@@ -474,7 +474,7 @@ class ResidueRing:
                 w0, w1 = (g0 * c0 + g1 * c1) % s, (g2 * c0 + g3 * c1) % s
                 if y not in u:  # a tree edge: u[y] = g u[x]
                     if bound is not None and len(u) >= bound:
-                        raise SizeCap(f"orbit of e1 mod {s} exceeded {bound} points")
+                        raise BoundReached(f"orbit of e1 mod {s} exceeded {bound} points")
                     u[y] = (w0, w1, ginv * dinv % s)
                     todo.append(y)
                     continue
@@ -482,9 +482,8 @@ class ResidueRing:
                 if h not in stab:
                     stab_gens.append(h)
                     stab = closure((0, one), lambda k: (
-                        ((b + k[0] * d) % s, k[1] * d % s) for b, d in stab_gens), bound)
-                    if stab is None:
-                        raise SizeCap(f"stabilizer of e1 mod {s} exceeded {bound} points")
+                        ((b + k[0] * d) % s, k[1] * d % s) for b, d in stab_gens), bound,
+                        f"stabilizer of e1 mod {s} exceeded {bound} points")
 
         def member(m) -> bool:
             x = (m[0] % s, m[2] % s)
@@ -506,16 +505,16 @@ class ResidueRing:
         return group
 
 
-def closure(start, images, bound: int | None = None) -> set | None:
+def closure(start, images, bound: int | None, message: str) -> set:
     """The points reached from start by repeatedly taking ``images`` (a
-    point -> an iterable of points), start included; None as soon as more
-    than ``bound`` points would be reached."""
+    point -> an iterable of points), start included; BoundReached(message)
+    as soon as more than ``bound`` points would be reached."""
     seen, todo = {start}, [start]
     for x in todo:
         for y in images(x):
             if y not in seen:
                 if bound is not None and len(seen) >= bound:
-                    return None
+                    raise BoundReached(message)
                 seen.add(y)
                 todo.append(y)
     return seen

@@ -31,14 +31,12 @@ from .cosets import (
 )
 from .errors import (
     BadDiscriminant,
+    BoundReached,
     CertificateFailed,
-    ConductorOverflow,
     ConfigInvalid,
     DetNotAllowed,
-    EnumerationBound,
     HeckePairsError,
     NotInQ,
-    SizeCap,
 )
 from .families import (
     heis_orbit,
@@ -277,13 +275,12 @@ def _random_h_elements(pair: PairDescriptor, rng: random.Random, count: int):
 @contextlib.contextmanager
 def _verdict_on_error(report: Report, name: str, law: str, inputs: dict):
     """Run the block, which adds its own records.  If it hits a bound
-    (``EnumerationBound``, ``SizeCap``, ``ConductorOverflow``), add one
-    inconclusive record under (name, law, inputs) and go on after the
-    block; if a certificate fails or an input is refused
-    (``CertificateFailed``, ``DetNotAllowed``), one fail record."""
+    (``BoundReached``), add one inconclusive record under (name, law,
+    inputs) and go on after the block; if a certificate fails or an input
+    is refused (``CertificateFailed``, ``DetNotAllowed``), one fail record."""
     try:
         yield
-    except (EnumerationBound, SizeCap, ConductorOverflow) as exc:
+    except BoundReached as exc:
         report.add(name, law, inputs, {"error": str(exc)}, "inconclusive")
     except (CertificateFailed, DetNotAllowed) as exc:
         report.add(name, law, inputs, {"error": str(exc)}, "fail")
@@ -400,7 +397,7 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
         st = None
         with _verdict_on_error(report, f"tower.stage_{i}", "stage construction",
                                {"seeds": [str(q) for q in prefix]}):
-            fam = make_coset_family(pair, prefix)
+            fam = make_coset_family(pair, prefix, cfg.coset_enum_max)
             env = make_envelope(fam)
             st = build_stage(fam, env, cfg.conductor_max, cfg.stage_order_max,
                              cfg.coset_enum_max)
@@ -466,7 +463,7 @@ def cmd_quad_units(cfg: RunConfig, d: int, modulus: int) -> Report:
     inputs = {"d": d, "mod": modulus}
     with _verdict_on_error(report, "quad.units", law, inputs):
         try:
-            rep = unit_image_gap(d, modulus)
+            rep = unit_image_gap(d, modulus, cfg.coset_enum_max)
         except BadDiscriminant as exc:
             raise ConfigInvalid(f"--d {d}: {exc}") from exc
         report.add("quad.units", law, inputs, rep, "pass")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import rat_from_str, rat_to_str, Mat2
-from .errors import CertificateFailed, DescriptorMismatch, EnumerationBound
+from .errors import BoundReached, CertificateFailed, DescriptorMismatch
 from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box
 
 
@@ -53,8 +53,8 @@ class DoubleCoset:
 # optimization: results are the same whether it is warm or cold.
 
 
-def _too_many(x: GElem, bound: int) -> EnumerationBound:
-    return EnumerationBound(
+def _too_many(x: GElem, bound: int) -> BoundReached:
+    return BoundReached(
         f"more than {bound} left cosets in H.{x}.H; "
         "the pair may not be Hecke at this element, or raise the bound"
     )

@@ -29,12 +29,10 @@ class NotInQ(HeckePairsError):
     """An element left the acting group of the descriptor."""
 
 
-class ConductorOverflow(HeckePairsError):
-    """No usable congruence level below the configured bound."""
-
-
-class EnumerationBound(HeckePairsError):
-    """A coset enumeration exceeded its bound (pair may not be Hecke, or raise the bound)."""
+class BoundReached(HeckePairsError):
+    """A walk or a size passed its bound (cosets, points, conductor or
+    stage order): the answer is inconclusive, not a failure; raise the
+    bound to go further."""
 
 
 class CertificateFailed(HeckePairsError):
@@ -58,10 +56,6 @@ class NotComparable(HeckePairsError):
 
 class DetNotAllowed(HeckePairsError):
     """A matrix determinant lies outside the allowed unit group."""
-
-
-class SizeCap(HeckePairsError):
-    """A requested exhaustive computation exceeds its size cap."""
 
 
 class ConfigInvalid(HeckePairsError):

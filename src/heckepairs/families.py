@@ -26,9 +26,9 @@ from .arith import (
 )
 from .errors import (
     BadDiscriminant,
+    BoundReached,
     CertificateFailed,
     DetNotAllowed,
-    SizeCap,
 )
 from .grouppair import DEFAULT_COSET_BOUND, PairDescriptor, r_image_chain, slpm_order
 
@@ -86,8 +86,13 @@ class QuadUnitData:
             raise CertificateFailed("unit image is not inside the unit group")
 
 
-def quad_unit_data(d: int, s: int) -> QuadUnitData:
+def quad_unit_data(d: int, s: int, bound: int = DEFAULT_COSET_BOUND) -> QuadUnitData:
+    """The unit data mod s, from a scan of the s^2 residue pairs (m, n),
+    which are compared with ``bound`` first; the order of r0 mod s, the
+    length of the power walk, is below their number."""
     r0 = fundamental_unit(d)
+    if s * s > bound:
+        raise BoundReached(f"{s * s} residue pairs mod {s} exceed the bound {bound}")
     n_s = unit_order_mod(r0, s)
     image = set()
     power = QuadInt(1 % s, 0, d)
@@ -103,13 +108,13 @@ def quad_unit_data(d: int, s: int) -> QuadUnitData:
     return QuadUnitData(d, r0, s, n_s, frozenset(image), frozenset(full))
 
 
-def unit_image_gap(d: int, s: int) -> dict:
+def unit_image_gap(d: int, s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
     """Compare the image of the global units with the full unit group mod s.
 
     The report carries a witness unit outside the image whenever the
-    inclusion is proper.
+    inclusion is proper.  The scan is bounded as in ``quad_unit_data``.
     """
-    data = quad_unit_data(d, s)
+    data = quad_unit_data(d, s, bound)
     proper = data.unit_image < data.full_units
     witness = min(data.full_units - data.unit_image) if proper else None
     if len(data.full_units) % len(data.unit_image):
@@ -248,7 +253,7 @@ def slpm_surjectivity(s: int, bound: int = DEFAULT_COSET_BOUND) -> dict:
         raise ValueError("modulus must be positive")
     target = slpm_order(s)
     if target > bound:
-        raise SizeCap(f"|SL+-(2, Z/{s})| = {target} exceeds the bound {bound}")
+        raise BoundReached(f"|SL+-(2, Z/{s})| = {target} exceeds the bound {bound}")
     order, member, _ = r_image_chain(PairDescriptor.planar_gl2(), s, bound)
     return {
         "modulus": s,
@@ -272,8 +277,8 @@ def heis_orbit(z: int, w: int, s: int, bound: int = DEFAULT_COSET_BOUND) -> set:
         raise ValueError("modulus must be positive")
     size = s // gcd(z % s, s)  # gcd(0, s) = s covers z = 0
     if size > bound:
-        raise SizeCap(f"orbit of ({z}, {w}) mod {s} has {size} points, "
-                      f"above the bound {bound}")
+        raise BoundReached(f"orbit of ({z}, {w}) mod {s} has {size} points, "
+                           f"above the bound {bound}")
     orbit = {(z % s, (w + r * z) % s) for r in range(size)}
     if len(orbit) != size:
         raise CertificateFailed(f"orbit of ({z}, {w}) mod {s} has size {len(orbit)}")

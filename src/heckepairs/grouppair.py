@@ -50,14 +50,12 @@ from .arith import (
 )
 from .errors import (
     BadDiscriminant,
+    BoundReached,
     CertificateFailed,
-    ConductorOverflow,
     ConfigInvalid,
     DescriptorMismatch,
-    EnumerationBound,
     NotInQ,
     SingularBasis,
-    SizeCap,
 )
 
 PLANAR = "planar"
@@ -589,11 +587,11 @@ def column_solutions(pair: PairDescriptor, s: int, conditions, bound: int):
     (b0, d0) + t (x0, x1), on which the conditions are solved in turn (CRT)
     to t = t0 mod some m | s.  Yields (x0, x1, b, d, m) for the solutions
     (x0, b + j x0; x1, d + j x1), j = 0, m, 2m, ... < s.  The |SL+-(2, Z/s)|
-    / s pairs ((x0, x1), e) are first compared with ``bound`` (SizeCap),
+    / s pairs ((x0, x1), e) are first compared with ``bound`` (BoundReached),
     then the stabilizer chain must certify the image (CertificateFailed)."""
     order = slpm_order(s)
     if order // s > bound:
-        raise SizeCap(f"{order // s} first columns mod {s} exceed the bound {bound}")
+        raise BoundReached(f"{order // s} first columns mod {s} exceed the bound {bound}")
     if r_image_chain(pair, s, bound)[0] != order:
         raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
     for x0 in range(s):
@@ -655,11 +653,9 @@ def index_r_cap_conj(pair: PairDescriptor, q,
         raise NotInQ(f"{q} is not in Q")
     if pair.q_is_abelian:
         return 1
-    orbit = closure(Lattice.from_basis(q), lambda lat: (
-        transform_lattice((1, g), lat) for g in pair.r_generators), bound)
-    if orbit is None:
-        raise EnumerationBound(f"orbit of {q} exceeded {bound}")
-    return len(orbit)
+    return len(closure(Lattice.from_basis(q), lambda lat: (
+        transform_lattice((1, g), lat) for g in pair.r_generators), bound,
+        f"orbit of {q} exceeded {bound}"))
 
 
 def _r_q_conditions(a: int, b: int, c: int, d: int) -> list:
@@ -694,7 +690,7 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
     if s == 1:
         return 1
     if s > conductor_cap:
-        raise ConductorOverflow(f"conductor {s} exceeds cap {conductor_cap}")
+        raise BoundReached(f"conductor {s} exceeds cap {conductor_cap}")
     member = sum(s // m for *_, m in column_solutions(
         pair, s, _r_q_conditions(a, b, c, d), bound))
     order = slpm_order(s)
@@ -715,15 +711,13 @@ def index_r_coset_stab(pair: PairDescriptor, n, bound: int = DEFAULT_COSET_BOUND
     s = lcm(s0, s1)
     if s == 1:
         return 1
+    message = f"orbit of n + M mod {s} exceeded {bound}"
     if pair.q_kind == FULL_GL2 and jordan2(s) > bound:
-        raise EnumerationBound(f"orbit of n + M mod {s} exceeded {bound}")
+        raise BoundReached(message)
     v = (x0 * (s // s0) % s, x1 * (s // s1) % s)
     gens = _r_gens_mod(pair, s)
     ring = ResidueRing(s)
-    orbit = closure(v, lambda u: (ring.vec_apply(g, u) for g in gens), bound)
-    if orbit is None:
-        raise EnumerationBound(f"orbit of n + M mod {s} exceeded {bound}")
-    return len(orbit)
+    return len(closure(v, lambda u: (ring.vec_apply(g, u) for g in gens), bound, message))
 
 
 # ---------------------------------------------------------------------------
@@ -766,34 +760,27 @@ def hecke_indices_report(pair: PairDescriptor, q_samples, n_samples,
     for q in q_samples:
         qs = str(q) if isinstance(q, Mat2) else rat_to_str(Fraction(q))
         try:
-            im = index_m_cap_conj(pair, q)
-            ir = index_r_cap_conj(pair, q, bound=coset_bound)
-            out = {"index_m": im, "index_r": ir}
+            out = {"index_m": index_m_cap_conj(pair, q),
+                   "index_r": index_r_cap_conj(pair, q, bound=coset_bound)}
             verdict = "pass"
-            if pair.family == PLANAR and pair.q_kind == FULL_GL2:
-                try:
-                    out["index_r_residue"] = index_r_cap_conj_residue(
-                        pair, q, conductor_cap, coset_bound
-                    )
-                    if out["index_r_residue"] != ir:
-                        verdict = "fail"
-                except (ConductorOverflow, SizeCap):
-                    pass
-            checks.append(
-                check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
-                             {"q": qs}, out, verdict)
-            )
-        except (EnumerationBound, ConductorOverflow) as exc:
-            checks.append(
-                check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
-                             {"q": qs}, {"error": str(exc)}, "inconclusive")
-            )
+        except BoundReached as exc:  # the orbit of qR: inconclusive
+            out, verdict = {"error": str(exc)}, "inconclusive"
+        if verdict == "pass" and pair.family == PLANAR and pair.q_kind == FULL_GL2:
+            try:
+                out["index_r_residue"] = index_r_cap_conj_residue(
+                    pair, q, conductor_cap, coset_bound)
+                if out["index_r_residue"] != out["index_r"]:
+                    verdict = "fail"
+            except BoundReached:  # the conductor cap or the column bound: no residue
+                pass
+        checks.append(check_record("hecke_index_q", "[M:M_q] and [R:R_q] finite",
+                                   {"q": qs}, out, verdict))
     for n in n_samples:
         nv = (Fraction(n[0]), Fraction(n[1]))
         ns = f"({rat_to_str(nv[0])},{rat_to_str(nv[1])})"
         try:
             out, verdict = {"index": index_r_coset_stab(pair, nv, coset_bound)}, "pass"
-        except EnumerationBound as exc:
+        except BoundReached as exc:
             out, verdict = {"error": str(exc)}, "inconclusive"
         checks.append(check_record("hecke_index_n", "[R:R_(n,M)] finite",
                                    {"n": ns}, out, verdict))
@@ -837,7 +824,7 @@ def reduced_stage_report(pair: PairDescriptor, stage, level: int | None = None,
         # the gl2 chain's orbit of e1 has J_2(s) points and its stabilizer at
         # most 2s: when 2s fits, the walk would stop at the bound like this
         if pair.q_kind == FULL_GL2 and 2 * s <= bound < jordan2(s):
-            raise SizeCap(f"orbit of e1 mod {s} exceeded {bound} points")
+            raise BoundReached(f"orbit of e1 mod {s} exceeded {bound} points")
         r_index = r_image_chain(pair, s, bound)[0]
         m_shape = str(lat)
 

@@ -33,17 +33,14 @@ from .arith import (
 )
 from .errors import (
     ActionNotWellDefined,
+    BoundReached,
     CertificateFailed,
-    ConductorOverflow,
-    EnumerationBound,
     FamilyConditionViolated,
     NotComparable,
-    SizeCap,
 )
 from .grouppair import DEFAULT_COSET_BOUND, PLANAR, QUAD_TORUS, PairDescriptor, \
     ResidueSubgroup, _box, _r_gens_mod, column_solutions, r_image_mod, slpm_order
 
-DEFAULT_FAMILY_BOUND = 10000
 DEFAULT_CONDUCTOR_CAP = 10 ** 6
 DEFAULT_ORDER_CAP = 200000
 
@@ -137,7 +134,7 @@ class EnvelopeLattice:
 
 
 def make_coset_family(pair: PairDescriptor, seed_qs,
-                      bound: int = DEFAULT_FAMILY_BOUND) -> CosetFamily:
+                      bound: int = DEFAULT_COSET_BOUND) -> CosetFamily:
     """Smallest two-sided R-stable coset family covering the seeds and R."""
     _require_planar(pair)
     canon = pair._canon_q_ints
@@ -152,12 +149,9 @@ def make_coset_family(pair: PairDescriptor, seed_qs,
             continue
         # reps is a union of left R-orbits, which the new one does not meet;
         # g is unimodular, so s stays the least denominator
-        orbit = closure(start, lambda st: (
+        reps |= closure(start, lambda st: (
             (st[0], canon(*mat_mul_int(g, st[1]))) for g in pair.r_generators),
-            bound - len(reps))
-        if orbit is None:
-            raise EnumerationBound(f"coset family exceeded {bound} cosets")
-        reps |= orbit
+            bound - len(reps), f"coset family exceeded {bound} cosets")
     return CosetFamily(pair, tuple(sorted(reps)))
 
 
@@ -361,7 +355,7 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     m_index = lattice_index(pair.m_lattice, m_core)
     level, conditions = _rel_conditions(family, envelope)
     if level > conductor_cap:
-        raise ConductorOverflow(f"stage level {level} exceeds cap {conductor_cap}")
+        raise BoundReached(f"stage level {level} exceeds cap {conductor_cap}")
     image = None
     if pair.q_kind == QUAD_TORUS:
         image = r_image_mod(pair, level, bound)
@@ -373,7 +367,7 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
         env, image_order = envelope.lattice, slpm_order(level)
         lower = m_index * slpm_order(env.s if (env.a, env.c, env.d) == (1, 0, 1) else 1)
         if lower > order_cap and image_order // level > bound:
-            raise SizeCap(f"stage too large: order at least {lower} exceeds cap {order_cap}")
+            raise BoundReached(f"stage too large: order at least {lower} exceeds cap {order_cap}")
         members = _residue_core(pair, level, conditions, bound)
     r_core = ResidueSubgroup(level, members)
 
@@ -388,7 +382,7 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
 
     order = m_index * (image_order // len(members))
     if order > order_cap:
-        raise SizeCap(f"stage too large: order {order} exceeds cap {order_cap}")
+        raise BoundReached(f"stage too large: order {order} exceeds cap {order_cap}")
     if image is None:
         image = r_image_mod(pair, level, bound)
     return TowerStage(family, envelope, m_core, r_core, image)

@@ -21,7 +21,8 @@ from heckepairs.arith import (
     transform_lattice,
     val_p,
 )
-from heckepairs.errors import BadDiscriminant, NotPrime, NotSublattice, SingularBasis, SizeCap
+from heckepairs.errors import (BadDiscriminant, BoundReached, NotPrime, NotSublattice,
+                               SingularBasis)
 from heckepairs.grouppair import PairDescriptor
 
 from oracles import (
@@ -420,7 +421,7 @@ def test_chain_stops_at_the_bound():
     ring = ResidueRing(7)
     gens = [ring.reduce_mat(g) for g in PairDescriptor.planar_gl2().r_generators]
     assert ring.chain(gens, 48)[0] == 672
-    with pytest.raises(SizeCap, match="exceeded 47"):
+    with pytest.raises(BoundReached, match="exceeded 47"):
         ring.chain(gens, 47)
 
 

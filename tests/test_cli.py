@@ -12,7 +12,7 @@ from heckepairs import cli, grouppair, tower
 from heckepairs.arith import Mat2, ResidueRing
 from heckepairs.cli import main
 from heckepairs.cosets import double_coset
-from heckepairs.errors import CertificateFailed
+from heckepairs.errors import BoundReached, CertificateFailed
 from heckepairs.grouppair import PairDescriptor
 
 from test_cosets import corrupt_evaluation
@@ -189,8 +189,11 @@ def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch,
     def counting_chain(ring, gens, bound):
         # the chain's orbit walk visits the orbit of e1 up to the bound
         s = ring.modulus
-        orbit = closure((1 % s, 0), lambda x: (ring.vec_apply(g, x) for g in gens), bound)
-        walked.append(bound if orbit is None else len(orbit))
+        try:
+            walked.append(len(closure(
+                (1 % s, 0), lambda x: (ring.vec_apply(g, x) for g in gens), bound, "")))
+        except BoundReached:
+            walked.append(bound)
         order, member, elements = chain(ring, gens, bound)
 
         def counted():
@@ -201,9 +204,13 @@ def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch,
 
         return order, member, counted()
 
-    def counting_closure(start, images, bound=None):
-        points = closure(start, images, bound)
-        walked.append(bound if points is None else len(points))
+    def counting_closure(start, images, bound, message):
+        try:
+            points = closure(start, images, bound, message)
+        except BoundReached:
+            walked.append(bound)
+            raise
+        walked.append(len(points))
         return points
 
     monkeypatch.setattr(ResidueRing, "chain", counting_chain)
@@ -435,6 +442,26 @@ def test_hecke_mul_certificate_failure_is_a_fail_record(capsys, tmp_path,
     assert not pair._dcosets  # the command empties the memo when it ends
 
 
+def test_tower_family_above_the_bound_is_inconclusive(capsys, tmp_path):
+    # diag(2,1) over Z[1/2] has a family of 4 cosets: R and the 3 of diag(2,1)R
+    cfg = tmp_path / "gl2.json"
+    cfg.write_text(json.dumps({"family": "planar", "base_ring": "Z[1/p]", "p": 2,
+                               "Q_kind": "full_gl2"}))
+    argv = ["tower", "build", "--config", str(cfg), "--seed", "[[2,0],[0,1]]"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    records = {r["name"]: r for r in map(json.loads, out.splitlines()[1:-2])}
+    assert records["tower.stage_1"]["outputs"]["cosets_in_family"] == 4
+    code, out, _ = run(capsys, *argv, "--bound-cosets", "3")
+    assert code == 3
+    stage0, stage1 = [json.loads(line) for line in out.splitlines()[1:-2]]
+    assert (stage0["name"], stage0["verdict"]) == ("tower.stage_0", "pass")
+    assert stage1 == {"inputs": {"seeds": ["[[2,0],[0,1]]"]}, "law": "stage construction",
+                      "name": "tower.stage_1",
+                      "outputs": {"error": "coset family exceeded 3 cosets"},
+                      "verdict": "inconclusive"}
+
+
 def test_tower_empty_seed(capsys):
     code, out, _ = run(capsys, "tower", "build")
     assert code == 0
@@ -599,6 +626,19 @@ def test_quad_units_cli(capsys):
     assert record["outputs"]["proper"] is True
     assert record["outputs"]["full_size"] == 256
     assert record["outputs"]["image_size"] == 16
+
+
+@pytest.mark.parametrize("argv, mod, bound", [
+    (["--mod", "17", "--bound-cosets", "288"], 17, 288),
+    (["--mod", "317"], 317, 100000),  # 317^2 = 100,489 pairs
+], ids=["mod-17", "mod-317-default-bound"])
+def test_quad_units_above_the_bound_is_inconclusive(capsys, argv, mod, bound):
+    code, out, _ = run(capsys, "quad", "units", "--d", "2", *argv)
+    assert code == 3
+    (rec,) = [json.loads(line) for line in out.splitlines()[1:-2]]
+    assert (rec["name"], rec["verdict"]) == ("quad.units", "inconclusive")
+    assert rec["outputs"] == {
+        "error": f"{mod * mod} residue pairs mod {mod} exceed the bound {bound}"}
 
 
 def test_heis_orbit_cli(capsys):

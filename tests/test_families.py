@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from heckepairs import families
 from heckepairs.arith import Mat2, QuadInt, val_p
 from heckepairs.errors import (
     BadDiscriminant,
+    BoundReached,
     CertificateFailed,
     DetNotAllowed,
-    SizeCap,
 )
 from heckepairs.families import (
     TriangularSplit,
@@ -97,6 +98,20 @@ def test_unit_image_lagrange():
     for d, s in ((2, 17), (2, 5), (3, 7), (2, 2)):
         rep = unit_image_gap(d, s)
         assert rep["full_size"] % rep["image_size"] == 0
+
+
+def test_unit_scan_checks_its_bound_first(monkeypatch):
+    # the scan visits the 17^2 = 289 residue pairs mod 17; above the bound
+    # neither the order of r0 nor any power or pair is computed
+    assert quad_unit_data(2, 17, 289) == quad_unit_data(2, 17)
+    steps = []
+    monkeypatch.setattr(families, "unit_order_mod", lambda *a: steps.append(a))
+    monkeypatch.setattr(QuadInt, "reduce_mod", lambda *a: steps.append(a))
+    for scan in (quad_unit_data, unit_image_gap):
+        with pytest.raises(BoundReached,
+                           match="^289 residue pairs mod 17 exceed the bound 288$"):
+            scan(2, 17, 288)
+    assert steps == []
 
 
 def test_unit_image_tiny_ring_exhaustive():
@@ -226,7 +241,8 @@ def test_slpm_matches_exhaustive_oracle(s):
 
 
 def test_slpm_size_cap():
-    with pytest.raises(SizeCap):
+    with pytest.raises(BoundReached,
+                       match=r"^\|SL\+-\(2, Z/100\)\| = 1440000 exceeds the bound 100000$"):
         slpm_surjectivity(100)
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from heckepairs.arith import Lattice, Mat2, ResidueRing, unit_sign
 from heckepairs.errors import (
+    BoundReached,
     CertificateFailed,
     ConfigInvalid,
     DescriptorMismatch,
-    EnumerationBound,
     NotInQ,
-    SizeCap,
 )
 from heckepairs.grouppair import (
     PairDescriptor,
@@ -262,7 +261,7 @@ def test_residue_index_checks_its_bounds_first(monkeypatch):
     # pairs; the chain is not run above the bound
     pair, q = PairDescriptor.planar_gl2(7), Mat2.diag(49, 7)
     monkeypatch.setattr(ResidueRing, "chain", None)
-    with pytest.raises(SizeCap, match="230496 first columns"):
+    with pytest.raises(BoundReached, match="230496 first columns"):
         index_r_cap_conj_residue(pair, q, 1000)
     rep = hecke_indices_report(pair, [q], [])
     assert rep["verdict"] == "pass"
@@ -278,10 +277,32 @@ def test_residue_index_needs_the_whole_image(monkeypatch, gl2_q):
         index_r_cap_conj_residue(gl2_q, Mat2.diag(3, 1))
 
 
+@pytest.mark.parametrize("kwargs, q_out, n_out", [
+    # q above the conductor cap: the residue index is dropped, q passes
+    ({"conductor_cap": 6}, {"index_m": 7, "index_r": 8}, {"index": 48}),
+    # 96 first columns mod 7 above the bound: dropped the same way
+    ({"coset_bound": 48}, {"index_m": 7, "index_r": 8}, {"index": 48}),
+    # the orbit of n + M (48 points) passes the bound: n is inconclusive
+    ({"coset_bound": 47}, {"index_m": 7, "index_r": 8},
+     {"error": "orbit of n + M mod 7 exceeded 47"}),
+    # the orbit of qR (8 cosets) passes it too: q is inconclusive
+    ({"coset_bound": 7}, {"error": "orbit of [[7,0],[0,1]] exceeded 7"},
+     {"error": "orbit of n + M mod 7 exceeded 7"}),
+], ids=["conductor", "columns", "n-orbit", "q-orbit"])
+def test_hecke_indices_bounds_split_by_call(gl2_q, kwargs, q_out, n_out):
+    # a bound reached by the residue index drops it; one reached by an
+    # orbit makes its record inconclusive
+    rep = hecke_indices_report(gl2_q, [Mat2.diag(7, 1)], [(F(1, 7), F(0))], **kwargs)
+    verdicts = ["inconclusive" if "error" in out else "pass" for out in (q_out, n_out)]
+    assert [(c["name"], c["outputs"], c["verdict"]) for c in rep["checks"]] == [
+        ("hecke_index_q", q_out, verdicts[0]), ("hecke_index_n", n_out, verdicts[1])]
+    assert rep["verdict"] == max(verdicts, key=("pass", "inconclusive").index)
+
+
 def test_orbits_of_n_stop_at_the_bound(gl2_q):
     # (1/7, 0) + M has an orbit of J_2(7) = 48 points
     assert index_r_coset_stab(gl2_q, (F(1, 7), F(0)), 48) == 48
-    with pytest.raises(EnumerationBound):
+    with pytest.raises(BoundReached, match=r"^orbit of n \+ M mod 7 exceeded 47$"):
         index_r_coset_stab(gl2_q, (F(1, 7), F(0)), 47)
     rep = hecke_indices_report(gl2_q, [], [(F(1, 7), F(0))], coset_bound=47)
     assert rep["verdict"] == "inconclusive"
@@ -413,7 +434,7 @@ def test_reduced_stage_order_stops_at_the_bound(gl2_q):
     # level 7: the orbit of e1 has J_2(7) = 48 points, |SL+-(2, Z/7)| = 672
     stage = [Mat2.diag(7, 1), Mat2.diag(1, 7)]
     assert reduced_stage_report(gl2_q, stage, bound=48)["r_index"] == 672
-    with pytest.raises(SizeCap):
+    with pytest.raises(BoundReached, match="^orbit of e1 mod 7 exceeded 47 points$"):
         reduced_stage_report(gl2_q, stage, bound=47)
 
 

@@ -36,7 +36,7 @@ from heckepairs.cosets import (  # noqa: E402
     forget_double_cosets,
     l_of,
 )
-from heckepairs.errors import EnumerationBound  # noqa: E402
+from heckepairs.errors import BoundReached  # noqa: E402
 from heckepairs.grouppair import (  # noqa: E402
     GElem,
     PairDescriptor,
@@ -267,7 +267,7 @@ def check_left_cosets_against_bfs(x):
     forget_double_cosets(pair)
     try:
         degree = l_of(x, bound=500)
-    except EnumerationBound:
+    except BoundReached:
         return False
     expected = bfs_left_cosets(x)
     assert degree == len(expected)
@@ -301,7 +301,7 @@ DELTA_BOUND = 5000
 def delta_or_skip(x):
     try:
         return delta(x, DELTA_BOUND)
-    except EnumerationBound:
+    except BoundReached:
         assume(False)
 
 
@@ -478,7 +478,7 @@ def draw_hecke_element(data, name, bound=200):
         x = data.draw(SMALL_ELEMENTS[name])
         try:
             l_of(x, bound)
-        except EnumerationBound:
+        except BoundReached:
             assume(False)
         out = out + HeckeElement.char_fn(x, data.draw(nonzero))
     return out

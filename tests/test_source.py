@@ -36,12 +36,15 @@ def test_no_unused_imports(path):
 
 
 # the position of the bound among the positional arguments of each call
-# that walks a finite set: ``closure(start, images, bound)``,
+# that walks a finite set: ``closure(start, images, bound, message)``,
 # ``ring.chain(gens, bound)``, ``ring.close_under_mul(gens, bound)``,
-# ``r_image_chain(pair, s, bound)``, ``r_image_mod(pair, s, bound)`` and
-# ``column_solutions(pair, s, conditions, bound)``
+# ``r_image_chain(pair, s, bound)``, ``r_image_mod(pair, s, bound)``,
+# ``column_solutions(pair, s, conditions, bound)``,
+# ``make_coset_family(pair, seed_qs, bound)``, ``unit_image_gap(d, s, bound)``
+# and ``quad_unit_data(d, s, bound)``
 BOUND_POSITIONS = {"closure": 3, "chain": 2, "close_under_mul": 2,
-                   "r_image_chain": 3, "r_image_mod": 3, "column_solutions": 4}
+                   "r_image_chain": 3, "r_image_mod": 3, "column_solutions": 4,
+                   "make_coset_family": 3, "unit_image_gap": 3, "quad_unit_data": 3}
 
 
 def called_name(call: ast.Call) -> str | None:
@@ -79,6 +82,13 @@ def test_unbounded_closures_are_found():
         "r_image_mod(p, s, None)\nr_image_mod(p, s, n)\n"
         "column_solutions(p, s, c)\ncolumn_solutions(p, s, c, None)\n"
         "column_solutions(p, s, c, bound=n)\n") == [1, 2, 3, 6, 7, 9, 10]
+    assert unbounded_closures(
+        "make_coset_family(p, seeds)\nmake_coset_family(p, seeds, n)\n"
+        "tower.make_coset_family(p, seeds, bound=None)\n"
+        "unit_image_gap(d, s)\nunit_image_gap(d, s, bound=n)\n"
+        "families.unit_image_gap(d, s, None)\n"
+        "quad_unit_data(d, s)\nquad_unit_data(d, s, n)\n"
+        "quad_unit_data(d, s, bound=None)\n") == [1, 3, 4, 6, 7, 9]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -6,12 +6,11 @@ import pytest
 
 from heckepairs.arith import Lattice, Mat2, ResidueRing, lattice_index, satisfies
 from heckepairs.errors import (
+    BoundReached,
     CertificateFailed,
-    ConductorOverflow,
     FamilyConditionViolated,
     NotComparable,
     NotSublattice,
-    SizeCap,
 )
 from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, slpm_order
 from heckepairs.tower import (
@@ -213,14 +212,21 @@ def test_stage_invariants_pass(pair, stage1, stage2):
         assert rep["verdict"] == "pass"
 
 
+def test_coset_family_bound(pair):
+    # R and the 3 cosets of diag(2,1)R
+    assert len(make_coset_family(pair, [Mat2.diag(2, 1)], 4).reps) == 4
+    with pytest.raises(BoundReached, match="^coset family exceeded 3 cosets$"):
+        make_coset_family(pair, [Mat2.diag(2, 1)], 3)
+
+
 def test_stage_caps(pair):
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
     env = make_envelope(fam)
-    with pytest.raises(ConductorOverflow):
+    with pytest.raises(BoundReached, match="^stage level 4 exceeds cap 2$"):
         build_stage(fam, env, conductor_cap=2)
     # the lower bound 4 |SL+-(2, Z/2)| = 24 passes the cap, but the columns
     # fit the bound, so the exact order is named
-    with pytest.raises(SizeCap, match="^stage too large: order 192 exceeds cap 10$"):
+    with pytest.raises(BoundReached, match="^stage too large: order 192 exceeds cap 10$"):
         build_stage(fam, env, order_cap=10)
 
 
@@ -266,10 +272,10 @@ def test_stage_order_lower_bound_before_any_walk(p, seeds, monkeypatch):
     lower = (lattice_index(fam.pair.m_lattice, core_lattice(fam))
              * slpm_order(env.lattice.s))
     monkeypatch.setattr(ResidueRing, "chain", None)
-    with pytest.raises(SizeCap, match=f"^stage too large: order at least {lower} "
+    with pytest.raises(BoundReached, match=f"^stage too large: order at least {lower} "
                                       f"exceeds cap {lower - 1}$"):
         build_stage(fam, env, order_cap=lower - 1, bound=1)
-    with pytest.raises(SizeCap, match=" first columns mod .* exceed the bound 1$"):
+    with pytest.raises(BoundReached, match=" first columns mod .* exceed the bound 1$"):
         build_stage(fam, env, order_cap=lower, bound=1)
 
 
