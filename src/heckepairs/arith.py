@@ -494,10 +494,12 @@ class ResidueRing:
         return len(u) * len(stab), member, elements
 
     def close_under_mul(self, gens, bound: int | None) -> frozenset:
-        """The group that invertible residue matrices generate (their closure
-        under multiplication), listed from its stabilizer chain (``chain``),
-        whose order certifies the listing."""
-        order, _, elements = self.chain(gens, bound)
+        """The group that invertible residue matrices generate, listed."""
+        return self.list_group(self.chain(gens, bound))
+
+    def list_group(self, chain) -> frozenset:
+        """The group of a stabilizer chain (``chain``), certified by its order."""
+        order, _, elements = chain
         group = frozenset(elements)
         if len(group) != order:
             raise CertificateFailed(f"{len(group)} residues listed mod {self.modulus}, "
@@ -508,7 +510,9 @@ class ResidueRing:
 def closure(start, images, bound: int | None, message: str) -> set:
     """The points reached from start by repeatedly taking ``images`` (a
     point -> an iterable of points), start included; BoundReached(message)
-    as soon as more than ``bound`` points would be reached."""
+    as soon as more than ``bound`` points would be reached, start too."""
+    if bound is not None and bound < 1:
+        raise BoundReached(message)
     seen, todo = {start}, [start]
     for x in todo:
         for y in images(x):

@@ -398,9 +398,10 @@ def cmd_tower_build(cfg: RunConfig, seed_text: str | None,
         with _verdict_on_error(report, f"tower.stage_{i}", "stage construction",
                                {"seeds": [str(q) for q in prefix]}):
             fam = make_coset_family(pair, prefix, cfg.coset_enum_max)
-            env = make_envelope(fam)
-            st = build_stage(fam, env, cfg.conductor_max, cfg.stage_order_max,
-                             cfg.coset_enum_max)
+            # a seed that adds no coset repeats the stage: reuse it
+            st = built[-1] if built and fam.reps == built[-1].family.reps else build_stage(
+                fam, make_envelope(fam), cfg.conductor_max, cfg.stage_order_max,
+                cfg.coset_enum_max)
         if st is None:
             break
         built.append(st)

@@ -557,9 +557,16 @@ def r_image_chain(pair: PairDescriptor, s: int, bound: int | None):
 def r_image_mod(pair: PairDescriptor, s: int, bound: int | None) -> frozenset:
     """Image of R in GL(2, Z/s), listed from its stabilizer chain
     (``ResidueRing.close_under_mul``).  Its one caller is
-    ``tower.build_stage``, which lists the image of a stage only once its
-    order is within the cap."""
+    ``tower.build_stage``, for the small image of a quad torus stage."""
     return ResidueRing(s).close_under_mul(_r_gens_mod(pair, s), bound)
+
+
+def slpm_chain(pair: PairDescriptor, s: int, bound: int | None):
+    """The chain (``r_image_chain``) of the gl2 image of R mod s, certified to be SL+-(2, Z/s)."""
+    chain = r_image_chain(pair, s, bound)
+    if chain[0] != slpm_order(s):
+        raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
+    return chain
 
 
 def jordan2(s: int) -> int:
@@ -587,13 +594,11 @@ def column_solutions(pair: PairDescriptor, s: int, conditions, bound: int):
     (b0, d0) + t (x0, x1), on which the conditions are solved in turn (CRT)
     to t = t0 mod some m | s.  Yields (x0, x1, b, d, m) for the solutions
     (x0, b + j x0; x1, d + j x1), j = 0, m, 2m, ... < s.  The |SL+-(2, Z/s)|
-    / s pairs ((x0, x1), e) are first compared with ``bound`` (BoundReached),
-    then the stabilizer chain must certify the image (CertificateFailed)."""
+    / s pairs ((x0, x1), e) are first compared with ``bound`` (BoundReached);
+    each caller then certifies the image with ``slpm_chain``."""
     order = slpm_order(s)
     if order // s > bound:
         raise BoundReached(f"{order // s} first columns mod {s} exceed the bound {bound}")
-    if r_image_chain(pair, s, bound)[0] != order:
-        raise CertificateFailed(f"the image of R mod {s} is not SL+-(2, Z/{s})")
     for x0 in range(s):
         for x1 in range(s):
             g, y0, y1 = _xgcd(x0, x1)
@@ -693,7 +698,7 @@ def index_r_cap_conj_residue(pair: PairDescriptor, q, conductor_cap: int = 1000,
         raise BoundReached(f"conductor {s} exceeds cap {conductor_cap}")
     member = sum(s // m for *_, m in column_solutions(
         pair, s, _r_q_conditions(a, b, c, d), bound))
-    order = slpm_order(s)
+    order = slpm_chain(pair, s, bound)[0]
     if not member or order % member:
         raise CertificateFailed(
             f"{member} of {order} residues mod {s} lie in R_q: not a subgroup")

@@ -39,7 +39,7 @@ from .errors import (
     NotComparable,
 )
 from .grouppair import DEFAULT_COSET_BOUND, PLANAR, QUAD_TORUS, PairDescriptor, \
-    ResidueSubgroup, _box, _r_gens_mod, column_solutions, r_image_mod, slpm_order
+    ResidueSubgroup, _box, _r_gens_mod, column_solutions, r_image_mod, slpm_chain, slpm_order
 
 DEFAULT_CONDUCTOR_CAP = 10 ** 6
 DEFAULT_ORDER_CAP = 200000
@@ -241,7 +241,8 @@ class TowerStage:
 
     Elements are pairs (m, r) with m the point in the box [0, a) x [0, d)
     of a class modulo the core lattice (canonical form (a, c, d)) and r the
-    canonical member of a coset of the residue core.
+    least member of its residue core coset, its key: the key table is the
+    identity on the image, each r lowered by r c for every core c != 1.
     """
 
     def __init__(self, family: CosetFamily, envelope: EnvelopeLattice,
@@ -263,14 +264,16 @@ class TowerStage:
 
         ring = ResidueRing(self.level)
         self._ring = ring
-        self.coset_key_of: dict = {}
-        for r in image:
-            if r in self.coset_key_of:
-                continue
-            members = [ring.mat_mul(r, s) for s in r_core.elements]
-            key = min(members)
-            for mr in members:
-                self.coset_key_of[mr] = key
+        s, others = self.level, r_core.elements - {ring.identity_mat()}
+        self.coset_key_of = key = dict(zip(image, image))
+        for r in image if others else ():
+            r0, r1, r2, r3 = low = r
+            for c0, c1, c2, c3 in others:
+                rc = ((r0 * c0 + r1 * c2) % s, (r0 * c1 + r1 * c3) % s,
+                      (r2 * c0 + r3 * c2) % s, (r2 * c1 + r3 * c3) % s)
+                if rc < low:
+                    low = rc
+            key[r] = low
         self._sorted_rkeys = tuple(sorted(set(self.coset_key_of.values())))
         if len(self._sorted_rkeys) != self.r_index:
             raise CertificateFailed(
@@ -345,7 +348,8 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     """Validate (family, envelope), then size, assemble and verify its
     finite stage: only a stage within ``order_cap`` lists its image of R.
     The gl2 image is SL+-(2, Z/level), with its core solved by first
-    columns; the quad torus image <-1, eps> is small, listed and filtered."""
+    columns, and one stabilizer chain certifies its order and lists it; the
+    quad torus image <-1, eps> is small, listed and filtered."""
     pair = family.pair
     _require_planar(pair)
     family.validate()
@@ -356,11 +360,10 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     level, conditions = _rel_conditions(family, envelope)
     if level > conductor_cap:
         raise BoundReached(f"stage level {level} exceeds cap {conductor_cap}")
-    image = None
     if pair.q_kind == QUAD_TORUS:
         image = r_image_mod(pair, level, bound)
         members = frozenset(r for r in image if satisfies(r, conditions))
-        image_order = len(image)
+        image_order, chain = len(image), None
     else:
         # an envelope (1/k)Z^2 puts the core in the kernel of reduction mod
         # k: a lower bound for the order when the columns are too many
@@ -369,6 +372,7 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
         if lower > order_cap and image_order // level > bound:
             raise BoundReached(f"stage too large: order at least {lower} exceeds cap {order_cap}")
         members = _residue_core(pair, level, conditions, bound)
+        chain = slpm_chain(pair, level, bound)
     r_core = ResidueSubgroup(level, members)
 
     # the residue core must act trivially on M / core, else the semidirect
@@ -383,8 +387,8 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     order = m_index * (image_order // len(members))
     if order > order_cap:
         raise BoundReached(f"stage too large: order {order} exceeds cap {order_cap}")
-    if image is None:
-        image = r_image_mod(pair, level, bound)
+    if chain is not None:
+        image = ResidueRing(level).list_group(chain)
     return TowerStage(family, envelope, m_core, r_core, image)
 
 
@@ -435,25 +439,34 @@ class ConnectingMap:
         r-part of g x is the coset key of g_r r, so the r-parts are read
         from residue keys alone, once per distinct r-part g_r of the
         generators; the right side phi(g_r) phi(r) depends on r only through
-        its coarse key, so it is read once per coarse key.  The image of phi
-        is the product of the images of its m and r tables.
+        its coarse key, so it is read once per coarse key.  A factor whose
+        coarse side has one element is certified by that count (every map
+        into a trivial group is a homomorphism) and not compared.  The image
+        of phi is the product of the images of its m and r tables.
         """
         fine, coarse = self.fine, self.coarse
         phi_m, phi_r = self.phi_m, self.phi_r
-        ident = fine.identity()[1]
-        pgs = {g: self.apply(g) for g in fine.generators()}
-        key, s, coarse_keys = fine.coset_key_of, fine.level, set(phi_r.values())
-        rhs = {g_r: {pr: coarse.coset_key_of[coarse._ring.mat_mul(phi_r[g_r], pr)]
-                     for pr in coarse_keys} for g_r in {g_r for _, g_r in pgs}}
-        hom_ok = all(
+        coarse_keys = set(phi_r.values())
+        m_axis, r_axis = coarse.m_index > 1, coarse.r_index > 1
+        pgs = {g: self.apply(g) for g in fine.generators()} if m_axis or r_axis else {}
+        ident = fine.identity()[1] if m_axis else None
+        hom_ok = not m_axis or all(
             phi_m[fine.mul(g, (m, ident))[0]] == coarse.mul(pg, (pm, phi_r[ident]))[0]
-            for g, pg in pgs.items() for m, pm in phi_m.items()
-        ) and all(
-            phi_r[key[(g0 * r0 + g1 * r2) % s, (g0 * r1 + g1 * r3) % s,
-                      (g2 * r0 + g3 * r2) % s, (g2 * r1 + g3 * r3) % s]] == table[pr]
-            for (g0, g1, g2, g3), table in rhs.items()
-            for (r0, r1, r2, r3), pr in phi_r.items()
-        )
+            for g, pg in pgs.items() for m, pm in phi_m.items())
+        if r_axis and hom_ok:
+            key, s, ckey, cs = fine.coset_key_of, fine.level, coarse.coset_key_of, coarse.level
+            rhs = {}
+            for g_r in {g_r for _, g_r in pgs}:
+                h0, h1, h2, h3 = phi_r[g_r]
+                rhs[g_r] = {(p0, p1, p2, p3): ckey[
+                    (h0 * p0 + h1 * p2) % cs, (h0 * p1 + h1 * p3) % cs,
+                    (h2 * p0 + h3 * p2) % cs, (h2 * p1 + h3 * p3) % cs]
+                    for p0, p1, p2, p3 in coarse_keys}
+            hom_ok = all(
+                phi_r[key[(g0 * r0 + g1 * r2) % s, (g0 * r1 + g1 * r3) % s,
+                          (g2 * r0 + g3 * r2) % s, (g2 * r1 + g3 * r3) % s]] == table[pr]
+                for (g0, g1, g2, g3), table in rhs.items()
+                for (r0, r1, r2, r3), pr in phi_r.items())
         surjective = len(set(phi_m.values())) * len(coarse_keys) == coarse.order
         return {
             "homomorphism": hom_ok,

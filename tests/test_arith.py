@@ -11,6 +11,7 @@ from heckepairs.arith import (
     Mat2,
     QuadInt,
     ResidueRing,
+    closure,
     hnf_int,
     lattice_index,
     lattice_intersect,
@@ -423,6 +424,16 @@ def test_chain_stops_at_the_bound():
     assert ring.chain(gens, 48)[0] == 672
     with pytest.raises(BoundReached, match="exceeded 47"):
         ring.chain(gens, 47)
+
+
+def test_closure_counts_its_start():
+    # the start is a reached point: a one-point orbit fits a bound of 1 and
+    # not a bound of 0
+    assert closure(0, lambda x: (x,), 1, "full") == {0}
+    with pytest.raises(BoundReached, match="^full$"):
+        closure(0, lambda x: (x,), 0, "full")
+    with pytest.raises(BoundReached, match="^full$"):
+        closure(0, lambda x: ((x + 1) % 3,), 2, "full")
 
 
 def test_rat_round_trip():

@@ -499,6 +499,52 @@ def test_tower_builds_each_connecting_map_once(capsys, monkeypatch):
     assert code == 0 and len(built) == len(set(built)) == 3
 
 
+def test_tower_reuses_a_repeated_stage(capsys, tmp_path, monkeypatch):
+    # over Z[1/3], diag(1,3) lies in the double coset of diag(3,1) and adds
+    # no coset: stage 2 is stage 1, reused, so two stages are built, not
+    # three, and the report keeps its pinned bytes
+    argv = ("tower", "build", "--config", "gl2_p3.json",
+            "--seed", "[[3,0],[0,1]];[[1,0],[0,3]]")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gl2_p3.json").write_text(json.dumps(PAIR_CONFIGS["gl2_p3"]))
+    built = []
+    build = cli.build_stage
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_stage", counted)
+    code, out, _ = run(capsys, *argv)
+    assert [len(st.family.reps) for st in built] == [1, 5]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TOWER_SLPM_DIGESTS[argv]
+    records = {r["name"]: r for r in map(json.loads, out.splitlines()[1:-2])}
+    assert records["tower.stage_2"]["outputs"] == records["tower.stage_1"]["outputs"]
+    assert records["tower.connect_2_1"]["outputs"]["kernel_size"] == 1
+
+
+def test_tower_rebuilds_a_family_of_the_same_size(capsys, monkeypatch):
+    # a stage is reused only for an equal family: here stage 2 gets the
+    # family of diag(4,2), whose 4 cosets are not those of diag(2,1)
+    family = cli.make_coset_family
+
+    def swapped(pair, prefix, bound):
+        return family(pair, [Mat2.diag(4, 2)] if len(prefix) == 2 else prefix, bound)
+
+    built = []
+    build = cli.build_stage
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_coset_family", swapped)
+    monkeypatch.setattr(cli, "build_stage", counted)
+    code, out, _ = run(capsys, "tower", "build", "--seed", "[[2,0],[0,1]];[[1,0],[0,2]]")
+    assert code == 0
+    assert [(len(st.family.reps), st.order) for st in built] == [(1, 1), (4, 192), (4, 6144)]
+
+
 def test_tower_residue_core_certificate_failure_is_a_fail_record(capsys,
                                                                 monkeypatch):
     solve = tower.column_solutions

@@ -39,11 +39,11 @@ def test_no_unused_imports(path):
 # that walks a finite set: ``closure(start, images, bound, message)``,
 # ``ring.chain(gens, bound)``, ``ring.close_under_mul(gens, bound)``,
 # ``r_image_chain(pair, s, bound)``, ``r_image_mod(pair, s, bound)``,
-# ``column_solutions(pair, s, conditions, bound)``,
+# ``slpm_chain(pair, s, bound)``, ``column_solutions(pair, s, conditions, bound)``,
 # ``make_coset_family(pair, seed_qs, bound)``, ``unit_image_gap(d, s, bound)``
 # and ``quad_unit_data(d, s, bound)``
 BOUND_POSITIONS = {"closure": 3, "chain": 2, "close_under_mul": 2,
-                   "r_image_chain": 3, "r_image_mod": 3, "column_solutions": 4,
+                   "r_image_chain": 3, "r_image_mod": 3, "slpm_chain": 3, "column_solutions": 4,
                    "make_coset_family": 3, "unit_image_gap": 3, "quad_unit_data": 3}
 
 
@@ -81,7 +81,9 @@ def test_unbounded_closures_are_found():
         "ring.chain(g, bound=n)\nring.close_under_mul(g, bound=None)\n"
         "r_image_mod(p, s, None)\nr_image_mod(p, s, n)\n"
         "column_solutions(p, s, c)\ncolumn_solutions(p, s, c, None)\n"
-        "column_solutions(p, s, c, bound=n)\n") == [1, 2, 3, 6, 7, 9, 10]
+        "column_solutions(p, s, c, bound=n)\n"
+        "slpm_chain(p, s)\nslpm_chain(p, s, n)\ngrouppair.slpm_chain(p, s, None)\n"
+    ) == [1, 2, 3, 6, 7, 9, 10, 12, 14]
     assert unbounded_closures(
         "make_coset_family(p, seeds)\nmake_coset_family(p, seeds, n)\n"
         "tower.make_coset_family(p, seeds, bound=None)\n"

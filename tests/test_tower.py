@@ -12,7 +12,7 @@ from heckepairs.errors import (
     NotComparable,
     NotSublattice,
 )
-from heckepairs.grouppair import PairDescriptor, index_r_cap_conj, slpm_order
+from heckepairs.grouppair import PairDescriptor, ResidueSubgroup, index_r_cap_conj, slpm_order
 from heckepairs.tower import (
     ConnectingMap,
     CosetFamily,
@@ -217,6 +217,13 @@ def test_coset_family_bound(pair):
     assert len(make_coset_family(pair, [Mat2.diag(2, 1)], 4).reps) == 4
     with pytest.raises(BoundReached, match="^coset family exceeded 3 cosets$"):
         make_coset_family(pair, [Mat2.diag(2, 1)], 3)
+    # a scalar seed's left R-orbit is one coset: it fits a bound of 2, and
+    # no bound that the family already fills
+    assert len(make_coset_family(pair, [Mat2.diag(2, 2)], 2).reps) == 2
+    with pytest.raises(BoundReached, match="^coset family exceeded 1 cosets$"):
+        make_coset_family(pair, [Mat2.diag(2, 2), Mat2.diag(4, 4)], 1)
+    with pytest.raises(BoundReached, match="^coset family exceeded 2 cosets$"):
+        make_coset_family(pair, [Mat2.diag(2, 2), Mat2.diag(4, 4)], 2)
 
 
 def test_stage_caps(pair):
@@ -527,27 +534,109 @@ def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
     assert calls <= 2 * len(stage2.generators()) * len(stage2.m_elements) == 160
 
 
-def test_connecting_verify_reads_each_coarse_key_once(stage1, stage2, monkeypatch):
+class _CountingDict(dict):
+    """A dict that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _counting_keys(stage):
+    """A copy of the stage whose coset-key table counts its reads."""
+    counted = copy.copy(stage)
+    counted.coset_key_of = _CountingDict(stage.coset_key_of)
+    return counted
+
+
+def test_connecting_verify_reads_each_coarse_key_once(stage1, stage2):
     # the R-axis right side phi(g_r) phi(r) depends on r only through its
-    # coarse key: one coarse product per distinct r-part g_r and coarse key
+    # coarse key: one coarse key read per distinct r-part g_r and coarse key
     # (4 x 48), against 4 x 3,072 if it were formed per fine key; the M-axis
-    # multiplies once on each side (160)
-    cm = ConnectingMap(stage2, stage1)
-    calls = 0
-    mat_mul = ResidueRing.mat_mul
-
-    def counted(ring, x, y):
-        nonlocal calls
-        calls += 1
-        return mat_mul(ring, x, y)
-
-    monkeypatch.setattr(ResidueRing, "mat_mul", counted)
+    # reads one per coarse product (80 of the 160 products on both sides)
+    coarse = _counting_keys(stage1)
+    cm = ConnectingMap(stage2, coarse)
+    coarse.coset_key_of.reads = 0
     rep = cm.verify()
     assert rep["homomorphism"] and rep["surjective"]
     gens = stage2.generators()
     g_rs = {g_r for _, g_r in gens}
     assert (len(g_rs), len(stage1._sorted_rkeys), len(stage2._sorted_rkeys)) == (4, 48, 3072)
-    assert calls <= 2 * len(gens) * len(stage2.m_elements) + len(g_rs) * 48 == 352
+    reads = coarse.coset_key_of.reads
+    assert reads <= 2 * len(gens) * len(stage2.m_elements) + len(g_rs) * 48 == 352
+
+
+def test_connecting_verify_into_stage0_reads_no_fine_key(stage0, stage1, stage2,
+                                                         stage_p3):
+    # stage 0 has order 1, so both factors are certified by their counts;
+    # the elementwise oracle agrees, and it does read the fine keys
+    fam = make_coset_family(stage_p3.pair, [])
+    p3_trivial = build_stage(fam, make_envelope(fam))
+    for stage, trivial in ((stage1, stage0), (stage2, stage0), (stage_p3, p3_trivial)):
+        assert trivial.order == 1
+        fine = _counting_keys(stage)
+        cm = ConnectingMap(fine, trivial)
+        rep = cm.verify()
+        assert fine.coset_key_of.reads == 0
+        assert rep == all_pairs_verify(cm)
+        assert rep["homomorphism"] and rep["surjective"]
+        assert fine.coset_key_of.reads > 0
+
+
+def _two_key_stage(pair):
+    """A level-2 stage whose R-factor has two elements: the image
+    GL(2, Z/2) of R modulo its subgroup of order 3, over M / M = 0."""
+    fam = make_coset_family(pair, [])
+    env = EnvelopeLattice(scaled(Lattice.standard(), F(1, 2)))
+    image = frozenset(r_image_by_closure(pair, 2))
+    r_core = ResidueSubgroup(2, frozenset([(1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)]))
+    return TowerStage(fam, env, core_lattice(fam), r_core, image)
+
+
+def test_connecting_verify_compares_a_two_key_factor(pair, stage1):
+    # the sign of GL(2, Z/2) = S_3 is a homomorphism onto two coset keys;
+    # moving one residue to the other key breaks it, and only the
+    # elementwise comparison of the R-axis can see that
+    two = _two_key_stage(pair)
+    assert (two.m_index, two.r_index, two.order) == (1, 2, 2)
+    cm = ConnectingMap(stage1, two)
+    assert cm.verify() == all_pairs_verify(cm)
+    assert cm.verify()["homomorphism"] and cm.verify()["surjective"]
+    bad = _corrupt_coset_key(two, sorted(two.coset_key_of))
+    cm = ConnectingMap(stage1, bad)
+    assert cm.verify()["homomorphism"] is False
+    assert cm.verify() == all_pairs_verify(cm)
+
+
+@pytest.mark.parametrize("p, seeds", [(None, []), (2, [_D(2, 1)]), (2, [_D(2, 1), _D(4, 1)]),
+                                      (3, [_D(3, 1)]), (3, [_D(3, 1), _D(1, 3)])])
+def test_one_chain_per_gl2_stage(p, seeds, monkeypatch):
+    # the chain that certifies |SL+-(2, Z/level)| also lists the image:
+    # one walk per accepted stage, at the stage level
+    fam, env = _family_envelope(p, seeds)
+    levels = []
+    chain = ResidueRing.chain
+
+    def counted(ring, gens, bound):
+        levels.append(ring.modulus)
+        return chain(ring, gens, bound)
+
+    monkeypatch.setattr(ResidueRing, "chain", counted)
+    stage = build_stage(fam, env)
+    assert levels == [stage.level]
+    monkeypatch.undo()
+    assert set(stage.coset_key_of) == r_image_by_closure(fam.pair, stage.level)
+
+
+@pytest.mark.parametrize("name", ["stage0", "stage1", "stage2", "stage_p3"])
+def test_coset_keys_are_least_members(request, name):
+    stage = request.getfixturevalue(name)
+    ring = stage._ring
+    for r, key in stage.coset_key_of.items():
+        assert key == min(ring.mat_mul(r, c) for c in stage.r_core.elements)
+    assert len(set(stage.coset_key_of.values())) == stage.r_index
 
 
 def test_stage_rejects_corrupted_image(pair):
