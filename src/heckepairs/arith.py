@@ -343,16 +343,16 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     return _lattice(s, *hnf_sum(*t1, *t2))
 
 
-def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Intersection, read off the two canonical forms.
+def hnf_meet(a1: int, c1: int, d1: int,
+             a2: int, c2: int, d2: int) -> tuple[int, int, int]:
+    """Canonical form of the meet of two integer lattices given by their
+    canonical forms (see ``hnf_int``).
 
-    Over a common denominator, (x, y) lies in (a, c, d) iff x = ua and
-    y = uc mod d for an integer u.  So the meet reaches the second axis in
-    lcm(d1, d2)Z, and x = m.lcm(a1, a2) is a first coordinate iff
-    y = m e1 mod d1 and y = m e2 mod d2 with e_i = (lcm(a1, a2)/a_i) c_i have
-    a common solution, i.e. iff G = gcd(d1, d2) divides m(e1 - e2).
-    """
-    s, (a1, c1, d1), (a2, c2, d2) = _common(l1, l2)
+    (x, y) lies in (a, c, d) iff x = ua and y = uc mod d for an integer u.
+    So the meet reaches the second axis in lcm(d1, d2)Z, and x = m.lcm(a1, a2)
+    is a first coordinate iff y = m e1 mod d1 and y = m e2 mod d2 with
+    e_i = (lcm(a1, a2)/a_i) c_i have a common solution, i.e. iff
+    G = gcd(d1, d2) divides m(e1 - e2)."""
     a = lcm(a1, a2)
     e1, e2 = a // a1 * c1, a // a2 * c2
     g, x, _ = _xgcd(d1, d2)
@@ -360,7 +360,13 @@ def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
     # x d1 = g mod d2, so this y solves both congruences for the least m
     y = m * e1 + x * d1 * (m * (e2 - e1) // g)
     d = d1 // g * d2
-    return _lattice(s, m * a, y % d, d)
+    return m * a, y % d, d
+
+
+def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
+    """Intersection (``hnf_meet`` over a common denominator)."""
+    s, t1, t2 = _common(l1, l2)
+    return _lattice(s, *hnf_meet(*t1, *t2))
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:

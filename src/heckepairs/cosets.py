@@ -5,11 +5,12 @@ Enumeration follows the semidirect-product factorization of H = M x| R.
 For x = (n, q), M moves xH within the class MxH, which holds the
 [M : M meet qM] left cosets m.xH, and R permutes these classes, so L(x)
 is [M : M meet qM] times the length of the R-orbit of MxH.  The orbit is
-walked on the canonical elements k = (n_k, q_k) of its classes
-(``PairDescriptor.class_mul``).  The left cosets of the class of k are
-the m.kH = (m + n_k, q_k)H over the box of M / (M meet q_k M), each put
-once in canonical form (``PairDescriptor.canon_coset``); ``l_of`` counts
-without enumerating a left coset.
+walked on the integer keys (s, v) of the canonical elements
+k = (n_k, q_k) of its classes.  The work that depends only on the class
+is done once per class: the span of the canonical q_k, the box of
+M / (M meet q_k M), read from integers, and the printed q-part.  Each
+left coset m.kH = (m + n_k, q_k)H then costs one reduction of m + n_k
+over that span; ``l_of`` counts without enumerating a left coset.
 
 Products use the structure constants of the algebra: HaH.HbH is the union
 of the H a b_j H over the left reps b_j of HbH, and (1_HaH * 1_HbH)(z)
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .arith import rat_from_str, rat_to_str, Mat2
 from .errors import BoundReached, CertificateFailed, DescriptorMismatch
-from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box
+from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box, n_str, q_str
 
 
 @dataclass(frozen=True)
@@ -68,59 +69,69 @@ def _memo_lookup(x: GElem, bound: int) -> DoubleCoset | None:
     return dc
 
 
-def _r_orbit(x: GElem, m_index: int, bound: int) -> list[GElem]:
-    """The canonical elements of the classes in the R-orbit of MxH.
+def _r_orbit(x: GElem, bound: int) -> tuple[int, list[tuple]]:
+    """[M : M meet qM] for x = (n, q) (``m_cap_box``), and the keys (s, v)
+    of the canonical elements of the classes in the R-orbit of MxH.
 
     The orbit is closed under the generators of R alone: it is finite, so
-    each generator permutes it.  Raises once the orbit holds more than
-    bound / m_index classes, that is once L(x) > bound.
+    each generator permutes it.  Raises once [M : M meet qM] times the
+    number of classes passes the bound, that is once L(x) > bound.
     """
+    pair, s, v = x.pair, x.s, x.v
+    a, d = m_cap_box(pair, s, pair._q_span(s, v[2:])[1])
+    m_index = a * d
     if m_index > bound:
         raise _too_many(x, bound)
-    pair = x.pair
-    gens, class_mul = pair.r_elements(), pair.class_mul
-    orbit = [pair.canon_class(x)]
-    seen = {(orbit[0].s, orbit[0].v)}
-    for y in orbit:
-        for g in gens:
+    product, cls = pair._product, pair._class
+    gens = [(g.s, g.v) for g in pair.r_elements()]
+    orbit = [cls(s, v)]
+    seen = set(orbit)
+    for t, w in orbit:
+        for s, v in gens:
             # g.y lies in g.MyH = M.gy.H, as g normalizes M
-            z = class_mul(g, y)
-            if (z.s, z.v) not in seen:
+            z = cls(*product(s, v, t, w))
+            if z not in seen:
                 if m_index * (len(seen) + 1) > bound:
                     raise _too_many(x, bound)
-                seen.add((z.s, z.v))
+                seen.add(z)
                 orbit.append(z)
-    return orbit
+    return m_index, orbit
+
+
+def _left_keys(pair: PairDescriptor, k: tuple) -> list[tuple]:
+    """The keys of the left cosets (m + n_k, q_k)H in the class of k = (s, v),
+    for m = (i, j) in the box of M / (M meet q_k M): one span for all."""
+    s, (n0, n1, *q) = k
+    q, span = pair._q_span(s, q)
+    a, d = m_cap_box(pair, s, span)
+    return [pair._key_over(s, n0 + i * s, n1 + j * s, q, span)
+            for i in range(a) for j in range(d)]
 
 
 def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
     dc = _memo_lookup(x, bound)
     if dc is not None:
         return dc
-    pair, canon = x.pair, x.pair._canon
-    a, d = m_cap_box(x)
-    orbit = _r_orbit(x, a * d, bound)
-    cosets = set()
+    pair = x.pair
+    m_index, orbit = _r_orbit(x, bound)
+    printed = {}
     for k in orbit:
-        # m.k for m = (i, j) in M adds m to the n of k; M meet q_k.M is
-        # r.(M meet qM) for q_k in r.q.R, so each key has its own box
-        s, (n0, n1, *q) = k.s, k.v
-        ka, kd = m_cap_box(k)
-        cosets.update(canon(s, (n0 + i * s, n1 + j * s, *q))
-                      for i in range(ka) for j in range(kd))
-    if len(cosets) != a * d * len(orbit):
+        # M meet q_k.M is r.(M meet qM) for q_k in r.q.R, so each class has
+        # its own box; all its left cosets print the q of k
+        q = q_str(k[0], k[1][2:])
+        printed.update({key: n_str(*key) + q for key in _left_keys(pair, k)})
+    if len(printed) != m_index * len(orbit):
         raise CertificateFailed(
-            f"{len(cosets)} left cosets in H.{x}.H, not [M:M_q] = {a * d} "
+            f"{len(printed)} left cosets in H.{x}.H, not [M:M_q] = {m_index} "
             f"times the {len(orbit)} classes of the R-orbit")
     # printed forms are unique, so the pairs sort by them alone
-    elems = [GElem(s, v, pair) for s, v in cosets]
-    strs, reps = zip(*sorted(zip(map(str, elems), elems)))
+    strs, keys = zip(*sorted(zip(printed.values(), printed)))
+    reps = tuple(GElem(s, v, pair) for s, v in keys)
     dc = DoubleCoset(reps[0], reps, strs)
     memo = pair._dcosets
     if len(memo) > DEFAULT_COSET_BOUND:
         memo.clear()
-    for key in cosets:
-        memo[key] = dc
+    memo.update(dict.fromkeys(keys, dc))
     return dc
 
 
@@ -138,8 +149,8 @@ def l_of(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> int:
     dc = _memo_lookup(x, bound)
     if dc is not None:
         return dc.degree
-    a, d = m_cap_box(x)
-    return a * d * len(_r_orbit(x, a * d, bound))
+    m_index, orbit = _r_orbit(x, bound)
+    return m_index * len(orbit)
 
 
 def delta(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> Fraction:

@@ -33,6 +33,7 @@ from .arith import (
     check_discriminant,
     closure,
     hnf_int,
+    hnf_meet,
     hnf_sum,
     in_z_inv_p,
     lattice_index,
@@ -110,20 +111,14 @@ class GElem:
             return Fraction(v[2], s)
         return Mat2(*(Fraction(x, s) for x in v[2:]))
 
-    def _strs(self) -> list[str]:
-        return [ratio_to_str(x, self.s) for x in self.v]
-
     def __str__(self) -> str:
-        n0, n1, *q = self._strs()
-        if len(q) == 1:
-            return f"n=({n0},{n1});q={q[0]}"
-        return f"n=({n0},{n1});q=[[{q[0]},{q[1]}],[{q[2]},{q[3]}]]"
+        return n_str(self.s, self.v) + q_str(self.s, self.v[2:])
 
     def __repr__(self) -> str:
         return f"GElem({self})"
 
     def to_json(self) -> dict:
-        n0, n1, *q = self._strs()
+        n0, n1, *q = [ratio_to_str(x, self.s) for x in self.v]
         return {"n": [n0, n1], "q": q[0] if len(q) == 1 else [q[:2], q[2:]]}
 
 
@@ -337,27 +332,27 @@ class PairDescriptor:
             return GElem(1, (0, 0, 0), self)
         return GElem(1, (0, 0, 1, 0, 0, 1), self)
 
-    def _product(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
-        """The numerators v of xy over s t, not reduced, as (s t, v)."""
-        if x.pair is not y.pair and x.pair != y.pair:
-            raise DescriptorMismatch("elements belong to different descriptors")
-        s, t = x.s, y.s
+    def _product(self, s: int, v: tuple, t: int, w: tuple) -> tuple[int, tuple[int, ...]]:
+        """The numerators of xy over s t for the keys x = (s, v) and
+        y = (t, w), not reduced, as a key (s t, numerators)."""
         if self.family == HEISENBERG:
-            a0, u0, p0 = x.v
-            a1, u1, p1 = y.v
+            a0, u0, p0 = v
+            a1, u1, p1 = w
             st = s * t
             return st, ((a0 * t + a1 * s + p0 * u1) % st,
                         u0 * t + u1 * s, p0 * t + p1 * s)
         # (n/s + (q/s)(m/t), (q/s)(r/t)) over the denominator s*t
-        n0, n1, a, b, c, d = x.v
-        m0, m1, e, f, g, h = y.v
+        n0, n1, a, b, c, d = v
+        m0, m1, e, f, g, h = w
         return s * t, (
             n0 * t + a * m0 + b * m1, n1 * t + c * m0 + d * m1,
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
         )
 
     def mul(self, x: GElem, y: GElem) -> GElem:
-        return self._reduced(*self._product(x, y))
+        if x.pair is not y.pair and x.pair != y.pair:
+            raise DescriptorMismatch("elements belong to different descriptors")
+        return self._reduced(*self._product(x.s, x.v, y.s, y.v))
 
     def inv(self, x: GElem) -> GElem:
         s = x.s
@@ -401,12 +396,7 @@ class PairDescriptor:
     def _canon_q_ints(self, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
         """Numerators, over the same denominator, of the canonical
         representative of the coset qR for q = (a, b; c, d)/s (planar)."""
-        if self.q_kind == FULL_GL2:
-            # R = Q meet GL(2, Z), so qR <-> the column span of q
-            ha, hc, hd = hnf_int(a, b, c, d)
-            return ha, 0, hc, hd
-        a, c = self._quad_canon(a, c)
-        return a, self.d * c, c, a
+        return self._q_span(1, (a, b, c, d))[0]
 
     def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
         """Normalize a + b*sqrt(d) by the unit group {+-u^k}: the
@@ -436,37 +426,44 @@ class PairDescriptor:
             beta = qmul(beta, unit_inv)
         return beta
 
+    def _q_span(self, s: int, q) -> tuple[tuple[int, ...], tuple[int, int, int]]:
+        """(q', span): q' the numerators over s of the canonical element of
+        qR, span the canonical form of the integer lattice n is reduced by:
+        the column span of q', or for heisenberg q.M + Z x 0 as (n1, n0)."""
+        if self.family == HEISENBERG:
+            p = q[0] % s
+            return (p,), (s, p, s)
+        a, b, c, d = q
+        if self.q_kind == FULL_GL2:
+            # R = Q meet GL(2, Z), so qR <-> the column span of q, and the
+            # canonical q = (ha, 0; hc, hd) is its own column form
+            ha, hc, hd = span = hnf_int(a, b, c, d)
+            return (ha, 0, hc, hd), span
+        a, c = self._quad_canon(a, c)
+        b = self.d * c
+        return (a, b, c, a), hnf_int(a, b, c, a)
+
+    def _key_over(self, s: int, n0: int, n1: int, q: tuple, span: tuple) -> tuple[int, tuple]:
+        """The key (s, v), s least, of (n, q') with n reduced into the box
+        of the lattice span, for q' and span as ``_q_span`` gives them."""
+        a, c, d = span
+        if self.family == HEISENBERG:
+            n1, n0 = _box(n1, n0, a, c, d)
+            return _least(s, (n0, n1) + q)
+        return _least(s, _box(n0, n1, a, c, d) + q)
+
     def _canon(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """The key (s, v), s least, of the canonical element of xH for x =
         v/s; a common factor of s and v gives the same key."""
-        if self.family == HEISENBERG:
-            # right multiplication by (0, b; 0) with b = -floor(n1) moves n1
-            # into [0, 1), then the integer q-translation reduces q mod 1
-            a, u, p = v
-            return _least(s, ((a - p * (u // s)) % s, u % s, p % s))
-        n0, n1, a, b, c, d = v
-        if self.q_kind == FULL_GL2:
-            # the canonical q = (ha, 0; hc, hd) is its own column form
-            ha, hc, hd = span = hnf_int(a, b, c, d)
-            q = (ha, 0, hc, hd)
-        else:
-            q = self._canon_q_ints(a, b, c, d)
-            span = hnf_int(*q)
-        # reduce n into the box of the lattice q*.M = q*.Z^2
-        return _least(s, _box(n0, n1, *span) + q)
+        q, span = self._q_span(s, v[2:])
+        return self._key_over(s, v[0], v[1], q, span)
 
     def _class(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """The key of the canonical element of MxH, the union of the m.xH
         over m in M: q as in ``_canon``, n reduced mod M + qM, not qM."""
-        if self.family == HEISENBERG:
-            # M + qM = (qZ + Z)/Z x Z, and qZ + Z = (gcd(p, s)/s)Z for q = p/s
-            a, u, p = v
-            return _least(s, (a % gcd(p, s), u % s, p % s))
-        n0, n1, a, b, c, d = v
-        q = self._canon_q_ints(a, b, c, d)
-        # over the denominator s, M = Z^2 has the canonical form (s, 0, s)
-        box = hnf_sum(*hnf_int(*q), s, 0, s)
-        return _least(s, _box(n0, n1, *box) + q)
+        q, (a, c, d) = self._q_span(s, v[2:])
+        # M = Z^2 (with Z x 0 for heisenberg) is (s, 0, s) over s
+        return self._key_over(s, v[0], v[1], q, hnf_sum(a, c, d, s, 0, s))
 
     def canon_coset(self, x: GElem) -> GElem:
         """Canonical element of the left coset xH, a hashable coset key."""
@@ -478,11 +475,27 @@ class PairDescriptor:
 
     def canon_mul(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
         """The key of canon_coset(xy), without forming xy."""
-        return self._canon(*self._product(x, y))
+        if x.pair is not y.pair and x.pair != y.pair:
+            raise DescriptorMismatch("elements belong to different descriptors")
+        return self._canon(*self._product(x.s, x.v, y.s, y.v))
 
     def class_mul(self, x: GElem, y: GElem) -> GElem:
         """canon_class(xy), without forming xy."""
-        return GElem(*self._class(*self._product(x, y)), self)
+        if x.pair is not y.pair and x.pair != y.pair:
+            raise DescriptorMismatch("elements belong to different descriptors")
+        return GElem(*self._class(*self._product(x.s, x.v, y.s, y.v)), self)
+
+
+def n_str(s: int, v: tuple[int, ...]) -> str:
+    """The printed n-part, n=(n0,n1), of the element v/s."""
+    return f"n=({ratio_to_str(v[0], s)},{ratio_to_str(v[1], s)})"
+
+
+def q_str(s: int, q: tuple[int, ...]) -> str:
+    """The printed q-part, ;q=p or ;q=[[a,b],[c,d]], of the numerators q over
+    s; each entry prints reduced, so q prints the same over any denominator."""
+    qs = [ratio_to_str(x, s) for x in q]
+    return f";q={qs[0]}" if len(qs) == 1 else ";q=" + mat_str(qs)
 
 
 def _least(s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -626,17 +639,14 @@ def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
     return lattice_intersect(pair.m_lattice, transform_lattice(q, pair.m_lattice))
 
 
-def m_cap_box(x: GElem) -> tuple[int, int]:
-    """(a, d) such that the points (i, j) with 0 <= i < a and 0 <= j < d
-    of M lie one in each class of M / (M meet qM), for x = (n, q); so
-    [M : M meet qM] = a d."""
-    s, v = x.s, x.v
-    if x.pair.family == HEISENBERG:
-        # M = {0} x Z and M meet qM = {0} x kZ, k the denominator of q = p/s
-        return 1, s // gcd(v[2], s)
-    # M meet qM lies in M = Z^2, so its canonical form has denominator 1
-    lat = m_cap_conj(x.pair, (s, v[2:]))
-    return lat.a, lat.d
+def m_cap_box(pair: PairDescriptor, s: int, span: tuple[int, int, int]) -> tuple[int, int]:
+    """(a, d): the points (i, j), 0 <= i < a, 0 <= j < d, of M lie one in
+    each class of M / (M meet qM), for q over s with span ``pair._q_span(s,
+    q)[1]``; the meet is (1/s)(sZ^2 meet span).  So [M : M meet qM] = a d."""
+    a, _, d = hnf_meet(s, 0, s, *span)
+    if pair.family == HEISENBERG:  # the span is in the order (n1, n0)
+        return d // s, a // s
+    return a // s, d // s
 
 
 def index_m_cap_conj(pair: PairDescriptor, q) -> int:

@@ -417,8 +417,11 @@ class ConnectingMap:
         self.fine = fine
         self.coarse = coarse
         self.phi_m = {m: _box(*m, *coarse._core) for m in fine.m_elements}
-        self.phi_r = {r: coarse.coset_key_of[r[0] % cl, r[1] % cl, r[2] % cl, r[3] % cl]
-                      for r in fine._sorted_rkeys}
+        if coarse.r_index == 1:  # its one key is every fine key's image
+            self.phi_r = dict.fromkeys(fine._sorted_rkeys, coarse._sorted_rkeys[0])
+        else:
+            self.phi_r = {r: coarse.coset_key_of[r[0] % cl, r[1] % cl, r[2] % cl, r[3] % cl]
+                          for r in fine._sorted_rkeys}
 
     def apply(self, elem):
         m, rkey = elem

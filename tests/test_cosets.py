@@ -141,15 +141,30 @@ def test_delta_constant_on_left_reps(gl2):
         assert delta(rep) == d
 
 
+def test_left_strs_are_the_sorted_printed_reps(gl2, heis):
+    # the q-part of the printed form is built once per class of the R-orbit:
+    # H.diag(4,1).H has 6 classes of 4 left cosets each, and 6 printed q
+    for x in (gl2.element((0, 0), Mat2.diag(4, 1)),
+              gl2.element((F(1, 2), 0), Mat2.diag(4, 1)),
+              gl2.element((F(1, 8), F(3, 16)), Mat2.of(2, 1, 0, 4)),
+              heis.element((F(1, 2), F(1, 3)), F(5, 6))):
+        dc = double_coset(x)
+        assert dc.left_strs == tuple(map(str, dc.left_reps))
+        assert list(dc.left_strs) == sorted(dc.left_strs)
+        assert dc.key == str(dc.rep)
+    assert len({s.split(";")[1] for s in double_coset(
+        gl2.element((0, 0), Mat2.diag(4, 1))).left_strs}) == 6
+
+
 def test_r_orbit_is_walked_on_small_class_keys(gl2):
     # x = (n, q) = ((1/8, 3/16), diag(64, 1)): the R-orbit of MxH has 3,072
     # classes and L(x) = 64 * 3,072.  The orbit holds each class's
     # canonical element, whose n is reduced mod M + qM, so no entry passes
     # 1,024; the elements r.x over the same walk reach 160,768
     x = gl2.element((F(1, 8), F(3, 16)), Mat2.diag(64, 1))
-    orbit = _r_orbit(x, 64, 200000)
-    assert len(orbit) == 3072
-    assert max(abs(e) for k in orbit for e in (k.s, *k.v)) <= 1024
+    m_index, orbit = _r_orbit(x, 200000)
+    assert (m_index, len(orbit)) == (64, 3072)
+    assert max(abs(e) for s, v in orbit for e in (s, *v)) <= 1024
     assert l_of(x, bound=200000) == 196608
 
 
@@ -382,11 +397,35 @@ def test_l_of_enumerates_no_left_coset():
 
 
 def test_double_coset_one_canon_call_per_left_coset():
-    # the generator search over H made about 61,000 canon_coset calls here
+    # the generator search over H made about 61,000 canon_coset calls here,
+    # and one full canonical form per left coset made 6,144; each left
+    # coset key is now read over its class's span, so the only canon_coset
+    # call is the memo lookup
     pair = PairDescriptor.planar_gl2(p=2)
     calls = count_canon_calls(pair)
     assert double_coset(pair.element((0, 0), Mat2.diag(64, 1))).degree == 6144
-    assert len(calls) <= 6144 + 16
+    assert len(calls) <= 1
+
+
+def test_double_coset_and_l_of_transform_no_lattice(monkeypatch):
+    # the box of M / (M meet qM) is read from integers (hnf_meet), for x and
+    # for every class of its R-orbit, with no Lattice image q.M
+    import heckepairs.arith as arith
+    import heckepairs.grouppair as grouppair
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return arith.transform_lattice(*args)
+
+    for module in (arith, grouppair):
+        monkeypatch.setattr(module, "transform_lattice", counting)
+    pair = PairDescriptor.planar_gl2(p=3)
+    x = pair.element((F(1, 3), 0), Mat2.of(9, 1, 0, 1))
+    assert double_coset(x).degree == l_of(pair.inv(x)) * delta(x)
+    assert l_of(pair.element((0, F(1, 9)), Mat2.diag(1, 27))) > 1
+    assert calls == []
 
 
 def test_l_of_bound_without_enumeration():

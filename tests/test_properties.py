@@ -30,6 +30,8 @@ from heckepairs.arith import (  # noqa: E402
 )
 from heckepairs.cosets import (  # noqa: E402
     HeckeElement,
+    _left_keys,
+    _r_orbit,
     convolve,
     delta,
     double_coset,
@@ -42,6 +44,8 @@ from heckepairs.grouppair import (  # noqa: E402
     PairDescriptor,
     _r_q_conditions,
     column_solutions,
+    m_cap_box,
+    m_cap_conj,
     stabilizer_identities_report,
 )
 
@@ -291,6 +295,39 @@ def test_left_cosets_match_bfs_oracle_mixed(name):
     assert not pair.in_h(pair.element(x.n, one))  # n outside M
     assert not pair.in_h(pair.element((0, 0), x.q))  # q outside R
     assert check_left_cosets_against_bfs(x)
+
+
+def check_meet_box(x, box):
+    """The integer box of M / (M meet qM) for x = (n, q) against the
+    lattice M meet q.M (planar) or the denominator of q (heisenberg)."""
+    if x.pair is HEIS:
+        assert box == (1, x.q.denominator)
+    else:
+        lat = m_cap_conj(x.pair, x.q)
+        assert (lat.s, lat.a, lat.d) == (1, *box)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@SETTINGS
+@given(data=st.data())
+def test_left_keys_are_canon_of_m_translates(name, data):
+    # x and each class key k of its R-orbit yield the left cosets m.kH read
+    # over the span of q_k, taken once: every key must be the full
+    # canonical form of m.k, for m = (i, j) over the box of
+    # M / (M meet q_k M), and that box, read from integers, must be the
+    # box of the meet
+    pair = PAIRS[name]
+    x = data.draw(st.one_of(SMALL_ELEMENTS[name], st.just(MIXED[name])))
+    try:
+        _, orbit = _r_orbit(x, 500)
+    except BoundReached:
+        assume(False)
+    for s, (n0, n1, *q) in [(x.s, x.v)] + orbit:
+        a, d = box = m_cap_box(pair, s, pair._q_span(s, q)[1])
+        check_meet_box(GElem(s, (n0, n1, *q), pair), box)
+        assert _left_keys(pair, (s, (n0, n1, *q))) == [
+            pair._canon(s, (n0 + i * s, n1 + j * s, *q))
+            for i in range(a) for j in range(d)]
 
 
 # the modular function on the four pairs, from the orbit counts of l_of

@@ -571,13 +571,17 @@ def test_connecting_verify_reads_each_coarse_key_once(stage1, stage2):
 def test_connecting_verify_into_stage0_reads_no_fine_key(stage0, stage1, stage2,
                                                          stage_p3):
     # stage 0 has order 1, so both factors are certified by their counts;
-    # the elementwise oracle agrees, and it does read the fine keys
+    # its one coarse key is the image of every fine key, so building the
+    # map reads no coarse key either; the elementwise oracle agrees, and it
+    # does read the fine keys
     fam = make_coset_family(stage_p3.pair, [])
     p3_trivial = build_stage(fam, make_envelope(fam))
     for stage, trivial in ((stage1, stage0), (stage2, stage0), (stage_p3, p3_trivial)):
         assert trivial.order == 1
-        fine = _counting_keys(stage)
-        cm = ConnectingMap(fine, trivial)
+        fine, coarse = _counting_keys(stage), _counting_keys(trivial)
+        cm = ConnectingMap(fine, coarse)
+        assert coarse.coset_key_of.reads == 0
+        assert set(cm.phi_r) == set(stage._sorted_rkeys)
         rep = cm.verify()
         assert fine.coset_key_of.reads == 0
         assert rep == all_pairs_verify(cm)
