@@ -469,21 +469,11 @@ class PairDescriptor:
         """Canonical element of the left coset xH, a hashable coset key."""
         return GElem(*self._canon(x.s, x.v), self)
 
-    def canon_class(self, x: GElem) -> GElem:
-        """Canonical element of MxH (``_class``)."""
-        return GElem(*self._class(x.s, x.v), self)
-
     def canon_mul(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
         """The key of canon_coset(xy), without forming xy."""
         if x.pair is not y.pair and x.pair != y.pair:
             raise DescriptorMismatch("elements belong to different descriptors")
         return self._canon(*self._product(x.s, x.v, y.s, y.v))
-
-    def class_mul(self, x: GElem, y: GElem) -> GElem:
-        """canon_class(xy), without forming xy."""
-        if x.pair is not y.pair and x.pair != y.pair:
-            raise DescriptorMismatch("elements belong to different descriptors")
-        return GElem(*self._class(*self._product(x.s, x.v, y.s, y.v)), self)
 
 
 def n_str(s: int, v: tuple[int, ...]) -> str:

@@ -81,8 +81,9 @@ class CosetFamily:
 
     ``reps`` holds one canonical representative per coset, as
     ``Mat2.integralize`` writes a matrix: (s, (a, b, c, d)) for
-    (a, b; c, d)/s with s least, and (a, b, c, d) reduced by the
-    ``PairDescriptor._canon_q_ints`` that keys cosets in ``canon_coset``.
+    (a, b; c, d)/s with s least, and (a, b, c, d) reduced by
+    ``PairDescriptor._canon_q_ints``, the q-part of the coset key that
+    ``PairDescriptor._canon`` forms.
     The identity coset is always present.
     """
 
@@ -237,16 +238,17 @@ def _fixes_quotient(core: tuple[int, int, int], residue) -> bool:
 
 
 class TowerStage:
-    """Finite quotient stage (M / core) x| (R / residue core).
+    """Finite quotient stage (M / core) x| (R / residue core), held as a
+    presentation: the level, the residue core, the order of the image of R
+    mod the level and the core lattice.  Nothing is listed.
 
     Elements are pairs (m, r) with m the point in the box [0, a) x [0, d)
     of a class modulo the core lattice (canonical form (a, c, d)) and r the
-    least member of its residue core coset, its key: the key table is the
-    identity on the image, each r lowered by r c for every core c != 1.
+    key of its residue core coset r.core, its least member (``key``).
     """
 
     def __init__(self, family: CosetFamily, envelope: EnvelopeLattice,
-                 m_core: Lattice, r_core: ResidueSubgroup, image: frozenset):
+                 m_core: Lattice, r_core: ResidueSubgroup, image_order: int):
         pair = family.pair
         self.pair = pair
         self.family = family
@@ -256,29 +258,17 @@ class TowerStage:
         self.level = r_core.level
         # the index certifies m_core inside M = Z^2, i.e. its denominator is 1
         self.m_index = lattice_index(pair.m_lattice, m_core)
-        self.r_index = len(image) // len(r_core.elements)
+        self.r_index, rest = divmod(image_order, len(r_core.elements))
+        if rest:
+            raise CertificateFailed(f"a residue core of {len(r_core.elements)} elements "
+                                    f"does not divide the image order {image_order}")
         self.order = self.m_index * self.r_index
 
         self._core = (m_core.a, m_core.c, m_core.d)
         self.m_invariants = smith_invariants(m_core)
-
-        ring = ResidueRing(self.level)
-        self._ring = ring
-        s, others = self.level, r_core.elements - {ring.identity_mat()}
-        self.coset_key_of = key = dict(zip(image, image))
-        for r in image if others else ():
-            r0, r1, r2, r3 = low = r
-            for c0, c1, c2, c3 in others:
-                rc = ((r0 * c0 + r1 * c2) % s, (r0 * c1 + r1 * c3) % s,
-                      (r2 * c0 + r3 * c2) % s, (r2 * c1 + r3 * c3) % s)
-                if rc < low:
-                    low = rc
-            key[r] = low
-        self._sorted_rkeys = tuple(sorted(set(self.coset_key_of.values())))
-        if len(self._sorted_rkeys) != self.r_index:
-            raise CertificateFailed(
-                f"{len(self._sorted_rkeys)} residue cosets, expected {self.r_index}"
-            )
+        self._ring = ResidueRing(self.level)
+        # the core members other than 1, the ones that can lower a key
+        self._others = tuple(r_core.elements - {self._ring.identity_mat()})
 
         a, _, d = self._core
         self.m_elements = tuple((i, j) for i in range(a) for j in range(d))
@@ -289,20 +279,28 @@ class TowerStage:
 
     # -- group structure ----------------------------------------------------
 
-    def identity(self):
-        return ((0, 0), self.coset_key_of[self._ring.identity_mat()])
+    def key(self, r):
+        """The key of the residue coset r.core, for r reduced mod the level:
+        its least member min(r c for c in core), formed on demand; r itself
+        when the core has one member."""
+        s, low = self.level, r
+        r0, r1, r2, r3 = r
+        for c0, c1, c2, c3 in self._others:
+            rc = ((r0 * c0 + r1 * c2) % s, (r0 * c1 + r1 * c3) % s,
+                  (r2 * c0 + r3 * c2) % s, (r2 * c1 + r3 * c3) % s)
+            if rc < low:
+                low = rc
+        return low
 
-    def elements(self):
-        for m in self.m_elements:
-            for rkey in self._sorted_rkeys:
-                yield (m, rkey)
+    def identity(self):
+        return ((0, 0), self.key(self._ring.identity_mat()))
 
     def generators(self):
         """A generating set: the M basis vectors and the R generator cosets."""
-        ident_r = self.coset_key_of[self._ring.identity_mat()]
+        ident_r = self.key(self._ring.identity_mat())
         out = [(_box(1, 0, *self._core), ident_r), (_box(0, 1, *self._core), ident_r)]
-        for g in self.pair.r_generators:
-            out.append(((0, 0), self.coset_key_of[self._ring.reduce_mat(g)]))
+        for g in _r_gens_mod(self.pair, self.level):
+            out.append(((0, 0), self.key(g)))
         return out
 
     def act(self, rkey, mvec) -> tuple[int, int]:
@@ -313,22 +311,13 @@ class TowerStage:
         (m1, r1), (m2, r2) = x, y
         am = self.act(r1, m2)
         m = _box(m1[0] + am[0], m1[1] + am[1], *self._core)
-        return (m, self.coset_key_of[self._ring.mat_mul(r1, r2)])
+        return (m, self.key(self._ring.mat_mul(r1, r2)))
 
     def inv(self, x):
         m, r = x
         ri = self._ring.mat_inv(r)
         am = self.act(ri, (-m[0], -m[1]))
-        return (am, self.coset_key_of[ri])
-
-    def reduce_h_element(self, h):
-        """Image of an element of H under the stage quotient map."""
-        if not self.pair.in_h(h):
-            raise ValueError(f"{h} is not in H")
-        # elements of H have the denominator 1
-        n0, n1, *q = h.v
-        s = self.level
-        return (_box(n0, n1, *self._core), self.coset_key_of[tuple(x % s for x in q)])
+        return (am, self.key(ri))
 
     def summary(self) -> dict:
         return {
@@ -346,10 +335,10 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
                 order_cap: int = DEFAULT_ORDER_CAP,
                 bound: int = DEFAULT_COSET_BOUND) -> TowerStage:
     """Validate (family, envelope), then size, assemble and verify its
-    finite stage: only a stage within ``order_cap`` lists its image of R.
-    The gl2 image is SL+-(2, Z/level), with its core solved by first
-    columns, and one stabilizer chain certifies its order and lists it; the
-    quad torus image <-1, eps> is small, listed and filtered."""
+    finite stage.  The gl2 image of R is SL+-(2, Z/level): its core is
+    solved by first columns, and once the stage fits ``order_cap`` one
+    stabilizer chain certifies its order; it is never listed.  The quad
+    torus image <-1, eps> is small, listed and filtered."""
     pair = family.pair
     _require_planar(pair)
     family.validate()
@@ -360,11 +349,8 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     level, conditions = _rel_conditions(family, envelope)
     if level > conductor_cap:
         raise BoundReached(f"stage level {level} exceeds cap {conductor_cap}")
-    if pair.q_kind == QUAD_TORUS:
-        image = r_image_mod(pair, level, bound)
-        members = frozenset(r for r in image if satisfies(r, conditions))
-        image_order, chain = len(image), None
-    else:
+    gl2 = pair.q_kind != QUAD_TORUS
+    if gl2:
         # an envelope (1/k)Z^2 puts the core in the kernel of reduction mod
         # k: a lower bound for the order when the columns are too many
         env, image_order = envelope.lattice, slpm_order(level)
@@ -372,7 +358,10 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
         if lower > order_cap and image_order // level > bound:
             raise BoundReached(f"stage too large: order at least {lower} exceeds cap {order_cap}")
         members = _residue_core(pair, level, conditions, bound)
-        chain = slpm_chain(pair, level, bound)
+    else:
+        image = r_image_mod(pair, level, bound)
+        members = frozenset(r for r in image if satisfies(r, conditions))
+        image_order = len(image)
     r_core = ResidueSubgroup(level, members)
 
     # the residue core must act trivially on M / core, else the semidirect
@@ -387,18 +376,37 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     order = m_index * (image_order // len(members))
     if order > order_cap:
         raise BoundReached(f"stage too large: order {order} exceeds cap {order_cap}")
-    if chain is not None:
-        image = ResidueRing(level).list_group(chain)
-    return TowerStage(family, envelope, m_core, r_core, image)
+    if gl2:
+        image_order = slpm_chain(pair, level, bound)[0]
+    return TowerStage(family, envelope, m_core, r_core, image_order)
+
+
+def _stage_checks(stage: TowerStage) -> dict:
+    """At the stage's congruence level: the residue core is normal under the
+    R generators; the core lattice is fixed by the R generators; every
+    residue core element moves every M generator by a core-lattice vector."""
+    pair = stage.pair
+    return {
+        "r_core_normal_in_r": stage.r_core.is_normal_under(
+            _r_gens_mod(pair, stage.level)),
+        "m_core_r_stable": all(
+            transform_lattice((1, g), stage.m_core) == stage.m_core
+            for g in pair.r_generators
+        ),
+        "r_core_acts_trivially_on_quotient": all(
+            _fixes_quotient(stage._core, r) for r in stage.r_core.elements
+        ),
+    }
 
 
 class ConnectingMap:
     """Reduction map between a finer and a coarser stage of the same pair.
 
-    It sends (m, r) to (phi_m[m], phi_r[r]), two tables built once: phi_m
-    sends each box point of the fine M / core to its coarse box point, and
-    phi_r each fine residue coset key r to the coarse key of r mod the
-    coarse level.
+    It sends (m, r) to (phi_m[m], the coarse key of r mod the coarse
+    level): phi_m is a table, built once, from each box point of the fine
+    M / core to its coarse box point; the R-part is a formula, with no
+    table, well defined because the fine residue core reduces into the
+    coarse one (checked here).
     """
 
     def __init__(self, fine: TowerStage, coarse: TowerStage):
@@ -410,67 +418,47 @@ class ConnectingMap:
             )
         if not coarse.m_core.contains_lattice(fine.m_core):
             raise NotComparable("fine core lattice is not inside the coarse one")
-        cl = coarse.level
+        reduce = coarse._ring.reduce_mat
         for r in fine.r_core.elements:
-            if tuple(x % cl for x in r) not in coarse.r_core.elements:
+            if reduce(r) not in coarse.r_core.elements:
                 raise NotComparable("fine residue core is not inside the coarse one")
         self.fine = fine
         self.coarse = coarse
         self.phi_m = {m: _box(*m, *coarse._core) for m in fine.m_elements}
-        if coarse.r_index == 1:  # its one key is every fine key's image
-            self.phi_r = dict.fromkeys(fine._sorted_rkeys, coarse._sorted_rkeys[0])
-        else:
-            self.phi_r = {r: coarse.coset_key_of[r[0] % cl, r[1] % cl, r[2] % cl, r[3] % cl]
-                          for r in fine._sorted_rkeys}
 
     def apply(self, elem):
         m, rkey = elem
-        return (self.phi_m[m], self.phi_r[rkey])
+        coarse = self.coarse
+        return (self.phi_m[m], coarse.key(coarse._ring.reduce_mat(rkey)))
 
     def verify(self) -> dict:
-        """Homomorphism certificate: phi(g x) = phi(g) phi(x) for every
-        generator g against every element x (the generators generate, so
-        this pins down the whole map); surjectivity by image count.
+        """Homomorphism and surjectivity certificates, from the structure of
+        the map.
 
-        Both are checked one factor at a time, which is exact: a product
-        (m1, r1)(m2, r2) = (m1 + r1.m2, r1 r2) has an m-part depending on
-        the second factor only through m2 and an r-part depending only on
-        r2, in either stage, and phi maps m and r separately.  So for fixed
-        g the m-parts of both sides depend only on the m of x, and the
-        r-parts only on its r: the m-parts are compared at x = (m, 1) for
-        every m, the r-parts at x = (0, r) for every residue coset r.  The
-        r-part of g x is the coset key of g_r r, so the r-parts are read
-        from residue keys alone, once per distinct r-part g_r of the
-        generators; the right side phi(g_r) phi(r) depends on r only through
-        its coarse key, so it is read once per coarse key.  A factor whose
-        coarse side has one element is certified by that count (every map
-        into a trivial group is a homomorphism) and not compared.  The image
-        of phi is the product of the images of its m and r tables.
+        phi is reduction mod the coarse level followed by the quotient maps
+        of the coarse stage.  Reduction is a ring map, so on the R-factor
+        phi is a homomorphism when the fine residue core reduces into the
+        coarse one (``__init__``) and the coarse core is normal; the action
+        r.m passes to the quotients when the coarse core lattice is R-stable
+        and the coarse core fixes M / core.  Those three are checked on the
+        coarse stage (``_stage_checks``).  The M-axis is also compared
+        elementwise: in (m1, r1)(m2, r2) = (m1 + r1.m2, r1 r2) the m-part
+        depends on the second factor only through m2, so phi(g x) =
+        phi(g) phi(x) is compared at x = (m, 1) for every generator g and
+        every fine m, unless the coarse M / core has one element.  phi is
+        onto when it sends each fine generator to the matching coarse one,
+        as both lists (M basis, then the R generators) generate their stage.
         """
-        fine, coarse = self.fine, self.coarse
-        phi_m, phi_r = self.phi_m, self.phi_r
-        coarse_keys = set(phi_r.values())
-        m_axis, r_axis = coarse.m_index > 1, coarse.r_index > 1
-        pgs = {g: self.apply(g) for g in fine.generators()} if m_axis or r_axis else {}
-        ident = fine.identity()[1] if m_axis else None
-        hom_ok = not m_axis or all(
-            phi_m[fine.mul(g, (m, ident))[0]] == coarse.mul(pg, (pm, phi_r[ident]))[0]
-            for g, pg in pgs.items() for m, pm in phi_m.items())
-        if r_axis and hom_ok:
-            key, s, ckey, cs = fine.coset_key_of, fine.level, coarse.coset_key_of, coarse.level
-            rhs = {}
-            for g_r in {g_r for _, g_r in pgs}:
-                h0, h1, h2, h3 = phi_r[g_r]
-                rhs[g_r] = {(p0, p1, p2, p3): ckey[
-                    (h0 * p0 + h1 * p2) % cs, (h0 * p1 + h1 * p3) % cs,
-                    (h2 * p0 + h3 * p2) % cs, (h2 * p1 + h3 * p3) % cs]
-                    for p0, p1, p2, p3 in coarse_keys}
+        fine, coarse, phi_m = self.fine, self.coarse, self.phi_m
+        gens = fine.generators()
+        images = [self.apply(g) for g in gens]
+        hom_ok = all(_stage_checks(coarse).values())
+        if hom_ok and coarse.m_index > 1:
+            ident, cident = fine.identity()[1], coarse.identity()[1]
             hom_ok = all(
-                phi_r[key[(g0 * r0 + g1 * r2) % s, (g0 * r1 + g1 * r3) % s,
-                          (g2 * r0 + g3 * r2) % s, (g2 * r1 + g3 * r3) % s]] == table[pr]
-                for (g0, g1, g2, g3), table in rhs.items()
-                for (r0, r1, r2, r3), pr in phi_r.items())
-        surjective = len(set(phi_m.values())) * len(coarse_keys) == coarse.order
+                phi_m[fine.mul(g, (m, ident))[0]] == coarse.mul(pg, (pm, cident))[0]
+                for g, pg in zip(gens, images) for m, pm in phi_m.items())
+        surjective = images == coarse.generators()
         return {
             "homomorphism": hom_ok,
             "surjective": surjective,
@@ -481,35 +469,20 @@ class ConnectingMap:
 
 def triangle_commutes(via: ConnectingMap, down: ConnectingMap) -> bool:
     """Whether reducing fine -> mid -> coarse along ``via`` and ``down``
-    equals the direct reduction, the one map built here; every connecting
-    map is a pair of tables, one per factor, compared table by table."""
+    equals the direct reduction, the one map built here: the phi_m tables
+    are compared entry by entry, and the three maps on the fine generators
+    (all three are homomorphisms, so this pins the R-part down)."""
     if via.coarse is not down.fine:
         raise NotComparable("the two maps do not compose")
     direct = ConnectingMap(via.fine, down.coarse)
     return ({m: down.phi_m[v] for m, v in via.phi_m.items()} == direct.phi_m
-            and {r: down.phi_r[v] for r, v in via.phi_r.items()} == direct.phi_r)
+            and all(down.apply(via.apply(g)) == direct.apply(g)
+                    for g in via.fine.generators()))
 
 
 def verify_stage_invariants(stage: TowerStage) -> dict:
-    """Normality and action-triviality certificates for a stage.
-
-    At the stage's congruence level: the residue core is normal under the R
-    generators; the core lattice is fixed by the R generators; every residue
-    core element moves every M generator by a core-lattice vector.
-    """
-    pair = stage.pair
-    results = {
-        "r_core_normal_in_r": stage.r_core.is_normal_under(
-            _r_gens_mod(pair, stage.level)),
-        "m_core_r_stable": all(
-            transform_lattice((1, g), stage.m_core) == stage.m_core
-            for g in pair.r_generators
-        ),
-        "r_core_acts_trivially_on_quotient": all(
-            _fixes_quotient(stage._core, r) for r in stage.r_core.elements
-        ),
-    }
-    results["verdict"] = "pass" if all(
-        v for k, v in results.items() if k != "verdict"
-    ) else "fail"
+    """Normality and action-triviality certificates for a stage
+    (``_stage_checks``), with their verdict."""
+    results = _stage_checks(stage)
+    results["verdict"] = "pass" if all(results.values()) else "fail"
     return results

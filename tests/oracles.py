@@ -9,7 +9,9 @@ recovered by direct counting.  ``all_pairs_convolve`` reads the double cosets of
 ``fixed_point_product`` uses none of the package beyond the R generators.
 ``residue_core_by_filter`` filters the stabilizer chain's listing of the
 image of R, the residue core that ``tower`` used before it solved the core
-by first columns.
+by first columns.  ``stage_elements`` lists a tower stage from that listing,
+which the stage itself never makes, and ``all_pairs_verify`` and
+``elementwise_triangle`` check connecting maps on every element of it.
 """
 
 import functools
@@ -445,11 +447,31 @@ def residue_core_by_filter(pair, level, conditions):
                      if satisfies(r, conditions))
 
 
+def stage_elements(stage):
+    """Every element (m, key) of a tower stage, each once: the box points of
+    M / core against the keys (``stage.key``) of the image of R mod the
+    stage level, listed from its stabilizer chain."""
+    keys = sorted({stage.key(r) for r in r_image_chain(stage.pair, stage.level, None)[2]})
+    assert len(keys) == stage.r_index
+    return [(m, key) for m in stage.m_elements for key in keys]
+
+
+def reduce_h_element(stage, h):
+    """Image of an element h of H under the quotient map onto a stage: n
+    reduced into the box of the core lattice (``reduce_vector``), and the
+    key of q mod the stage level."""
+    assert stage.pair.in_h(h)
+    n0, n1 = reduce_vector(stage.m_core, h.n)
+    return ((int(n0), int(n1)), stage.key(ResidueRing(stage.level).reduce_mat(h.v[2:])))
+
+
 def all_pairs_verify(cm):
     """Connecting-map certificate over every (generator, element) pair:
-    phi(g x) = phi(g) phi(x), and surjectivity by counting the image."""
+    phi(g x) = phi(g) phi(x), and surjectivity by counting the image.  The
+    elements come from ``stage_elements``, so neither check reads the
+    structure that ``ConnectingMap.verify`` certifies by."""
     fine, coarse = cm.fine, cm.coarse
-    phi = {x: cm.apply(x) for x in fine.elements()}
+    phi = {x: cm.apply(x) for x in stage_elements(fine)}
     hom_ok = True
     for g in fine.generators():
         pg = cm.apply(g)
@@ -472,7 +494,7 @@ def elementwise_triangle(via, down, direct):
     """Whether down(via(x)) == direct(x) for every element x of the fine
     stage."""
     return all(down.apply(via.apply(x)) == direct.apply(x)
-               for x in via.fine.elements())
+               for x in stage_elements(via.fine))
 
 
 # ---------------------------------------------------------------------------

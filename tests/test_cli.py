@@ -16,6 +16,7 @@ from heckepairs.errors import BoundReached, CertificateFailed
 from heckepairs.grouppair import PairDescriptor
 
 from test_cosets import corrupt_evaluation
+from test_tower import count_listing
 
 
 def run(capsys, *argv):
@@ -234,22 +235,10 @@ def test_pair_verify_large_primes_without_listing(capsys, tmp_path, monkeypatch,
 ], ids=["p7-level2401", "p2-level64", "p3-level81"])
 def test_tower_rejects_large_stages_without_listing(capsys, tmp_path, monkeypatch,
                                                     p, seeds, level, error):
-    # the last stage is sized before its image of R mod the level is
-    # listed: its order is rejected with no residue listed at that level
-    listed = {}
-    chain = ResidueRing.chain
-
-    def counting_chain(ring, gens, bound):
-        order, member, elements = chain(ring, gens, bound)
-
-        def counted():
-            for m in elements:
-                listed[ring.modulus] = listed.get(ring.modulus, 0) + 1
-                yield m
-
-        return order, member, counted()
-
-    monkeypatch.setattr(ResidueRing, "chain", counting_chain)
+    # the last stage is sized before any chain walks at its level, and its
+    # order is rejected; no residue is listed at any level, as an accepted
+    # gl2 stage only certifies the order of its image of R by one chain
+    counts = count_listing(monkeypatch)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gl2.json").write_text(json.dumps(
         {"family": "planar", "base_ring": "Z[1/p]", "p": p, "Q_kind": "full_gl2"}))
@@ -260,10 +249,39 @@ def test_tower_rejects_large_stages_without_listing(capsys, tmp_path, monkeypatc
     assert [r["verdict"] for r in stages] == ["pass"] * (len(stages) - 1) + ["inconclusive"]
     assert stages[-1]["name"] == f"tower.stage_{seeds.count(';') + 1}"
     assert stages[-1]["outputs"] == {"error": error}
-    # the stages built before it list their whole image, and only those
     built = [r["outputs"]["level"] for r in stages[:-1]]
-    assert level not in listed and sorted(listed) == sorted(built)
-    assert all(listed[s] == grouppair.slpm_order(s) for s in built)
+    assert counts == {"levels": built, "drawn": 0, "list_group": 0}
+    assert level not in built
+
+
+_LEVEL_64 = ["tower", "build", "--seed", "[[2,0],[0,1]];[[4,0],[0,1]];[[8,0],[0,1]]",
+             "--stage-order-max", "20000000"]
+_LEVEL_256 = ["tower", "build", "--seed",
+              "[[2,0],[0,1]];[[4,0],[0,1]];[[8,0],[0,1]];[[16,0],[0,1]]",
+              "--stage-order-max", "4000000000", "--bound-cosets", "200000"]
+
+
+# sha256 of the stdout: the level-64 bytes were recorded when the stage
+# listed its 393,216 residues of SL+-(2, Z/64); the level-256 stage, of
+# order 3,221,225,472, could not be built then, and its bytes are recorded
+# from the build that lists nothing
+@pytest.mark.parametrize("argv, digest", [
+    (_LEVEL_64, "c6d1b7d5258ebacddf567c1e6ecc06e0b995599f094416e15e21637b2d789f99"),
+    (_LEVEL_256, "7091ba19174b43c44006948e33e36f350a964b89791447a492d361f2442da20b"),
+], ids=["level64", "level256"])
+def test_tower_builds_large_gl2_stages_without_listing(capsys, monkeypatch, argv, digest):
+    counts = count_listing(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
+    records = {r["name"]: r for r in map(json.loads, out.splitlines()[1:-2])}
+    top = records[f"tower.stage_{argv[3].count(';') + 1}"]["outputs"]
+    assert counts["drawn"] == counts["list_group"] == 0
+    assert counts["levels"] == [1, 4, 16, 64, 256][:len(counts["levels"])]
+    assert counts["levels"][-1] == top["level"]
+    # the core is {1, (1 + L/2) 1} mod L at every level L past 1
+    assert top["order"] == top["m_index"] * grouppair.slpm_order(top["level"]) // 2
+    if top["level"] == 256:
+        assert top["order"] == 3221225472
 
 
 def test_slpm_above_40_within_the_bound_passes(capsys):
@@ -586,8 +604,8 @@ def _matches_under_python_O(argv, tmp_path, capsys):
 def test_tower_build_under_python_O_matches(capsys, tmp_path):
     # the stage certificates are explicit checks, so they also run with
     # assert statements stripped; the report must not change
-    argv = ["tower", "build", "--seed", "[[2,0],[0,1]]"]
-    assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
+    for argv in (["tower", "build", "--seed", "[[2,0],[0,1]]"], _LEVEL_64):
+        assert _matches_under_python_O(argv, tmp_path, capsys) == (0, 0)
 
 
 @pytest.mark.parametrize("argv", [

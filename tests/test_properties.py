@@ -215,8 +215,8 @@ def unreduced(x, k):
 @SETTINGS
 @given(data=st.data())
 def test_fused_products_match_canon_of_mul(name, data):
-    # canon_mul and class_mul canonicalize the unreduced product; the keys
-    # are homogeneous, so any common factor gives the same result
+    # canon_mul, and _class of _product, canonicalize the unreduced product;
+    # the keys are homogeneous, so any common factor gives the same result
     pair = PAIRS[name]
     x, y = (data.draw(st.one_of(ELEMENTS[name], st.just(MIXED[name])))
             for _ in range(2))
@@ -225,7 +225,7 @@ def test_fused_products_match_canon_of_mul(name, data):
     for k, l in ((1, 1), (data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6)))):
         xk, yl = unreduced(x, k), unreduced(y, l)
         assert pair.canon_mul(xk, yl) == (c.s, c.v)
-        assert pair.class_mul(xk, yl) == pair.canon_class(xy)
+        assert pair._class(*pair._product(xk.s, xk.v, yl.s, yl.v)) == pair._class(xy.s, xy.v)
         assert pair.canon_coset(xk) == pair.canon_coset(x)
 
 

@@ -100,8 +100,9 @@ def test_every_closure_has_a_bound(path):
 
 def canon_of_mul_calls(source: str) -> list[int]:
     """Lines of the calls canon_coset(mul(...)) and canon_class(mul(...)),
-    by name or by attribute.  A product is canonicalized by ``canon_mul``
-    or ``class_mul``, which reduce it once, without a ``GElem`` between."""
+    by name or by attribute.  A product is canonicalized by ``canon_mul``,
+    or by ``_canon`` or ``_class`` of ``_product``, which reduce it once,
+    without a ``GElem`` between."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call)

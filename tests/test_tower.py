@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 
@@ -37,8 +36,10 @@ from oracles import (
     fraction_satisfies,
     r_image_by_closure,
     rectangular,
+    reduce_h_element,
     residue_core_by_filter,
     scaled,
+    stage_elements,
 )
 
 F = Fraction
@@ -163,12 +164,12 @@ def test_stage_diag2_order(stage1):
     assert stage1.m_index == 4
     assert stage1.m_invariants == (2, 2)
     assert stage1.order == stage1.m_index * stage1.r_index
-    assert stage1.order == len(list(stage1.elements()))
+    assert stage1.order == len(stage_elements(stage1))
 
 
 def test_stage_group_axioms(stage1):
     rng = random.Random(3)
-    elems = list(stage1.elements())
+    elems = stage_elements(stage1)
     ident = stage1.identity()
     for _ in range(300):
         x, y, z = (rng.choice(elems) for _ in range(3))
@@ -190,12 +191,12 @@ def test_stage_quotient_map_is_homomorphism(pair, stage1):
 
     for _ in range(300):
         h1, h2 = random_h(), random_h()
-        lhs = stage1.reduce_h_element(pair.mul(h1, h2))
-        rhs = stage1.mul(stage1.reduce_h_element(h1), stage1.reduce_h_element(h2))
+        lhs = reduce_h_element(stage1, pair.mul(h1, h2))
+        rhs = stage1.mul(reduce_h_element(stage1, h1), reduce_h_element(stage1, h2))
         assert lhs == rhs
     seen = {stage1.identity()}
     frontier = [stage1.identity()]
-    reduced_gens = [stage1.reduce_h_element(g) for g in gens]
+    reduced_gens = [reduce_h_element(stage1, g) for g in gens]
     while frontier:
         cur = frontier.pop()
         for g in reduced_gens:
@@ -298,8 +299,12 @@ def test_stage_quad_torus():
     fam = make_coset_family(quad, [q])
     st = build_stage(fam, make_envelope(fam))
     assert st.m_index == 7
-    assert st.order == st.m_index * st.r_index
+    assert st.order == st.m_index * st.r_index == len(stage_elements(st))
     assert verify_stage_invariants(st)["verdict"] == "pass"
+    # the keys of its listed and filtered image certify like the gl2 ones
+    cm = ConnectingMap(st, st)
+    assert cm.verify() == all_pairs_verify(cm)
+    assert cm.verify()["homomorphism"] and cm.verify()["surjective"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +339,14 @@ def test_triangle_commutes(stage0, stage1, stage2):
     f21 = ConnectingMap(stage2, stage1)
     f10 = ConnectingMap(stage1, stage0)
     f20 = ConnectingMap(stage2, stage0)
-    for x in stage2.elements():
+    for x in stage_elements(stage2):
         assert f10.apply(f21.apply(x)) == f20.apply(x)
 
 
-def test_triangle_commutes_reads_tables_only(stage0, stage1, stage2,
-                                             monkeypatch):
+def test_triangle_commutes_applies_on_generators_only(stage0, stage1, stage2,
+                                                     monkeypatch):
+    # the phi_m tables are compared entry by entry, and the three maps only
+    # on the generators of the fine stage, never on its 49,152 elements
     calls = 0
     apply = ConnectingMap.apply
 
@@ -351,9 +358,9 @@ def test_triangle_commutes_reads_tables_only(stage0, stage1, stage2,
     monkeypatch.setattr(ConnectingMap, "apply", counted)
     assert triangle_commutes(ConnectingMap(stage2, stage1),
                              ConnectingMap(stage1, stage0)) is True
-    assert calls == 0
+    assert calls == 3 * len(stage2.generators()) == 15
     assert ConnectingMap(stage2, stage0).apply(stage2.identity()) == \
-        stage0.identity() and calls == 1
+        stage0.identity() and calls == 16
 
 
 def test_triangle_needs_maps_that_compose(stage0, stage1, stage2):
@@ -403,13 +410,13 @@ def test_full_multiplication_table_matches_h(pair, stage1):
     # the quotient map from H onto the stage, compared on the full
     # multiplication table (stage order 192 <= 2000)
     gens = pair.h_generators()
-    reps = {stage1.reduce_h_element(pair.identity()): pair.identity()}
+    reps = {reduce_h_element(stage1, pair.identity()): pair.identity()}
     frontier = [pair.identity()]
     while frontier:
         h = frontier.pop()
         for g in gens:
             hg = pair.mul(g, h)
-            key = stage1.reduce_h_element(hg)
+            key = reduce_h_element(stage1, hg)
             if key not in reps:
                 reps[key] = hg
                 frontier.append(hg)
@@ -417,7 +424,7 @@ def test_full_multiplication_table_matches_h(pair, stage1):
     items = sorted(reps.items(), key=lambda kv: str(kv[0]))
     for k1, h1 in items:
         for k2, h2 in items:
-            assert stage1.reduce_h_element(pair.mul(h1, h2)) == \
+            assert reduce_h_element(stage1, pair.mul(h1, h2)) == \
                 stage1.mul(k1, k2)
 
 
@@ -464,7 +471,7 @@ def test_connecting_verify_matches_all_pairs_oracle(stage0, stage1, stage2,
     fam = make_coset_family(stage_p3.pair, [])
     p3_trivial = build_stage(fam, make_envelope(fam))
     for fine, coarse in ((stage1, stage0), (stage2, stage1), (stage2, stage0),
-                         (stage1, stage1), (stage_p3, p3_trivial),
+                         (stage1, stage1), (stage2, stage2), (stage_p3, p3_trivial),
                          (stage_p3, stage_p3)):
         cm = ConnectingMap(fine, coarse)
         rep = cm.verify()
@@ -481,38 +488,90 @@ def test_triangle_matches_elementwise_oracle(stage0, stage1, stage2):
         assert elementwise_triangle(via, down, direct) is True
 
 
-def _corrupt_coset_key(stage, residues, image=lambda key: key):
-    """A copy of the stage that sends the first of ``residues`` that is not
-    a coset key to the key of another coset, one of another image."""
-    bad = copy.copy(stage)
-    bad.coset_key_of = dict(stage.coset_key_of)
-    residue = next(r for r in residues if r != stage.coset_key_of[r])
-    old = image(stage.coset_key_of[residue])
-    bad.coset_key_of[residue] = next(
-        key for key in stage._sorted_rkeys if image(key) != old)
-    return bad
+def _with_core(stage, core, m_core=None):
+    """The stage rebuilt with another residue core (and core lattice), of
+    the same image order: a corrupted stage that is still a presentation."""
+    return TowerStage(stage.family, stage.envelope, m_core or stage.m_core,
+                      ResidueSubgroup(stage.level, frozenset(core)),
+                      stage.r_index * len(stage.r_core.elements))
 
 
 def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
-    bad = _corrupt_coset_key(stage1, sorted(stage1.coset_key_of))
+    # stage1 with its core {1, -1} mod 4 swapped for {1, (1, 0; 0, -1)}: a
+    # subgroup of the same order that fixes M / core but is not normal, so
+    # the reduction is no homomorphism onto its left cosets; the generator
+    # (1, 0; 0, -1) is keyed by 1, so the oracle sees it on the generators
+    bad = _with_core(stage1, [(1, 0, 0, 1), (1, 0, 0, 3)])
+    assert bad.order == stage1.order
+    assert verify_stage_invariants(bad)["r_core_normal_in_r"] is False
     cm = ConnectingMap(stage2, bad)
-    assert all_pairs_verify(cm)["homomorphism"] is False
-    assert cm.verify()["homomorphism"] is False
-    # reducing through the intact stage1 misses the corrupted entry
-    assert triangle_commutes(ConnectingMap(stage2, stage1),
-                             ConnectingMap(stage1, bad)) is False
-    assert elementwise_triangle(ConnectingMap(stage2, stage1),
-                                ConnectingMap(stage1, bad), cm) is False
-    # the R-axis reads the fine stage's residue keys directly: corrupt one it
-    # reads, a product g_r r of a generator's r-part and a coset key, so that
-    # its image in stage1 moves
-    ring, down = stage2._ring, ConnectingMap(stage2, stage1)
-    reached = [ring.mat_mul(g_r, r) for _, g_r in stage2.generators()
-               for r in stage2._sorted_rkeys]
-    bad = _corrupt_coset_key(stage2, reached, lambda key: down.apply(((0, 0), key)))
-    cm = ConnectingMap(bad, stage1)
-    assert cm.verify()["homomorphism"] is False
-    assert cm.verify() == all_pairs_verify(cm)
+    rep = all_pairs_verify(cm)
+    assert rep["homomorphism"] is False
+    assert cm.verify() == rep
+    # the core of stage1 holds -1, which does not lie in the corrupted core:
+    # the reduction through the intact stage1 is refused
+    with pytest.raises(NotComparable, match="fine residue core is not inside the coarse one"):
+        ConnectingMap(stage1, bad)
+    # a core lattice 2Z x 4Z is neither R-stable nor fixed by -1
+    bad = _with_core(stage1, stage1.r_core.elements, rectangular(2, 4))
+    assert verify_stage_invariants(bad) == {
+        "m_core_r_stable": False, "r_core_acts_trivially_on_quotient": False,
+        "r_core_normal_in_r": True, "verdict": "fail"}
+    cm = ConnectingMap(stage2, bad)
+    rep = all_pairs_verify(cm)
+    assert rep["homomorphism"] is False
+    assert cm.verify() == rep
+
+
+# the chains of _CORE_STAGES whose stages below the default cap are not
+# those of another chain here or the fixtures stage0, stage1 and stage2
+# (diag(2,1);diag(4,1) over Z[1/2]), which the oracle tests above compare
+_ORACLE_CHAINS = [(p, seeds) for p, seeds in _CORE_STAGES
+                  if (p, seeds) not in ((None, [_D(2, 1), _D(3, 1)]), (2, [_D(2, 1)]),
+                                        (2, [_D(2, 1), _D(4, 1)]),
+                                        (2, [_D(2, 1), _D(4, 1), _D(8, 1)]),
+                                        (3, [_D(3, 1), _D(9, 1)]))]
+
+
+@pytest.mark.parametrize("p, seeds", _ORACLE_CHAINS,
+                         ids=[f"{p}-{';'.join(map(str, s))}" for p, s in _ORACLE_CHAINS])
+def test_structural_certificate_matches_elementwise_oracles(p, seeds):
+    # every stage of the chain below the default cap, its self-map, its map
+    # to the stage before, and the triangles through them: the certificate
+    # by structure and generators equals the one over all elements
+    pair, stages = PairDescriptor.planar_gl2(p), []
+    for i in range(len(seeds) + 1):
+        fam = make_coset_family(pair, seeds[:i])
+        try:
+            stages.append(build_stage(fam, make_envelope(fam)))
+        except BoundReached:
+            break
+    maps = {}
+    for i, fine in enumerate(stages):
+        for j in {i, max(i - 1, 0)}:
+            maps[i, j] = cm = ConnectingMap(fine, stages[j])
+            assert cm.verify() == all_pairs_verify(cm)
+            assert cm.verify()["homomorphism"] and cm.verify()["surjective"]
+    for (i, j), via in maps.items():
+        for k in {j, max(j - 1, 0)}:
+            if (i, j) != (j, k):
+                down, direct = maps[j, k], ConnectingMap(stages[i], stages[k])
+                assert triangle_commutes(via, down) is True
+                assert elementwise_triangle(via, down, direct) is True
+
+
+@pytest.mark.parametrize("dropped", range(5))
+def test_connecting_verify_surjectivity_reads_every_generator(stage1, stage2, dropped,
+                                                              monkeypatch):
+    # a fine stage whose generating set misses one coarse generator (the
+    # M basis vectors, then the three R generators): the certificate must
+    # not call the map onto, whichever generator it is
+    gens = stage2.generators()
+    assert len(gens) == 5
+    gens[dropped] = stage2.identity()
+    monkeypatch.setattr(stage2, "generators", lambda: list(gens))
+    rep = ConnectingMap(stage2, stage1).verify()
+    assert (rep["surjective"], rep["kernel_size"]) == (False, None)
 
 
 def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
@@ -529,118 +588,138 @@ def test_connecting_verify_mul_calls_bounded(stage1, stage2, monkeypatch):
         monkeypatch.setattr(st, "mul", counting(st.mul))
     rep = ConnectingMap(stage2, stage1).verify()
     assert rep["homomorphism"] and rep["surjective"]
-    # only the M-axis multiplies, once on each side; the R-axis reads residue
-    # keys (491,520 calls when every element meets every generator)
+    # only the M-axis multiplies, once on each side; the R-axis is certified
+    # by structure (491,520 calls when every element meets every generator)
     assert calls <= 2 * len(stage2.generators()) * len(stage2.m_elements) == 160
 
 
-class _CountingDict(dict):
-    """A dict that counts the entries read from it."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-
-def _counting_keys(stage):
-    """A copy of the stage whose coset-key table counts its reads."""
-    counted = copy.copy(stage)
-    counted.coset_key_of = _CountingDict(stage.coset_key_of)
-    return counted
+def _counting_keys(monkeypatch, *stages):
+    """Count the ``key`` calls of each stage, in a dict by stage."""
+    counts = {}
+    for st in stages:
+        def counted(r, st=st, key=st.key):
+            counts[st] = counts.get(st, 0) + 1
+            return key(r)
+        monkeypatch.setattr(st, "key", counted)
+    return counts
 
 
-def test_connecting_verify_reads_each_coarse_key_once(stage1, stage2):
-    # the R-axis right side phi(g_r) phi(r) depends on r only through its
-    # coarse key: one coarse key read per distinct r-part g_r and coarse key
-    # (4 x 48), against 4 x 3,072 if it were formed per fine key; the M-axis
-    # reads one per coarse product (80 of the 160 products on both sides)
-    coarse = _counting_keys(stage1)
-    cm = ConnectingMap(stage2, coarse)
-    coarse.coset_key_of.reads = 0
+def test_connecting_verify_keys_per_m_point_only(stage1, stage2, monkeypatch):
+    # the R-axis forms no key: a key is formed per generator, and per
+    # generator and m point on the M-axis (80 products on each side), on
+    # neither side per residue coset (3,072 fine, 48 coarse)
+    cm = ConnectingMap(stage2, stage1)
+    counts = _counting_keys(monkeypatch, stage1, stage2)
     rep = cm.verify()
     assert rep["homomorphism"] and rep["surjective"]
-    gens = stage2.generators()
-    g_rs = {g_r for _, g_r in gens}
-    assert (len(g_rs), len(stage1._sorted_rkeys), len(stage2._sorted_rkeys)) == (4, 48, 3072)
-    reads = coarse.coset_key_of.reads
-    assert reads <= 2 * len(gens) * len(stage2.m_elements) + len(g_rs) * 48 == 352
+    gens = len(stage2.generators())
+    assert (gens, len(stage2.m_elements), stage2.r_index) == (5, 16, 3072)
+    assert counts[stage2] <= gens * 16 + 2 * gens + 1
+    assert counts[stage1] <= gens * 16 + 2 * gens + 1
 
 
-def test_connecting_verify_into_stage0_reads_no_fine_key(stage0, stage1, stage2,
-                                                         stage_p3):
-    # stage 0 has order 1, so both factors are certified by their counts;
-    # its one coarse key is the image of every fine key, so building the
-    # map reads no coarse key either; the elementwise oracle agrees, and it
-    # does read the fine keys
+def test_connecting_verify_into_stage0_compares_no_m_point(stage0, stage1, stage2,
+                                                           stage_p3, monkeypatch):
+    # stage 0 has order 1: both factors are certified by structure and
+    # generators, with no product; the elementwise oracle agrees
     fam = make_coset_family(stage_p3.pair, [])
     p3_trivial = build_stage(fam, make_envelope(fam))
     for stage, trivial in ((stage1, stage0), (stage2, stage0), (stage_p3, p3_trivial)):
         assert trivial.order == 1
-        fine, coarse = _counting_keys(stage), _counting_keys(trivial)
-        cm = ConnectingMap(fine, coarse)
-        assert coarse.coset_key_of.reads == 0
-        assert set(cm.phi_r) == set(stage._sorted_rkeys)
-        rep = cm.verify()
-        assert fine.coset_key_of.reads == 0
+        cm = ConnectingMap(stage, trivial)
+        with monkeypatch.context() as patch:
+            patch.setattr(TowerStage, "mul", None)
+            counts = _counting_keys(patch, stage, trivial)
+            rep = cm.verify()
+        # one key for the identity, one per R generator
+        assert counts[stage] == 1 + len(stage.pair.r_generators)
         assert rep == all_pairs_verify(cm)
         assert rep["homomorphism"] and rep["surjective"]
-        assert fine.coset_key_of.reads > 0
 
 
-def _two_key_stage(pair):
-    """A level-2 stage whose R-factor has two elements: the image
-    GL(2, Z/2) of R modulo its subgroup of order 3, over M / M = 0."""
+def _two_key_stage(pair, core=((1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0))):
+    """A level-2 stage over M / M = 0 whose R-factor is the image GL(2, Z/2)
+    of R modulo a subgroup ``core``: by default its subgroup of order 3,
+    which leaves two coset keys."""
     fam = make_coset_family(pair, [])
     env = EnvelopeLattice(scaled(Lattice.standard(), F(1, 2)))
-    image = frozenset(r_image_by_closure(pair, 2))
-    r_core = ResidueSubgroup(2, frozenset([(1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)]))
-    return TowerStage(fam, env, core_lattice(fam), r_core, image)
+    image = r_image_by_closure(pair, 2)
+    return TowerStage(fam, env, core_lattice(fam), ResidueSubgroup(2, frozenset(core)),
+                      len(image))
 
 
 def test_connecting_verify_compares_a_two_key_factor(pair, stage1):
-    # the sign of GL(2, Z/2) = S_3 is a homomorphism onto two coset keys;
-    # moving one residue to the other key breaks it, and only the
-    # elementwise comparison of the R-axis can see that
+    # the sign of GL(2, Z/2) = S_3 is a homomorphism onto two coset keys
     two = _two_key_stage(pair)
     assert (two.m_index, two.r_index, two.order) == (1, 2, 2)
     cm = ConnectingMap(stage1, two)
     assert cm.verify() == all_pairs_verify(cm)
     assert cm.verify()["homomorphism"] and cm.verify()["surjective"]
-    bad = _corrupt_coset_key(two, sorted(two.coset_key_of))
+    # modulo the non-normal subgroup {1, (0, 1; 1, 0)} its three left cosets
+    # take no group law: M / M = 0 leaves no M-axis, so only the normality
+    # check sees it
+    bad = _two_key_stage(pair, [(1, 0, 0, 1), (0, 1, 1, 0)])
+    assert bad.r_index == 3
     cm = ConnectingMap(stage1, bad)
     assert cm.verify()["homomorphism"] is False
     assert cm.verify() == all_pairs_verify(cm)
+    # a fine core that does not reduce into the coarse one: the order-3
+    # core against the trivial core at the same level
+    with pytest.raises(NotComparable, match="fine residue core is not inside the coarse one"):
+        ConnectingMap(two, _two_key_stage(pair, [(1, 0, 0, 1)]))
+
+
+def count_listing(monkeypatch):
+    """Count ``ResidueRing.chain`` walks (their levels), the residues drawn
+    from their listings and the ``list_group`` calls."""
+    counts = {"levels": [], "drawn": 0, "list_group": 0}
+    chain, list_group = ResidueRing.chain, ResidueRing.list_group
+
+    def counted_chain(ring, gens, bound):
+        counts["levels"].append(ring.modulus)
+        order, member, elements = chain(ring, gens, bound)
+
+        def drawn():
+            for m in elements:
+                counts["drawn"] += 1
+                yield m
+
+        return order, member, drawn()
+
+    def counted_list(ring, chain):
+        counts["list_group"] += 1
+        return list_group(ring, chain)
+
+    monkeypatch.setattr(ResidueRing, "chain", counted_chain)
+    monkeypatch.setattr(ResidueRing, "list_group", counted_list)
+    return counts
 
 
 @pytest.mark.parametrize("p, seeds", [(None, []), (2, [_D(2, 1)]), (2, [_D(2, 1), _D(4, 1)]),
                                       (3, [_D(3, 1)]), (3, [_D(3, 1), _D(1, 3)])])
 def test_one_chain_per_gl2_stage(p, seeds, monkeypatch):
-    # the chain that certifies |SL+-(2, Z/level)| also lists the image:
-    # one walk per accepted stage, at the stage level
+    # the chain certifies |SL+-(2, Z/level)|, and nothing lists it: one walk
+    # per accepted stage, at the stage level, with no residue drawn
     fam, env = _family_envelope(p, seeds)
-    levels = []
-    chain = ResidueRing.chain
-
-    def counted(ring, gens, bound):
-        levels.append(ring.modulus)
-        return chain(ring, gens, bound)
-
-    monkeypatch.setattr(ResidueRing, "chain", counted)
+    counts = count_listing(monkeypatch)
     stage = build_stage(fam, env)
-    assert levels == [stage.level]
+    assert counts == {"levels": [stage.level], "drawn": 0, "list_group": 0}
     monkeypatch.undo()
-    assert set(stage.coset_key_of) == r_image_by_closure(fam.pair, stage.level)
+    image = r_image_by_closure(fam.pair, stage.level)
+    assert len({stage.key(r) for r in image}) == stage.r_index
 
 
 @pytest.mark.parametrize("name", ["stage0", "stage1", "stage2", "stage_p3"])
 def test_coset_keys_are_least_members(request, name):
     stage = request.getfixturevalue(name)
-    ring = stage._ring
-    for r, key in stage.coset_key_of.items():
-        assert key == min(ring.mat_mul(r, c) for c in stage.r_core.elements)
-    assert len(set(stage.coset_key_of.values())) == stage.r_index
+    ring, core = stage._ring, stage.r_core.elements
+    image = r_image_by_closure(stage.pair, stage.level)
+    for r in image:
+        key = stage.key(r)
+        # the key lies in the coset r.core and is its least member
+        assert ring.mat_mul(ring.mat_inv(r), key) in core
+        assert all(key <= ring.mat_mul(r, c) for c in core)
+    assert len({stage.key(r) for r in image}) == stage.r_index
 
 
 def test_stage_rejects_corrupted_image(pair):
@@ -649,23 +728,24 @@ def test_stage_rejects_corrupted_image(pair):
     r_core = build_stage(fam, env).r_core
     image = frozenset(r_image_by_closure(pair, r_core.level))
     assert len(image) == 96 and len(r_core.elements) == 2
-    dropped = min(image - r_core.elements)
-    with pytest.raises(CertificateFailed):
-        TowerStage(fam, env, core_lattice(fam), r_core, image - {dropped})
+    # an image order one short, as if a residue were dropped: the core's
+    # order does not divide it
+    with pytest.raises(CertificateFailed, match="^a residue core of 2 elements does not "
+                                                "divide the image order 95$"):
+        TowerStage(fam, env, core_lattice(fam), r_core, len(image) - 1)
 
 
-def test_stage_rejects_a_short_listing(pair, monkeypatch):
-    # a listing that drops one stabilizer member, (1, 1; 0, 1) mod 4, falls
-    # short of the chain order
+def test_stage_rejects_a_short_chain(pair, monkeypatch):
+    # a chain that drops the R generator (1, 0; 0, -1) walks SL(2, Z/4), of
+    # order 48, short of |SL+-(2, Z/4)| = 96: the stage fails its certificate
     chain = ResidueRing.chain
 
     def dropping(ring, gens, bound):
-        order, member, elements = chain(ring, gens, bound)
-        return order, member, (m for m in elements if m != (1, 1, 0, 1))
+        return chain(ring, [g for g in gens if g != ring.reduce_mat((1, 0, 0, -1))], bound)
 
     monkeypatch.setattr(ResidueRing, "chain", dropping)
     fam = make_coset_family(pair, [Mat2.diag(2, 1)])
-    with pytest.raises(CertificateFailed, match="95 residues listed mod 4"):
+    with pytest.raises(CertificateFailed, match=r"^the image of R mod 4 is not SL\+-\(2, Z/4\)$"):
         build_stage(fam, make_envelope(fam))
 
 
@@ -677,9 +757,8 @@ def test_integer_inputs_are_checked(pair):
     fam = make_coset_family(pair, [])
     env = make_envelope(fam)
     r_core = build_stage(fam, env).r_core
-    image = frozenset(r_image_by_closure(pair, r_core.level))
     with pytest.raises(NotSublattice):
-        TowerStage(fam, env, scaled(Lattice.standard(), F(1, 2)), r_core, image)
+        TowerStage(fam, env, scaled(Lattice.standard(), F(1, 2)), r_core, 1)
 
 
 def test_fixes_quotient_examples():
