@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arith import rat_from_str, rat_to_str, Mat2
 from .errors import BoundReached, CertificateFailed, DescriptorMismatch
-from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, m_cap_box, n_str, q_str
+from .grouppair import DEFAULT_COSET_BOUND, GElem, PairDescriptor, n_str, q_str
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _memo_lookup(x: GElem, bound: int) -> DoubleCoset | None:
 
 
 def _r_orbit(x: GElem, bound: int) -> tuple[int, list[tuple]]:
-    """[M : M meet qM] for x = (n, q) (``m_cap_box``), and the keys (s, v)
+    """[M : M meet qM] for x = (n, q) (``_meet_box``), and the keys (s, v)
     of the canonical elements of the classes in the R-orbit of MxH.
 
     The orbit is closed under the generators of R alone: it is finite, so
@@ -78,18 +78,18 @@ def _r_orbit(x: GElem, bound: int) -> tuple[int, list[tuple]]:
     number of classes passes the bound, that is once L(x) > bound.
     """
     pair, s, v = x.pair, x.s, x.v
-    a, d = m_cap_box(pair, s, pair._q_span(s, v[2:])[1])
+    a, d = pair._meet_box(s, v)
     m_index = a * d
     if m_index > bound:
         raise _too_many(x, bound)
-    product, cls = pair._product, pair._class
+    step = pair._orbit_step
     gens = [(g.s, g.v) for g in pair.r_elements()]
-    orbit = [cls(s, v)]
+    orbit = [pair._class(s, v)]
     seen = set(orbit)
     for t, w in orbit:
         for s, v in gens:
             # g.y lies in g.MyH = M.gy.H, as g normalizes M
-            z = cls(*product(s, v, t, w))
+            z = step(s, v, t, w)
             if z not in seen:
                 if m_index * (len(seen) + 1) > bound:
                     raise _too_many(x, bound)
@@ -98,28 +98,25 @@ def _r_orbit(x: GElem, bound: int) -> tuple[int, list[tuple]]:
     return m_index, orbit
 
 
-def _left_keys(pair: PairDescriptor, k: tuple) -> list[tuple]:
-    """The keys of the left cosets (m + n_k, q_k)H in the class of k = (s, v),
-    for m = (i, j) in the box of M / (M meet q_k M): one span for all."""
-    s, (n0, n1, *q) = k
-    q, span = pair._q_span(s, q)
-    a, d = m_cap_box(pair, s, span)
-    return [pair._key_over(s, n0 + i * s, n1 + j * s, q, span)
-            for i in range(a) for j in range(d)]
-
-
 def double_coset(x: GElem, bound: int = DEFAULT_COSET_BOUND) -> DoubleCoset:
     dc = _memo_lookup(x, bound)
     if dc is not None:
         return dc
+    return _enumerate(x, bound)
+
+
+def _enumerate(x: GElem, bound: int) -> DoubleCoset:
+    """HxH from its R-orbit of classes, stored in the memo; x need not be
+    canonical."""
     pair = x.pair
     m_index, orbit = _r_orbit(x, bound)
+    left_keys = pair._left_keys
     printed = {}
     for k in orbit:
         # M meet q_k.M is r.(M meet qM) for q_k in r.q.R, so each class has
         # its own box; all its left cosets print the q of k
         q = q_str(k[0], k[1][2:])
-        printed.update({key: n_str(*key) + q for key in _left_keys(pair, k)})
+        printed.update({key: n_str(*key) + q for key in left_keys(*k)})
     if len(printed) != m_index * len(orbit):
         raise CertificateFailed(
             f"{len(printed)} left cosets in H.{x}.H, not [M:M_q] = {m_index} "
@@ -256,23 +253,31 @@ def convolve(f: HeckeElement, g: HeckeElement,
     # the support is checked against the bound before any output is
     support = [(double_coset(ra, bound), ca, double_coset(rb, bound), cb)
                for ra, ca in f.terms.items() for rb, cb in g.terms.items()]
+    # the inverse left reps of each left factor and the left coset keys of
+    # each right factor, once per call
+    lefts = {dca.rep: dca for dca, _, _, _ in support}
+    rights = {dcb.rep: dcb for _, _, dcb, _ in support}
+    y_invs = {rep: [pair.inv(y) for y in dc.left_reps] for rep, dc in lefts.items()}
+    in_bs = {rep: frozenset((y.s, y.v) for y in dc.left_reps) for rep, dc in rights.items()}
     terms: dict[GElem, Fraction] = {}
     for dca, ca, dcb, cb in support:
         a = dca.rep
         outputs: dict[GElem, DoubleCoset] = {}
         for bj in dcb.left_reps:
-            # double_coset enumerates a miss and names a hit over the bound
             key = canon_mul(a, bj)
             dc = memo.get(key)
-            if dc is None or dc.degree > bound:
-                dc = double_coset(GElem(*key, pair), bound)
+            if dc is None:
+                # the key is canonical: enumerate it without a second lookup
+                dc = _enumerate(GElem(*key, pair), bound)
+            elif dc.degree > bound:
+                raise _too_many(GElem(*key, pair), bound)
             outputs.setdefault(dc.rep, dc)
-        y_inv = [pair.inv(y) for y in dca.left_reps]
-        in_b = frozenset((y.s, y.v) for y in dcb.left_reps)
+        y_inv, in_b = y_invs[a], in_bs[dcb.rep]
 
         def value(z: GElem) -> int:
             return sum(canon_mul(yi, z) in in_b for yi in y_inv)
 
+        coeff = ca * cb
         total = 0
         for rep, dc in outputs.items():
             n = value(rep)
@@ -280,7 +285,7 @@ def convolve(f: HeckeElement, g: HeckeElement,
                 raise CertificateFailed(
                     f"convolution value not constant on the double coset of {rep}")
             total += n * dc.degree
-            terms[rep] = terms.get(rep, 0) + ca * cb * n
+            terms[rep] = terms.get(rep, 0) + coeff * n
         if total != dca.degree * dcb.degree:
             raise CertificateFailed(
                 f"degree certificate of H.{a}.H * H.{dcb.rep}.H: values "

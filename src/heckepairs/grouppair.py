@@ -17,12 +17,18 @@ stabilizer identities run on integers over one common denominator (see
 ``GElem``); ``Fraction`` and ``Mat2`` appear only where elements and
 sample q are parsed and printed, and in the ``GElem.n``/``GElem.q`` views
 the tests read.
+
+The coset layer (products, the canonical keys of left cosets xH and of
+classes MxH, the left cosets of a class) runs on the per-family kernels of
+``kernels``: ``PairDescriptor.__init__`` stores its family's set on the
+pair once, as plain functions, so no call on the hot path tests the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .arith import (
@@ -32,9 +38,6 @@ from .arith import (
     _xgcd,
     check_discriminant,
     closure,
-    hnf_int,
-    hnf_meet,
-    hnf_sum,
     in_z_inv_p,
     lattice_index,
     lattice_intersect,
@@ -54,10 +57,10 @@ from .errors import (
     BoundReached,
     CertificateFailed,
     ConfigInvalid,
-    DescriptorMismatch,
     NotInQ,
     SingularBasis,
 )
+from .kernels import _GL2_KERNELS, _HEIS_KERNELS, _QUAD_KERNELS, _check_pairs
 
 PLANAR = "planar"
 HEISENBERG = "heisenberg"
@@ -189,6 +192,15 @@ class PairDescriptor:
             raise ConfigInvalid(
                 "custom R generators are not supported: omit R_generators "
                 "or list the family default")
+        # the coset kernels, stored as plain functions: a bound method would
+        # refer back to the pair
+        if family == HEISENBERG:
+            self.__dict__.update(_HEIS_KERNELS)
+        else:
+            self.__dict__.update(_GL2_KERNELS)
+            if q_kind == QUAD_TORUS:
+                self.__dict__.update({name: partial(f, d, self.quad_unit)
+                                      for name, f in _QUAD_KERNELS.items()})
 
     # -- identity, comparison ------------------------------------------------
 
@@ -332,26 +344,9 @@ class PairDescriptor:
             return GElem(1, (0, 0, 0), self)
         return GElem(1, (0, 0, 1, 0, 0, 1), self)
 
-    def _product(self, s: int, v: tuple, t: int, w: tuple) -> tuple[int, tuple[int, ...]]:
-        """The numerators of xy over s t for the keys x = (s, v) and
-        y = (t, w), not reduced, as a key (s t, numerators)."""
-        if self.family == HEISENBERG:
-            a0, u0, p0 = v
-            a1, u1, p1 = w
-            st = s * t
-            return st, ((a0 * t + a1 * s + p0 * u1) % st,
-                        u0 * t + u1 * s, p0 * t + p1 * s)
-        # (n/s + (q/s)(m/t), (q/s)(r/t)) over the denominator s*t
-        n0, n1, a, b, c, d = v
-        m0, m1, e, f, g, h = w
-        return s * t, (
-            n0 * t + a * m0 + b * m1, n1 * t + c * m0 + d * m1,
-            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
-        )
-
     def mul(self, x: GElem, y: GElem) -> GElem:
-        if x.pair is not y.pair and x.pair != y.pair:
-            raise DescriptorMismatch("elements belong to different descriptors")
+        if x.pair is not y.pair:
+            _check_pairs(x, y)
         return self._reduced(*self._product(x.s, x.v, y.s, y.v))
 
     def inv(self, x: GElem) -> GElem:
@@ -393,87 +388,9 @@ class PairDescriptor:
 
     # -- canonical coset representatives ----------------------------------------
 
-    def _canon_q_ints(self, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-        """Numerators, over the same denominator, of the canonical
-        representative of the coset qR for q = (a, b; c, d)/s (planar)."""
-        return self._q_span(1, (a, b, c, d))[0]
-
-    def _quad_canon(self, a: int, b: int) -> tuple[int, int]:
-        """Normalize a + b*sqrt(d) by the unit group {+-u^k}: the
-        representative with positive real embedding whose square lies in
-        [|norm|, |norm| * u^2).  A common denominator of a and b scales
-        every compared quantity by the same positive square, so the
-        numerators alone decide."""
-        d = self.d
-        m0, n0 = unit = self.quad_unit
-
-        def qmul(x, y):
-            return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-        def sign(x, y=(0, 0)):
-            # of x - y = a + b*sqrt(d), which has the sign of its term of
-            # larger absolute value, as d is not a square
-            a, b = x[0] - y[0], x[1] - y[1]
-            return (a > 0) - (a < 0) if a * a > d * b * b else (b > 0) - (b < 0)
-
-        beta = (a, b) if sign((a, b)) > 0 else (-a, -b)
-        norm = (abs(a * a - d * b * b), 0)
-        upper = qmul(norm, qmul(unit, unit))
-        unit_inv = (m0, -n0) if m0 * m0 - d * n0 * n0 == 1 else (-m0, n0)
-        while sign(qmul(beta, beta), norm) < 0:
-            beta = qmul(beta, unit)
-        while sign(qmul(beta, beta), upper) >= 0:
-            beta = qmul(beta, unit_inv)
-        return beta
-
-    def _q_span(self, s: int, q) -> tuple[tuple[int, ...], tuple[int, int, int]]:
-        """(q', span): q' the numerators over s of the canonical element of
-        qR, span the canonical form of the integer lattice n is reduced by:
-        the column span of q', or for heisenberg q.M + Z x 0 as (n1, n0)."""
-        if self.family == HEISENBERG:
-            p = q[0] % s
-            return (p,), (s, p, s)
-        a, b, c, d = q
-        if self.q_kind == FULL_GL2:
-            # R = Q meet GL(2, Z), so qR <-> the column span of q, and the
-            # canonical q = (ha, 0; hc, hd) is its own column form
-            ha, hc, hd = span = hnf_int(a, b, c, d)
-            return (ha, 0, hc, hd), span
-        a, c = self._quad_canon(a, c)
-        b = self.d * c
-        return (a, b, c, a), hnf_int(a, b, c, a)
-
-    def _key_over(self, s: int, n0: int, n1: int, q: tuple, span: tuple) -> tuple[int, tuple]:
-        """The key (s, v), s least, of (n, q') with n reduced into the box
-        of the lattice span, for q' and span as ``_q_span`` gives them."""
-        a, c, d = span
-        if self.family == HEISENBERG:
-            n1, n0 = _box(n1, n0, a, c, d)
-            return _least(s, (n0, n1) + q)
-        return _least(s, _box(n0, n1, a, c, d) + q)
-
-    def _canon(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """The key (s, v), s least, of the canonical element of xH for x =
-        v/s; a common factor of s and v gives the same key."""
-        q, span = self._q_span(s, v[2:])
-        return self._key_over(s, v[0], v[1], q, span)
-
-    def _class(self, s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """The key of the canonical element of MxH, the union of the m.xH
-        over m in M: q as in ``_canon``, n reduced mod M + qM, not qM."""
-        q, (a, c, d) = self._q_span(s, v[2:])
-        # M = Z^2 (with Z x 0 for heisenberg) is (s, 0, s) over s
-        return self._key_over(s, v[0], v[1], q, hnf_sum(a, c, d, s, 0, s))
-
     def canon_coset(self, x: GElem) -> GElem:
         """Canonical element of the left coset xH, a hashable coset key."""
         return GElem(*self._canon(x.s, x.v), self)
-
-    def canon_mul(self, x: GElem, y: GElem) -> tuple[int, tuple[int, ...]]:
-        """The key of canon_coset(xy), without forming xy."""
-        if x.pair is not y.pair and x.pair != y.pair:
-            raise DescriptorMismatch("elements belong to different descriptors")
-        return self._canon(*self._product(x.s, x.v, y.s, y.v))
 
 
 def n_str(s: int, v: tuple[int, ...]) -> str:
@@ -486,19 +403,6 @@ def q_str(s: int, q: tuple[int, ...]) -> str:
     s; each entry prints reduced, so q prints the same over any denominator."""
     qs = [ratio_to_str(x, s) for x in q]
     return f";q={qs[0]}" if len(qs) == 1 else ";q=" + mat_str(qs)
-
-
-def _least(s: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(s, v) over the least denominator."""
-    g = gcd(s, *v)
-    return (s, v) if g == 1 else (s // g, tuple([x // g for x in v]))
-
-
-def _box(n0: int, n1: int, a: int, c: int, d: int) -> tuple[int, int]:
-    """The representative of (n0, n1) modulo the integer lattice with
-    canonical form (a, c, d) in its box [0, a) x [0, d)."""
-    k = n0 // a
-    return n0 - k * a, (n1 - k * c) % d
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +531,6 @@ def m_cap_conj(pair: PairDescriptor, q) -> Lattice:
     if pair.family != PLANAR:
         raise ValueError("m_cap_conj is defined for planar families only")
     return lattice_intersect(pair.m_lattice, transform_lattice(q, pair.m_lattice))
-
-
-def m_cap_box(pair: PairDescriptor, s: int, span: tuple[int, int, int]) -> tuple[int, int]:
-    """(a, d): the points (i, j), 0 <= i < a, 0 <= j < d, of M lie one in
-    each class of M / (M meet qM), for q over s with span ``pair._q_span(s,
-    q)[1]``; the meet is (1/s)(sZ^2 meet span).  So [M : M meet qM] = a d."""
-    a, _, d = hnf_meet(s, 0, s, *span)
-    if pair.family == HEISENBERG:  # the span is in the order (n1, n0)
-        return d // s, a // s
-    return a // s, d // s
 
 
 def index_m_cap_conj(pair: PairDescriptor, q) -> int:

@@ -16,6 +16,7 @@ all integers (over one least denominator where they are rational);
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from .arith import (
@@ -39,7 +40,8 @@ from .errors import (
     NotComparable,
 )
 from .grouppair import DEFAULT_COSET_BOUND, PLANAR, QUAD_TORUS, PairDescriptor, \
-    ResidueSubgroup, _box, _r_gens_mod, column_solutions, r_image_mod, slpm_chain, slpm_order
+    ResidueSubgroup, _r_gens_mod, column_solutions, r_image_mod, slpm_chain, slpm_order
+from .kernels import _box
 
 DEFAULT_CONDUCTOR_CAP = 10 ** 6
 DEFAULT_ORDER_CAP = 200000
@@ -319,6 +321,25 @@ class TowerStage:
         am = self.act(ri, (-m[0], -m[1]))
         return (am, self.key(ri))
 
+    @cached_property
+    def checks(self) -> dict:
+        """At the stage's congruence level: the residue core is normal under
+        the R generators; the core lattice is fixed by the R generators;
+        every residue core element moves every M generator by a core-lattice
+        vector.  Computed once per stage, on first use."""
+        pair = self.pair
+        return {
+            "r_core_normal_in_r": self.r_core.is_normal_under(
+                _r_gens_mod(pair, self.level)),
+            "m_core_r_stable": all(
+                transform_lattice((1, g), self.m_core) == self.m_core
+                for g in pair.r_generators
+            ),
+            "r_core_acts_trivially_on_quotient": all(
+                _fixes_quotient(self._core, r) for r in self.r_core.elements
+            ),
+        }
+
     def summary(self) -> dict:
         return {
             "cosets_in_family": len(self.family.reps),
@@ -381,24 +402,6 @@ def build_stage(family: CosetFamily, envelope: EnvelopeLattice,
     return TowerStage(family, envelope, m_core, r_core, image_order)
 
 
-def _stage_checks(stage: TowerStage) -> dict:
-    """At the stage's congruence level: the residue core is normal under the
-    R generators; the core lattice is fixed by the R generators; every
-    residue core element moves every M generator by a core-lattice vector."""
-    pair = stage.pair
-    return {
-        "r_core_normal_in_r": stage.r_core.is_normal_under(
-            _r_gens_mod(pair, stage.level)),
-        "m_core_r_stable": all(
-            transform_lattice((1, g), stage.m_core) == stage.m_core
-            for g in pair.r_generators
-        ),
-        "r_core_acts_trivially_on_quotient": all(
-            _fixes_quotient(stage._core, r) for r in stage.r_core.elements
-        ),
-    }
-
-
 class ConnectingMap:
     """Reduction map between a finer and a coarser stage of the same pair.
 
@@ -441,7 +444,7 @@ class ConnectingMap:
         coarse one (``__init__``) and the coarse core is normal; the action
         r.m passes to the quotients when the coarse core lattice is R-stable
         and the coarse core fixes M / core.  Those three are checked on the
-        coarse stage (``_stage_checks``).  The M-axis is also compared
+        coarse stage (``TowerStage.checks``).  The M-axis is also compared
         elementwise: in (m1, r1)(m2, r2) = (m1 + r1.m2, r1 r2) the m-part
         depends on the second factor only through m2, so phi(g x) =
         phi(g) phi(x) is compared at x = (m, 1) for every generator g and
@@ -452,7 +455,7 @@ class ConnectingMap:
         fine, coarse, phi_m = self.fine, self.coarse, self.phi_m
         gens = fine.generators()
         images = [self.apply(g) for g in gens]
-        hom_ok = all(_stage_checks(coarse).values())
+        hom_ok = all(coarse.checks.values())
         if hom_ok and coarse.m_index > 1:
             ident, cident = fine.identity()[1], coarse.identity()[1]
             hom_ok = all(
@@ -482,7 +485,7 @@ def triangle_commutes(via: ConnectingMap, down: ConnectingMap) -> bool:
 
 def verify_stage_invariants(stage: TowerStage) -> dict:
     """Normality and action-triviality certificates for a stage
-    (``_stage_checks``), with their verdict."""
-    results = _stage_checks(stage)
+    (``TowerStage.checks``), with their verdict."""
+    results = dict(stage.checks)
     results["verdict"] = "pass" if all(results.values()) else "fail"
     return results

@@ -7,6 +7,9 @@ are built by exhaustive scans or BFS closures, and group indices are
 recovered by direct counting.  ``all_pairs_convolve`` reads the double cosets of
 ``double_coset`` but forms every product of their left representatives;
 ``fixed_point_product`` uses none of the package beyond the R generators.
+``coset_key`` is the Fraction reference of the coset kernels, and
+``classical_hecke_product`` multiplies in the classical Hecke ring by
+Shimura's recursion, with no group element at all.
 ``residue_core_by_filter`` filters the stabilizer chain's listing of the
 image of R, the residue core that ``tower`` used before it solved the core
 by first columns.  ``stage_elements`` lists a tower stage from that listing,
@@ -619,3 +622,106 @@ def quad_pow_mod(r: QuadInt, k: int, s: int) -> QuadInt:
         base = (base * base).reduce_mod(s)
         k >>= 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# coset and class keys over Fraction: the slow reference of the coset
+# kernels of ``kernels`` (``_canon``, ``_class`` and the kernels built on
+# them), from the Fraction views of an element
+
+
+def _quad_normal(d, unit, a, b):
+    """(a', b') with a' + b' sqrt d the element of +-(a + b sqrt d) u^Z with
+    positive real embedding and square in [|norm|, |norm| u^2), by exact
+    ``sympy`` comparisons."""
+    import sympy
+
+    root = sympy.sqrt(d)
+    m0, n0 = unit
+    u = m0 + n0 * root
+    u_inv = (m0 * m0 - d * n0 * n0) * (m0 - n0 * root)  # the norm of u is +-1
+    beta = sympy.Rational(a.numerator, a.denominator) + \
+        sympy.Rational(b.numerator, b.denominator) * root
+    beta = beta if beta > 0 else -beta
+    norm = abs(sympy.expand(beta * (beta.subs(root, -root))))
+    while sympy.expand(beta ** 2) < norm:
+        beta = sympy.expand(beta * u)
+    while sympy.expand(beta ** 2) >= sympy.expand(norm * u ** 2):
+        beta = sympy.expand(beta * u_inv)
+    a, b = sympy.Rational(beta.subs(root, 0)), sympy.Rational(beta.coeff(root))
+    return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+
+
+def coset_key(x, cls=False):
+    """The key (s, v) of the canonical element of xH, or with ``cls`` of
+    MxH: q replaced by the canonical element q' of qR (the column form of q
+    for gl2, the unit normal form for the quad torus, q mod 1 for
+    heisenberg), n reduced into the box of the canonical basis of the
+    lattice it moves by: q'M (with Z x 0 for heisenberg, in the order
+    (n1, n0)), and M + q'M for the class."""
+    pair = x.pair
+    (n0, n1), q = x.n, x.q
+    one, zero = Fraction(1), Fraction(0)
+    if pair.family == "heisenberg":
+        q = q % 1
+        vectors, n0, n1 = [(one, q), (zero, one)], n1, n0
+    else:
+        if pair.q_kind == "quad_torus":
+            a, b = _quad_normal(pair.d, pair.quad_unit, q.a, q.c)
+            q = Mat2(a, pair.d * b, b, a)
+        else:
+            a, c, d = hnf_columns([(q.a, q.c), (q.b, q.d)])
+            q = Mat2(a, zero, c, d)
+        vectors = [(q.a, q.c), (q.b, q.d)]
+    if cls:
+        vectors += [(one, zero), (zero, one)]
+    a, c, d = hnf_columns(vectors)
+    k = floor(n0 / a)
+    n0, n1 = n0 - k * a, (n1 - k * c) % d
+    if pair.family == "heisenberg":
+        n0, n1 = n1, n0
+    y = pair.element((n0, n1), q)
+    return y.s, y.v
+
+
+# ---------------------------------------------------------------------------
+# the classical Hecke ring R(GL(2, Z), Delta_p), Delta_p the integral
+# matrices of p-power determinant (Shimura 1971, section 3.2)
+
+
+def classical_hecke_product(p, f, g):
+    """f g in R(GL(2, Z), Delta_p), for f and g given as {(a, b): c}, the
+    combinations of T(p^a, p^b) = [GL(2, Z) diag(p^a, p^b) GL(2, Z)], a <= b.
+
+    T(p^a, p^b) = T(p, p)^a T(1, p^(b-a)), T(p, p) is central, and by
+    Shimura 1971, Thm 3.24, T(1, p) T(1, p^k) is T(1, p^(k+1)) + c_k T(p, p^k)
+    with c_1 = p + 1 and c_k = p for k >= 2.  So T(1, p^k) is a polynomial
+    in T(1, p) and T(p, p), read off by that recursion."""
+    def add(x, y, scale=1, shift=0):
+        out = dict(x)
+        for (a, b), c in y.items():
+            key = (a + shift, b + shift)
+            out[key] = out.get(key, 0) + scale * c
+        return {k: c for k, c in out.items() if c}
+
+    def t1p(x):  # T(1, p) x
+        out = {}
+        for (a, b), c in x.items():
+            out = add(out, {(a, b + 1): c})
+            if b > a:
+                out = add(out, {(a + 1, b): c * (p + 1 if b - a == 1 else p)})
+        return out
+
+    def t1pk(k, y):
+        # T(1, p^k) y, by T(1, p^(j+1)) = T(1, p) T(1, p^j) - c_j T(p, p) T(1, p^(j-1))
+        if k == 0:
+            return y
+        prev, cur = y, t1p(y)
+        for j in range(1, k):
+            prev, cur = cur, add(t1p(cur), prev, -(p + 1 if j == 1 else p), shift=1)
+        return cur
+
+    out = {}
+    for (a, b), c in f.items():
+        out = add(out, t1pk(b - a, g), c, shift=a)
+    return out

@@ -30,7 +30,6 @@ from heckepairs.arith import (  # noqa: E402
 )
 from heckepairs.cosets import (  # noqa: E402
     HeckeElement,
-    _left_keys,
     _r_orbit,
     convolve,
     delta,
@@ -44,7 +43,6 @@ from heckepairs.grouppair import (  # noqa: E402
     PairDescriptor,
     _r_q_conditions,
     column_solutions,
-    m_cap_box,
     m_cap_conj,
     stabilizer_identities_report,
 )
@@ -52,6 +50,8 @@ from heckepairs.grouppair import (  # noqa: E402
 from oracles import (  # noqa: E402
     all_pairs_convolve,
     bfs_left_cosets,
+    classical_hecke_product,
+    coset_key,
     fraction_contains,
     fraction_index,
     fraction_intersect,
@@ -215,18 +215,29 @@ def unreduced(x, k):
 @SETTINGS
 @given(data=st.data())
 def test_fused_products_match_canon_of_mul(name, data):
-    # canon_mul, and _class of _product, canonicalize the unreduced product;
-    # the keys are homogeneous, so any common factor gives the same result
+    # each coset kernel of the pair on unreduced inputs: _product against
+    # the Fraction product, canon_mul and _canon of _product against
+    # canon_coset(mul(x, y)) and the Fraction coset key, _orbit_step and
+    # _class of _product against the Fraction class key, and the planar
+    # _canon_q_ints against the q-part of the coset key; the keys are
+    # homogeneous, so any common factor gives the same result
     pair = PAIRS[name]
     x, y = (data.draw(st.one_of(ELEMENTS[name], st.just(MIXED[name])))
             for _ in range(2))
     xy = pair.mul(x, y)
     c = pair.canon_coset(xy)
+    assert (c.s, c.v) == coset_key(xy)
+    cls = coset_key(xy, cls=True)
     for k, l in ((1, 1), (data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6)))):
         xk, yl = unreduced(x, k), unreduced(y, l)
-        assert pair.canon_mul(xk, yl) == (c.s, c.v)
-        assert pair._class(*pair._product(xk.s, xk.v, yl.s, yl.v)) == pair._class(xy.s, xy.v)
+        t, w = pair._product(xk.s, xk.v, yl.s, yl.v)
+        z = pair._reduced(t, w)
+        assert (z.n, z.q) == oracle_mul(pair, x, y)
+        assert pair.canon_mul(xk, yl) == pair._canon(t, w) == (c.s, c.v)
+        assert pair._orbit_step(xk.s, xk.v, yl.s, yl.v) == pair._class(t, w) == cls
         assert pair.canon_coset(xk) == pair.canon_coset(x)
+        if pair is not HEIS:
+            assert [F(e, t) for e in pair._canon_q_ints(*w[2:])] == list(c.q.entries())
 
 
 def test_h_generators_lie_in_h():
@@ -322,12 +333,15 @@ def test_left_keys_are_canon_of_m_translates(name, data):
         _, orbit = _r_orbit(x, 500)
     except BoundReached:
         assume(False)
+    k = data.draw(st.integers(2, 4))
     for s, (n0, n1, *q) in [(x.s, x.v)] + orbit:
-        a, d = box = m_cap_box(pair, s, pair._q_span(s, q)[1])
+        a, d = box = pair._meet_box(s, (n0, n1, *q))
         check_meet_box(GElem(s, (n0, n1, *q), pair), box)
-        assert _left_keys(pair, (s, (n0, n1, *q))) == [
-            pair._canon(s, (n0 + i * s, n1 + j * s, *q))
-            for i in range(a) for j in range(d)]
+        keys = pair._left_keys(s, (n0, n1, *q))
+        assert keys == [pair._canon(s, (n0 + i * s, n1 + j * s, *q))
+                        for i in range(a) for j in range(d)]
+        # over a denominator that is not least
+        assert pair._left_keys(k * s, (k * n0, k * n1, *(k * z for z in q))) == keys
 
 
 # the modular function on the four pairs, from the orbit counts of l_of
@@ -574,3 +588,54 @@ def test_convolve_degree_zero_matches_fixed_point_product(name, data):
         got[key] = (c, length)
     assert got == fixed_point_product(pair, ft, gt, den)
     forget_double_cosets(pair)
+
+
+# ---------------------------------------------------------------------------
+# the classical Hecke ring: for q in Delta_p = M_2(Z) meet GL(2, Z[1/p]),
+# HqH = M x| RqR, and the [HqH] multiply like R(GL(2, Z), Delta_p)
+
+
+def classical_element(pair, p, terms):
+    """The combination of the [H diag(p^a, p^b) H] given as {(a, b): c}."""
+    out = HeckeElement(pair, {})
+    for (a, b), c in terms.items():
+        out = out + HeckeElement.char_fn(pair.element((0, 0), Mat2.diag(p ** a, p ** b)), c)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classical_hecke_ring_identities(p):
+    pair = PairDescriptor.planar_gl2(p=p)
+
+    def t(a, b, c=1):
+        return classical_element(pair, p, {(a, b): c})
+
+    # Shimura 1971, Thm 3.24
+    assert convolve(t(0, 1), t(0, 1)) == t(0, 2) + t(1, 1, p + 1)
+    assert convolve(t(0, 1), t(0, 2)) == t(0, 3) + t(1, 2, p)
+    for x in (t(0, 1), t(0, 2), t(1, 2)):
+        assert convolve(t(1, 1), x) == convolve(x, t(1, 1))
+    for f, g in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((1, 2), (0, 1)), ((0, 2), (1, 1))):
+        assert convolve(t(*f), t(*g)) == classical_element(
+            pair, p, classical_hecke_product(p, {f: 1}, {g: 1}))
+    forget_double_cosets(pair)
+
+
+@st.composite
+def classical_terms(draw, spread):
+    """One or two T(p^a, p^b), a <= 1 and b - a <= spread, with nonzero
+    rational coefficients."""
+    exps = st.tuples(st.integers(0, 1), st.integers(0, spread)).map(
+        lambda e: (e[0], e[0] + e[1]))
+    return {e: draw(nonzero) for e in draw(st.lists(exps, min_size=1, max_size=2))}
+
+
+# p = 3 with b - a = 2 gives outputs of more than 10^5 left cosets
+@pytest.mark.parametrize("p, spread", [(2, 2), (3, 1)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_convolve_matches_classical_hecke_product(p, spread, data):
+    pair = PairDescriptor.planar_gl2(p=p)
+    f, g = data.draw(classical_terms(spread)), data.draw(classical_terms(spread))
+    assert convolve(classical_element(pair, p, f), classical_element(pair, p, g)) == \
+        classical_element(pair, p, classical_hecke_product(p, f, g))

@@ -100,9 +100,9 @@ def test_every_closure_has_a_bound(path):
 
 def canon_of_mul_calls(source: str) -> list[int]:
     """Lines of the calls canon_coset(mul(...)) and canon_class(mul(...)),
-    by name or by attribute.  A product is canonicalized by ``canon_mul``,
-    or by ``_canon`` or ``_class`` of ``_product``, which reduce it once,
-    without a ``GElem`` between."""
+    by name or by attribute.  A product is canonicalized by the kernels
+    ``canon_mul`` and ``_orbit_step``, which reduce it once, without a
+    ``GElem`` between."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call)
@@ -123,3 +123,75 @@ def test_canon_of_mul_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_products_are_canonicalized_fused(path):
     assert canon_of_mul_calls(path.read_text()) == []
+
+
+# the attributes whose comparison picks a family at run time
+FAMILY_FIELDS = ("family", "q_kind")
+
+
+def kernel_names(tree: ast.Module) -> set[str]:
+    """The functions a module stores as coset kernels: the values of its
+    module-level ``*_KERNELS`` dicts, and every module function those call
+    by name, transitively."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = [value.id for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id.endswith("_KERNELS") for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+            for value in node.value.values if isinstance(value, ast.Name)]
+    found = set()
+    while todo:
+        name = todo.pop()
+        if name in found or name not in functions:
+            continue
+        found.add(name)
+        todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)]
+    return found
+
+
+def kernel_family_tests(source: str) -> list[int]:
+    """Lines of the comparisons, inside a coset kernel, that read ``family``
+    or ``q_kind`` (as an attribute or a name)."""
+    tree = ast.parse(source)
+    names = kernel_names(tree)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            for cmp in ast.walk(node):
+                if isinstance(cmp, ast.Compare) and any(
+                        getattr(n, "attr", getattr(n, "id", None)) in FAMILY_FIELDS
+                        for side in [cmp.left, *cmp.comparators] for n in ast.walk(side)):
+                    found.append(cmp.lineno)
+    return sorted(found)
+
+
+def test_kernel_family_tests_are_found():
+    assert kernel_family_tests(
+        "def f(s, v):\n    return g(s) if s.family == 1 else v\n"
+        "def g(s):\n    return q_kind != 2\n"
+        "def h(pair):\n    return pair.family == 'heisenberg'\n"
+        "def k(s, v):\n    return s\n"
+        "_A_KERNELS = {'_canon': f, '_class': k}\n") == [2, 4]
+    assert kernel_family_tests("def f(s):\n    return s.family == 1\n") == []
+
+
+def test_coset_kernels_test_no_family():
+    source = (MODULES[0].parent / "kernels.py").read_text()
+    assert {"_gl2_canon", "_heis_canon_mul", "_quad_q"} <= kernel_names(ast.parse(source))
+    assert kernel_family_tests(source) == []
+
+
+def function_definitions(sources, name: str) -> int:
+    """How many functions called ``name`` the sources define, at any depth."""
+    return sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+               for source in sources for node in ast.walk(ast.parse(source)))
+
+
+def test_function_definitions_are_counted():
+    assert function_definitions(
+        ["def _xgcd(a, b):\n    pass\n",
+         "class C:\n    def _xgcd(self):\n        def _xgcd():\n            pass\n",
+         "_xgcd = None\ndef xgcd():\n    pass\n"], "_xgcd") == 3
+
+
+def test_one_xgcd():
+    assert function_definitions([p.read_text() for p in MODULES], "_xgcd") == 1

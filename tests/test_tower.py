@@ -523,6 +523,21 @@ def test_connecting_verify_catches_a_corrupted_coarse_stage(stage1, stage2):
     assert cm.verify() == rep
 
 
+def test_stage_checks_are_computed_once_per_stage(monkeypatch, stage1, stage2):
+    # verify_stage_invariants and every ConnectingMap.verify into a stage
+    # read the same three checks, computed on first use
+    coarse = _with_core(stage1, stage1.r_core.elements)
+    calls = []
+    normal = ResidueSubgroup.is_normal_under
+    monkeypatch.setattr(ResidueSubgroup, "is_normal_under",
+                        lambda self, gens: calls.append(self) or normal(self, gens))
+    assert verify_stage_invariants(coarse)["verdict"] == "pass"
+    for _ in range(2):
+        assert ConnectingMap(stage2, coarse).verify()["homomorphism"] is True
+    assert verify_stage_invariants(coarse)["verdict"] == "pass"
+    assert calls == [coarse.r_core]
+
+
 # the chains of _CORE_STAGES whose stages below the default cap are not
 # those of another chain here or the fixtures stage0, stage1 and stage2
 # (diag(2,1);diag(4,1) over Z[1/2]), which the oracle tests above compare
